@@ -115,7 +115,8 @@ pub struct CloudProvider<'t> {
     faults: Option<FaultPlan>,
     /// Correlated-failure storms: episode-modulated fault rates, capacity
     /// crunches, mass revocations and the global on-demand quota. `None`
-    /// (the default) is the storm-free provider.
+    /// (the default) is the storm-free provider. Only the crunch stream is
+    /// drawn here; the timeline is shared with the schedule's other clones.
     storms: Option<StormSchedule>,
     /// On-demand servers currently held (granted and not yet terminated),
     /// counted against the storm model's global quota.

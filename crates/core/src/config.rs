@@ -2,7 +2,8 @@
 
 use crate::policy::BiddingPolicy;
 use crate::strategy::MarketScope;
-use spothost_faults::{FaultConfig, StormConfig};
+use spothost_faults::{FaultConfig, StormConfig, StormSchedule};
+use spothost_market::gen::{derive_seed, TraceSet};
 use spothost_market::time::SimDuration;
 use spothost_market::types::MarketId;
 use spothost_virt::{MechanismCombo, ParamRegime, VirtParams};
@@ -54,11 +55,14 @@ pub struct SchedulerConfig {
     /// effect-free config builds no schedule and is bit-identical to no
     /// storms at all).
     pub storms: StormConfig,
-    /// Seed override for the storm schedule. `None` (the default) derives
-    /// storms from the run seed; a fleet pins one shared seed here so all
-    /// its services see the *same* episode timeline — storms must be
-    /// correlated across the fleet, not redrawn per service.
-    pub storm_seed: Option<u64>,
+    /// One storm schedule shared by every run of this config. `None` (the
+    /// default) has each run build its own from its run seed; a fleet
+    /// pins one built from its fleet seed
+    /// ([`with_shared_storms`](Self::with_shared_storms)) so all its
+    /// services see the *same* episode timeline — storms must be
+    /// correlated across the fleet, not redrawn per service. A pinned
+    /// schedule must be built from `storms` over the runs' trace set.
+    pub storm_schedule: Option<StormSchedule>,
     /// After this much continuous uptime on one lease, the reacquire
     /// backoff ladder resets to its 60 s base. Shorter stints keep their
     /// escalated backoff so a brief mid-storm activation cannot re-arm
@@ -86,7 +90,7 @@ impl SchedulerConfig {
             naive_restart: false,
             faults: FaultConfig::none(),
             storms: StormConfig::none(),
-            storm_seed: None,
+            storm_schedule: None,
             stable_backoff_reset: SimDuration::minutes(30),
         }
     }
@@ -108,7 +112,7 @@ impl SchedulerConfig {
             naive_restart: false,
             faults: FaultConfig::none(),
             storms: StormConfig::none(),
-            storm_seed: None,
+            storm_schedule: None,
             stable_backoff_reset: SimDuration::minutes(30),
         }
     }
@@ -168,11 +172,23 @@ impl SchedulerConfig {
         self
     }
 
-    /// Pin the storm schedule to a fixed seed instead of the run seed
-    /// (fleets share one timeline across their per-service run seeds).
-    pub fn with_storm_seed(mut self, seed: u64) -> Self {
-        self.storm_seed = Some(seed);
+    /// Build the storm schedule once, from `seed` over `traces`, and pin
+    /// it for every run of this config (see `storm_schedule`). A fleet
+    /// passes its fleet seed, so its services share one timeline whatever
+    /// their run seeds. Pins nothing when `storms` has no effect; call it
+    /// after [`with_storms`](Self::with_storms).
+    pub fn with_shared_storms(mut self, traces: &TraceSet, seed: u64) -> Self {
+        self.storm_schedule = build_storms(&self.storms, traces, seed);
         self
+    }
+
+    /// The storm schedule a run of this config over `traces` follows: the
+    /// pinned one, else one built from the run seed. `None` when `storms`
+    /// has no effect.
+    pub(crate) fn run_storms(&self, traces: &TraceSet, seed: u64) -> Option<StormSchedule> {
+        self.storm_schedule
+            .clone()
+            .or_else(|| build_storms(&self.storms, traces, seed))
     }
 
     /// Tune the stable-uptime interval after which the reacquire backoff
@@ -200,13 +216,9 @@ impl SchedulerConfig {
                 self.capacity_units
             ));
         }
+        self.scope.validate()?;
         if self.scope.candidates(self.capacity_units).is_empty() {
             return Err("scope has no candidate markets for this capacity".into());
-        }
-        if let MarketScope::MultiRegion(zones) = &self.scope {
-            if zones.is_empty() {
-                return Err("multi-region scope needs at least one zone".into());
-            }
         }
         if !(0.0..1.0).contains(&self.hop_margin) {
             return Err("hop_margin must lie in [0,1)".into());
@@ -222,6 +234,11 @@ impl SchedulerConfig {
         }
         self.faults.validate()?;
         self.storms.validate()?;
+        if let Some(schedule) = &self.storm_schedule {
+            if schedule.config() != &self.storms {
+                return Err("storm_schedule must be built from the storms config".into());
+            }
+        }
         if self.stable_backoff_reset == SimDuration::ZERO {
             return Err("stable_backoff_reset must be positive".into());
         }
@@ -232,6 +249,20 @@ impl SchedulerConfig {
     pub fn candidates(&self) -> Vec<MarketId> {
         self.scope.candidates(self.capacity_units)
     }
+}
+
+/// The storm schedule drawn from `seed` over `traces`, or `None` when
+/// `storms` has no effect: an effect-free config builds nothing and so
+/// advances no stream.
+fn build_storms(storms: &StormConfig, traces: &TraceSet, seed: u64) -> Option<StormSchedule> {
+    storms.enabled().then(|| {
+        StormSchedule::new(
+            storms.clone(),
+            derive_seed(seed, "storms", 0),
+            traces.horizon(),
+            traces.spike_spans(),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -294,5 +325,38 @@ mod tests {
     fn validation_rejects_empty_multi_region() {
         let cfg = SchedulerConfig::multi(MarketScope::MultiRegion(vec![]));
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_repeated_zone() {
+        // Regression: a zone listed twice used to pass, and its storm
+        // edges then fired twice per episode.
+        let cfg = SchedulerConfig::multi(MarketScope::MultiRegion(vec![
+            Zone::UsEast1a,
+            Zone::UsWest1a,
+            Zone::UsEast1a,
+        ]));
+        let err = cfg.validate().expect_err("repeated zone");
+        assert!(err.contains("us-east-1a"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_a_schedule_of_another_storm_config() {
+        use spothost_market::catalog::Catalog;
+        let m = MarketId::new(Zone::UsEast1a, InstanceType::Small);
+        let traces = TraceSet::generate(&Catalog::ec2_2015(), &[m], 1, SimDuration::days(2));
+        let cfg = SchedulerConfig::single_market(m)
+            .with_storms(StormConfig::intensity(0.5))
+            .with_shared_storms(&traces, 7);
+        assert!(cfg.storm_schedule.is_some());
+        cfg.validate().unwrap();
+        let err = cfg
+            .with_storms(StormConfig::intensity(0.4))
+            .validate()
+            .expect_err("mismatched schedule");
+        assert!(err.contains("storm_schedule"), "{err}");
+        // An effect-free storm config pins nothing.
+        let calm = SchedulerConfig::single_market(m).with_shared_storms(&traces, 7);
+        assert!(calm.storm_schedule.is_none());
     }
 }

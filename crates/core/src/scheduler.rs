@@ -80,10 +80,89 @@ enum Ev {
     /// Retry an acquisition that failed with an injected provider fault,
     /// after a bounded backoff.
     Reacquire,
-    /// A storm episode edge in a zone (telemetry only: the storm's
-    /// behavioural effects flow through the provider and the schedule
-    /// queries, not through this event).
-    StormEdge { zone: Zone, started: bool },
+}
+
+/// Storm-episode edges, merged into the event stream straight from the
+/// shared storm timeline instead of being queued: one cursor per scope
+/// zone into the schedule's episode list.
+///
+/// Edges are not telemetry only. An episode start in the active spot
+/// lease's zone triggers a storm evacuation, so when an edge is
+/// dispatched relative to the queued events is part of the output.
+/// [`SimRun::step_until`] merges them with the queue by this tie rule: an
+/// edge goes before any queued event of the same time, and edges of the
+/// same time go in scope-zone order (the order `MarketScope::zones` lists
+/// them). Within one zone edges strictly increase, because a zone's
+/// episodes never touch. This is the `(time, sequence)` order the edges
+/// would have if all of them were queued, zone by zone, before the run's
+/// first event.
+#[derive(Debug, Clone, Copy)]
+struct StormEdges {
+    /// Per scope zone, in scope order: the zone and the index of its next
+    /// edge (`2i` is episode `i`'s start, `2i + 1` its end).
+    cursors: [(Zone, usize); 4],
+    /// Cursors in use: the scope's zone count, or 0 without storms.
+    len: usize,
+    /// Edges at or past this instant (the run's horizon) never fire.
+    end: SimTime,
+    /// The earliest pending edge and the cursor it belongs to.
+    next: Option<(SimTime, usize)>,
+}
+
+impl StormEdges {
+    /// Cursors at the first edge of each of `zones`, or no cursors at all
+    /// without a schedule. `zones` holds at most four distinct zones
+    /// ([`SchedulerConfig::validate`] rejects a repeated one).
+    fn new(storms: Option<&StormSchedule>, zones: &[Zone], end: SimTime) -> Self {
+        let mut edges = StormEdges {
+            cursors: [(Zone::UsEast1a, 0); 4],
+            len: 0,
+            end,
+            next: None,
+        };
+        if let Some(s) = storms {
+            for (slot, &zone) in edges.cursors.iter_mut().zip(zones) {
+                *slot = (zone, 0);
+            }
+            edges.len = zones.len();
+            edges.refresh(s);
+        }
+        edges
+    }
+
+    /// Move every cursor to its zone's first edge at or after `at`.
+    fn seek(&mut self, storms: &StormSchedule, at: SimTime) {
+        for (zone, next) in &mut self.cursors[..self.len] {
+            let eps = storms.episodes(*zone);
+            let i = eps.partition_point(|e| e.end < at);
+            *next = 2 * i + usize::from(eps.get(i).is_some_and(|e| e.start < at));
+        }
+        self.refresh(storms);
+    }
+
+    /// Recompute `next`: the earliest cursor edge before `end`, the first
+    /// cursor in scope order on a tie.
+    fn refresh(&mut self, storms: &StormSchedule) {
+        self.next = None;
+        for (i, &(zone, k)) in self.cursors[..self.len].iter().enumerate() {
+            let Some(ep) = storms.episodes(zone).get(k / 2) else {
+                continue;
+            };
+            let t = if k % 2 == 0 { ep.start } else { ep.end };
+            if t < self.end && self.next.is_none_or(|(best, _)| t < best) {
+                self.next = Some((t, i));
+            }
+        }
+    }
+
+    /// Consume the `next` edge: its zone, and whether it starts an
+    /// episode.
+    fn pop(&mut self, storms: &StormSchedule, slot: usize) -> (Zone, bool) {
+        let (zone, k) = self.cursors[slot];
+        self.cursors[slot].1 += 1;
+        self.refresh(storms);
+        (zone, k % 2 == 0)
+    }
 }
 
 /// A running lease the service lives on.
@@ -241,11 +320,13 @@ pub struct SimRun<'t, S: Sink = NullSink> {
     /// Mechanism-side fault draws (checkpoint/live/lazy). `None` unless
     /// fault injection is enabled; the provider holds its own plan.
     faults: Option<FaultPlan>,
-    /// Correlated-failure storm schedule (a clone of the provider's: the
-    /// episode timelines are identical by value, the scheduler uses only
-    /// the jitter stream and the provider only the crunch stream, so the
-    /// clones never diverge). `None` unless storms are configured.
+    /// Correlated-failure storm schedule (a clone of the provider's: both
+    /// share one episode timeline, the scheduler uses only the jitter
+    /// stream and the provider only the crunch stream, so the clones never
+    /// diverge). `None` unless storms are configured.
     storms: Option<StormSchedule>,
+    /// Cursors of the storm edges not yet dispatched.
+    edges: StormEdges,
     /// Per-zone end of the storm episode in which a capacity fault was
     /// last observed. Market ranking shuns a storming zone only while
     /// `now` is inside this window: a storm becomes evidence against its
@@ -353,56 +434,20 @@ impl<'t> SimRun<'t, NullSink> {
             (CloudProvider::new(traces, seed), None)
         };
         // Storms ride their own seed-derived streams, independent of the
-        // fault streams above; a fleet overrides the base seed so every
-        // service in it observes the same episode timeline. An effect-free
-        // storm config builds no schedule at all — bit-identical to a
-        // build without any of this.
-        let storms = if cfg.storms.enabled() {
-            let base = cfg.storm_seed.unwrap_or(seed);
-            let schedule = StormSchedule::new(
-                cfg.storms.clone(),
-                derive_seed(base, "storms", 0),
-                traces.horizon(),
-                traces.spike_spans(),
-            );
-            provider = provider.with_storms(schedule.clone());
-            Some(schedule)
-        } else {
-            None
-        };
+        // fault streams above; a fleet pins one schedule in the config so
+        // every service in it shares the same episode timeline. An
+        // effect-free storm config builds no schedule at all —
+        // bit-identical to a build without any of this.
+        let storms = cfg.run_storms(traces, seed);
+        if let Some(s) = &storms {
+            provider = provider.with_storms(s.clone());
+        }
+        let edges = StormEdges::new(storms.as_ref(), &cfg.scope.zones(), horizon);
         let SimScratch {
             mut queue,
             mut forecasters,
         } = scratch;
         queue.reset();
-        // Storm episode edges as telemetry events: the storm's behavioural
-        // effects flow through provider gates and schedule queries, so
-        // these extra queue entries change nothing but the event stream
-        // (FIFO tie-breaking keeps same-time ordering of other events).
-        if let Some(s) = &storms {
-            for zone in cfg.scope.zones() {
-                for ep in s.episodes(zone) {
-                    if ep.start < SimTime::ZERO + traces.horizon() {
-                        queue.push(
-                            ep.start,
-                            Ev::StormEdge {
-                                zone,
-                                started: true,
-                            },
-                        );
-                    }
-                    if ep.end < SimTime::ZERO + traces.horizon() {
-                        queue.push(
-                            ep.end,
-                            Ev::StormEdge {
-                                zone,
-                                started: false,
-                            },
-                        );
-                    }
-                }
-            }
-        }
         let forecast = match cfg.policy {
             BiddingPolicy::Adaptive { risk_budget } => Some(ForecastState {
                 risk_budget,
@@ -441,6 +486,7 @@ impl<'t> SimRun<'t, NullSink> {
             baseline_rate,
             faults,
             storms,
+            edges,
             zone_shunned_until: [SimTime::ZERO; 4],
             acquire_attempts: 0,
             active_since: None,
@@ -471,6 +517,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             baseline_rate: self.baseline_rate,
             faults: self.faults,
             storms: self.storms,
+            edges: self.edges,
             zone_shunned_until: self.zone_shunned_until,
             acquire_attempts: self.acquire_attempts,
             active_since: self.active_since,
@@ -510,20 +557,19 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// clock, so every scheduler in the fleet observes the same market
     /// history at the same simulated instant.
     ///
-    /// Storm-edge telemetry events queued before `at` are dropped (time
-    /// must never move backwards); the storm's *behavioural* effects are
-    /// query-based and unaffected.
+    /// Storm edges before `at` never fire (time must never move
+    /// backwards): the edge cursors skip to the first edge at or after
+    /// `at`. The storm's other effects are schedule queries at the time
+    /// they are made and need no skipping.
     pub fn with_start(mut self, at: SimTime) -> Self {
         assert!(
             at <= self.horizon,
             "start {at:?} must not pass the horizon {:?}",
             self.horizon
         );
-        while let Some(t) = self.queue.peek_time() {
-            if t >= at {
-                break;
-            }
-            let _ = self.queue.pop();
+        debug_assert!(self.queue.is_empty(), "with_start must precede begin");
+        if let Some(s) = &self.storms {
+            self.edges.seek(s, at);
         }
         self.now = at;
         self
@@ -536,11 +582,17 @@ impl<'t, S: Sink> SimRun<'t, S> {
         self.initial_acquire();
     }
 
-    /// Advance the run, dispatching every queued event strictly before
-    /// `limit`. Returns `true` when the run stopped *at* `limit` (or ran
-    /// out of events) and is still live; `false` once it consumed an
-    /// event at or past its own horizon — the run is over and the only
-    /// valid next call is [`SimRun::finish_at`].
+    /// Advance the run, dispatching every queued event and storm edge
+    /// strictly before `limit`. Returns `true` when the run stopped *at*
+    /// `limit` (or ran out of events) and is still live; `false` once it
+    /// consumed an event at or past its own horizon — the run is over and
+    /// the only valid next call is [`SimRun::finish_at`].
+    ///
+    /// Storm edges are not queued: they come from cursors into the shared
+    /// storm timeline and are merged with the queue here. An edge goes
+    /// before a queued event of the same time, and same-time edges go in
+    /// scope-zone order; edges change behaviour (an episode start can
+    /// evacuate the active lease), so this tie rule is part of the output.
     ///
     /// `step_until(SimTime::MAX)` reproduces the legacy single-VM event
     /// loop exactly, including its terminal quirk: the first event at or
@@ -549,7 +601,26 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// whole experiment suite rides on preserving that order, so do not
     /// "fix" it.
     pub fn step_until(&mut self, limit: SimTime) -> bool {
-        while let Some(t) = self.queue.peek_time() {
+        loop {
+            let queued = self.queue.peek_time();
+            if let Some((t, slot)) = self.edges.next {
+                if queued.is_none_or(|q| t <= q) {
+                    if t >= limit {
+                        return true;
+                    }
+                    let Some(storms) = &self.storms else {
+                        unreachable!("storm edges come from the schedule");
+                    };
+                    let (zone, started) = self.edges.pop(storms, slot);
+                    debug_assert!(t >= self.now, "time went backwards");
+                    self.now = t;
+                    self.on_storm_edge(zone, started);
+                    continue;
+                }
+            }
+            let Some(t) = queued else {
+                return true;
+            };
             if t >= limit && t < self.horizon {
                 // The next event belongs to a later step window.
                 return true;
@@ -566,7 +637,6 @@ impl<'t, S: Sink> SimRun<'t, S> {
             self.now = t;
             self.dispatch(ev);
         }
-        true
     }
 
     /// Finish the run at `at` (clamped to the configured horizon),
@@ -1293,10 +1363,11 @@ impl<'t, S: Sink> SimRun<'t, S> {
             Ev::ResumeDone(id) => self.on_resume_done(id),
             Ev::SpotRetry => self.on_spot_retry(),
             Ev::Reacquire => self.on_reacquire(),
-            Ev::StormEdge { zone, started } => self.on_storm_edge(zone, started),
         }
     }
 
+    /// A storm edge in a scope zone: telemetry, and on an episode start
+    /// the storm evacuation below.
     fn on_storm_edge(&mut self, zone: Zone, started: bool) {
         self.emit(if started {
             TelemetryEvent::StormStarted { zone }
@@ -2884,6 +2955,50 @@ mod tests {
             a.request_faults,
             calm.request_faults
         );
+    }
+
+    #[test]
+    fn coinciding_storm_edges_dispatch_in_scope_zone_order() {
+        // Pins the merge's tie rule: spike-coupled windows that coincide
+        // in two zones start (and end) storms in the order the scope lists
+        // the zones, not in zone-index order.
+        use spothost_faults::{StormConfig, StormSchedule};
+        use spothost_telemetry::Recorder;
+        let mut storms = StormConfig::none();
+        storms.spike_coupling = 1.0;
+        let window = (SimTime::hours(5), SimTime::hours(7));
+        let mut spans: [Vec<(SimTime, SimTime)>; 4] = [const { Vec::new() }; 4];
+        spans[Zone::UsEast1a.index()] = vec![window];
+        spans[Zone::UsWest1a.index()] = vec![window];
+        for zones in [
+            vec![Zone::UsWest1a, Zone::UsEast1a],
+            vec![Zone::UsEast1a, Zone::UsWest1a],
+        ] {
+            let mut c = SchedulerConfig::multi(MarketScope::MultiRegion(zones.clone()))
+                .with_storms(storms.clone());
+            let ts = TraceSet::generate(
+                &Catalog::ec2_2015(),
+                &c.candidates(),
+                3,
+                SimDuration::days(1),
+            );
+            c.storm_schedule = Some(StormSchedule::new(storms.clone(), 1, ts.horizon(), &spans));
+            let mut rec = Recorder::new();
+            SimRun::new(&ts, &c, 3).with_sink(&mut rec).run();
+            let edges: Vec<(SimTime, bool, Zone)> = rec
+                .events()
+                .filter_map(|(t, ev)| match ev {
+                    TelemetryEvent::StormStarted { zone } => Some((*t, true, *zone)),
+                    TelemetryEvent::StormEnded { zone } => Some((*t, false, *zone)),
+                    _ => None,
+                })
+                .collect();
+            let expected: Vec<(SimTime, bool, Zone)> = [(window.0, true), (window.1, false)]
+                .into_iter()
+                .flat_map(|(t, started)| zones.iter().map(move |&z| (t, started, z)))
+                .collect();
+            assert_eq!(edges, expected, "scope {zones:?}");
+        }
     }
 
     #[test]

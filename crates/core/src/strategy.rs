@@ -26,6 +26,23 @@ impl MarketScope {
         }
     }
 
+    /// Check the scope lists its zones sensibly: a multi-region scope
+    /// needs at least one zone and may list each only once. (A repeated
+    /// zone adds no market, but would make its storm edges fire twice.)
+    pub fn validate(&self) -> Result<(), String> {
+        if let MarketScope::MultiRegion(zones) = self {
+            if zones.is_empty() {
+                return Err("multi-region scope needs at least one zone".into());
+            }
+            for (i, z) in zones.iter().enumerate() {
+                if zones[..i].contains(z) {
+                    return Err(format!("multi-region scope lists zone {z} more than once"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Spot markets the scheduler may bid in, for a service of `units`
     /// capacity units. Sizes that don't pack evenly are excluded.
     ///
@@ -156,9 +173,15 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "must be (zone, size) ascending");
-        // Duplicate zones don't duplicate markets.
+        // Duplicate zones don't duplicate markets, but the scope is
+        // invalid all the same.
         let dup = MarketScope::MultiRegion(vec![Zone::UsEast1a, Zone::UsEast1a]);
         assert_eq!(dup.candidates(8).len(), 4);
+        let err = dup.validate().expect_err("repeated zone");
+        assert!(err.contains("us-east-1a"), "{err}");
+        fwd.validate().unwrap();
+        rev.validate().unwrap();
+        assert!(MarketScope::MultiRegion(vec![]).validate().is_err());
     }
 
     #[test]

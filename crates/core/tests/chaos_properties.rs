@@ -16,14 +16,17 @@
 //! (e) collapse to the storm-free baseline at zero intensity — a
 //!     zero-intensity config, and even a *built* but effect-free
 //!     schedule, never advances any RNG stream, so the report is
-//!     bit-identical to a run with no storms configured at all.
+//!     bit-identical to a run with no storms configured at all;
+//! (f) not care where its storm schedule came from — a run handed a
+//!     shared schedule built from storm seed S is bitwise-identical to
+//!     the same run building its own from S, event stream included.
 
 use proptest::prelude::*;
 use spothost_core::prelude::*;
 use spothost_core::scheduler::{SimRun, SimScratch};
 use spothost_market::catalog::Catalog;
 use spothost_market::gen::TraceSet;
-use spothost_market::time::SimDuration;
+use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::types::{InstanceType, MarketId, Zone};
 use spothost_virt::MechanismCombo;
 
@@ -92,6 +95,75 @@ fn arb_scope() -> impl Strategy<Value = MarketScope> {
             Zone::UsWest1a
         ])),
     ]
+}
+
+/// Every scope kind, with multi-region scopes of 2–4 distinct zones in
+/// any order (zone-index order or not): permutation `p` of the four
+/// zones (its Lehmer code), cut to the first `n`.
+fn arb_any_scope() -> impl Strategy<Value = MarketScope> {
+    prop_oneof![
+        arb_scope(),
+        (0usize..24, 2usize..5).prop_map(|(mut p, n)| {
+            let mut pool = Zone::ALL.to_vec();
+            let mut zones = Vec::new();
+            while !pool.is_empty() {
+                let len = pool.len();
+                zones.push(pool.remove(p % len));
+                p /= len;
+            }
+            zones.truncate(n);
+            MarketScope::MultiRegion(zones)
+        }),
+    ]
+}
+
+/// Every field of a report as raw bits. The exhaustive destructuring
+/// fails to compile when a field is added without being listed here.
+fn report_bits(r: &RunReport) -> Vec<u64> {
+    let RunReport {
+        normalized_cost,
+        unavailability,
+        degraded_fraction,
+        forced_per_hour,
+        planned_reverse_per_hour,
+        spot_fraction,
+        cost,
+        baseline_cost,
+        downtime,
+        active_span,
+        forced_migrations,
+        planned_migrations,
+        reverse_migrations,
+        request_faults,
+        unwarned_revocations,
+        ckpt_faults,
+        live_aborts,
+    } = *r;
+    let floats = [
+        normalized_cost,
+        unavailability,
+        degraded_fraction,
+        forced_per_hour,
+        planned_reverse_per_hour,
+        spot_fraction,
+        cost,
+        baseline_cost,
+    ];
+    let counts = [
+        forced_migrations,
+        planned_migrations,
+        reverse_migrations,
+        request_faults,
+        unwarned_revocations,
+        ckpt_faults,
+        live_aborts,
+    ];
+    floats
+        .iter()
+        .map(|x| x.to_bits())
+        .chain([downtime.as_millis(), active_span.as_millis()])
+        .chain(counts.iter().map(|&n| u64::from(n)))
+        .collect()
 }
 
 fn base_cfg(
@@ -267,5 +339,49 @@ proptest! {
         neutral.od_quota = u32::MAX;
         let built = run_one(&base.clone().with_storms(neutral), seed, horizon);
         prop_assert_eq!(plain, built);
+    }
+
+    #[test]
+    fn a_shared_storm_schedule_matches_one_built_per_run(
+        intensity in prop_oneof![Just(1.0), 0.05f64..1.0],
+        faults in arb_faults(),
+        scope in arb_any_scope(),
+        policy in arb_policy(),
+        mechanism in arb_mechanism(),
+        start_min in prop_oneof![Just(0u64), 0u64..HORIZON_DAYS * 24 * 60],
+        seed in 0u64..1_000,
+    ) {
+        // (f) A fleet builds one schedule from its seed and hands it to
+        // every run; a single-service run builds its own from its run
+        // seed. With both seeds equal the two runs must not differ by a
+        // bit, from any start (a mid-run spawn seeks the edge cursors).
+        let own = base_cfg(scope, policy, mechanism)
+            .with_faults(faults)
+            .with_storms(StormConfig::intensity(intensity));
+        let traces = traces_for(&own, seed);
+        let shared = own.clone().with_shared_storms(&traces, seed);
+        prop_assert!(shared.storm_schedule.is_some());
+        shared.validate().expect("a shared schedule of its own storms validates");
+        let start = SimTime::ZERO + SimDuration::minutes(start_min);
+        let run = |cfg: &SchedulerConfig| {
+            let mut rec = Recorder::new();
+            let report = SimRun::new(&traces, cfg, seed)
+                .with_sink(&mut rec)
+                .with_start(start)
+                .run();
+            // `{:?}` prints every float in its shortest round-trip form,
+            // so equal renderings are equal bits.
+            let stream: Vec<String> = rec.events().map(|e| format!("{e:?}")).collect();
+            (report_bits(&report), stream)
+        };
+        let (own_bits, own_stream) = run(&own);
+        let (shared_bits, shared_stream) = run(&shared);
+        prop_assert_eq!(&own_bits, &shared_bits);
+        prop_assert_eq!(&own_stream, &shared_stream);
+        // A run draws from its own clone of the shared streams, never
+        // from the config's: a second run of the same config repeats.
+        let (again_bits, again_stream) = run(&shared);
+        prop_assert_eq!(own_bits, again_bits);
+        prop_assert_eq!(own_stream, again_stream);
     }
 }

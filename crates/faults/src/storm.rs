@@ -38,6 +38,7 @@ use rand_chacha::ChaCha12Rng;
 use spothost_market::gen::derive_seed;
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::types::Zone;
+use std::sync::Arc;
 
 /// Knobs of the correlated-failure storm model. All-zero (the default,
 /// [`StormConfig::none`]) disables everything.
@@ -162,22 +163,36 @@ pub struct StormEpisode {
     pub end: SimTime,
 }
 
-/// A [`StormConfig`] bound to one run's episode timeline and random
-/// streams.
+/// A [`StormConfig`] bound to one episode timeline and one pair of
+/// query-time random streams.
 ///
 /// Construction pre-computes, per zone, the merged episode list and the
 /// mass-revocation instants inside it; queries against those are pure
-/// lookups. The two query-time streams (capacity crunch, backoff jitter)
-/// are independent, so the provider and the scheduler can each hold a
-/// clone of the schedule and use *disjoint* streams without divergence —
-/// the episode timeline in both clones is identical by value.
+/// lookups. That timeline is immutable and shared behind an [`Arc`], so a
+/// clone costs a reference-count bump plus the two stream states: a fleet
+/// builds one schedule and hands a clone to every service it spawns,
+/// which then all see the same storms.
+///
+/// The two query-time streams (capacity crunch, backoff jitter) are
+/// independent, so the provider and the scheduler can each hold a clone
+/// of the schedule and use *disjoint* streams without divergence. Each
+/// clone carries its own copy of the stream states as they were when it
+/// was cloned: clones of a schedule nobody has drawn from all start from
+/// the state the seed gave.
 #[derive(Debug, Clone)]
 pub struct StormSchedule {
+    timeline: Arc<StormTimeline>,
+    crunch: ChaCha12Rng,
+    jitter: ChaCha12Rng,
+}
+
+/// The immutable part of a [`StormSchedule`]: its configuration and, per
+/// [`Zone::index`], the episodes and mass-revocation instants.
+#[derive(Debug)]
+struct StormTimeline {
     cfg: StormConfig,
     episodes: [Vec<StormEpisode>; 4],
     mass_revocations: [Vec<SimTime>; 4],
-    crunch: ChaCha12Rng,
-    jitter: ChaCha12Rng,
 }
 
 impl StormSchedule {
@@ -264,21 +279,25 @@ impl StormSchedule {
         });
 
         StormSchedule {
-            cfg,
-            episodes,
-            mass_revocations,
+            timeline: Arc::new(StormTimeline {
+                cfg,
+                episodes,
+                mass_revocations,
+            }),
             crunch: stream("storm-crunch", 0),
             jitter: stream("storm-jitter", 0),
         }
     }
 
     pub fn config(&self) -> &StormConfig {
-        &self.cfg
+        &self.timeline.cfg
     }
 
-    /// The merged, sorted, non-overlapping episodes of one zone.
+    /// The merged, sorted, non-overlapping episodes of one zone. Within a
+    /// zone each episode starts strictly after the previous one ends, so
+    /// the zone's edges (every start and end in turn) strictly increase.
     pub fn episodes(&self, zone: Zone) -> &[StormEpisode] {
-        &self.episodes[zone.index()]
+        &self.timeline.episodes[zone.index()]
     }
 
     /// Is the zone inside a storm episode at `t`?
@@ -289,7 +308,7 @@ impl StormSchedule {
     /// End of the episode containing `t` in `zone`, if one is in
     /// progress at `t` — a pure lookup, like [`Self::is_storming`].
     pub fn episode_end(&self, zone: Zone, t: SimTime) -> Option<SimTime> {
-        let eps = &self.episodes[zone.index()];
+        let eps = self.episodes(zone);
         let i = eps.partition_point(|e| e.start <= t);
         (i > 0 && eps[i - 1].end > t).then(|| eps[i - 1].end)
     }
@@ -298,7 +317,7 @@ impl StormSchedule {
     /// multiplier while storming, 1 otherwise.
     pub fn fault_multiplier(&self, zone: Zone, t: SimTime) -> f64 {
         if self.is_storming(zone, t) {
-            self.cfg.fault_multiplier
+            self.timeline.cfg.fault_multiplier
         } else {
             1.0
         }
@@ -307,7 +326,7 @@ impl StormSchedule {
     /// The first mass-revocation instant strictly after `after` in this
     /// zone, if any.
     pub fn next_mass_revocation(&self, zone: Zone, after: SimTime) -> Option<SimTime> {
-        let times = &self.mass_revocations[zone.index()];
+        let times = &self.timeline.mass_revocations[zone.index()];
         let i = times.partition_point(|&t| t <= after);
         times.get(i).copied()
     }
@@ -317,7 +336,7 @@ impl StormSchedule {
     /// positive crunch rate, so a crunch-free schedule never advances the
     /// stream.
     pub fn crunch_fault(&mut self, zone: Zone, t: SimTime) -> bool {
-        let r = self.cfg.capacity_crunch_rate;
+        let r = self.timeline.cfg.capacity_crunch_rate;
         if r <= 0.0 || !self.is_storming(zone, t) {
             return false;
         }
@@ -331,16 +350,17 @@ impl StormSchedule {
     /// `b + b * jitter * U(0,1)`. At zero jitter the delay is returned
     /// unchanged without advancing the stream.
     pub fn jittered_backoff(&mut self, base: SimDuration) -> SimDuration {
-        if self.cfg.backoff_jitter <= 0.0 {
+        let jitter = self.timeline.cfg.backoff_jitter;
+        if jitter <= 0.0 {
             return base;
         }
         let u: f64 = self.jitter.gen();
-        base + base.mul_f64(self.cfg.backoff_jitter * u)
+        base + base.mul_f64(jitter * u)
     }
 
     /// Global on-demand concurrency cap (0 = unlimited).
     pub fn od_quota(&self) -> u32 {
-        self.cfg.od_quota
+        self.timeline.cfg.od_quota
     }
 }
 
@@ -420,15 +440,42 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(s.jittered_backoff(base), base);
         }
-        // Streams untouched: raising the rates on the used schedule and a
-        // fresh one yields identical draw sequences.
-        let mut used = s.clone();
-        let mut fresh = StormSchedule::new(StormConfig::none(), 42, horizon(), &no_spans());
-        used.cfg.backoff_jitter = 0.5;
-        fresh.cfg.backoff_jitter = 0.5;
+        // Streams untouched: under a jittering timeline, the used
+        // schedule's streams draw exactly what a fresh schedule's do.
+        let mut jittery = StormConfig::none();
+        jittery.backoff_jitter = 0.5;
+        let mut fresh = StormSchedule::new(jittery, 42, horizon(), &no_spans());
+        let mut used = StormSchedule {
+            timeline: Arc::clone(&fresh.timeline),
+            ..s
+        };
         for _ in 0..64 {
             assert_eq!(used.jittered_backoff(base), fresh.jittered_backoff(base));
         }
+    }
+
+    #[test]
+    fn clones_share_the_timeline_and_copy_the_streams() {
+        let mut cfg = StormConfig::intensity(0.7);
+        cfg.capacity_crunch_rate = 0.5;
+        let pristine = StormSchedule::new(cfg, 4, horizon(), &no_spans());
+        let mut a = pristine.clone();
+        let mut b = pristine.clone();
+        assert!(Arc::ptr_eq(&a.timeline, &pristine.timeline));
+        // Drawing from one clone leaves the others' streams where the
+        // seed put them.
+        let base = SimDuration::secs(60);
+        let drawn: Vec<SimDuration> = (0..32).map(|_| a.jittered_backoff(base)).collect();
+        let again: Vec<SimDuration> = (0..32).map(|_| b.jittered_backoff(base)).collect();
+        assert_eq!(drawn, again);
+        let z = Zone::UsEast1a;
+        let t = pristine.episodes(z).first().expect("episodes").start;
+        let crunch: Vec<bool> = (0..32).map(|_| a.crunch_fault(z, t)).collect();
+        let mut c = pristine.clone();
+        assert_eq!(
+            crunch,
+            (0..32).map(|_| c.crunch_fault(z, t)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -441,11 +488,16 @@ mod tests {
         for &z in &Zone::ALL {
             assert_eq!(a.episodes(z), b.episodes(z));
             any |= !a.episodes(z).is_empty();
-            let mut prev_end = SimTime::ZERO;
+            let mut prev_end = None;
             for e in a.episodes(z) {
-                assert!(e.start >= prev_end, "episodes must not overlap");
+                // Strictly after: touching episodes are merged, so a
+                // zone's edges strictly increase.
+                assert!(
+                    prev_end.is_none_or(|p| e.start > p),
+                    "episodes must not overlap or touch"
+                );
                 assert!(e.end > e.start && e.end <= end);
-                prev_end = e.end;
+                prev_end = Some(e.end);
             }
         }
         assert!(any, "intensity 0.7 over 30 days must produce episodes");
@@ -461,7 +513,7 @@ mod tests {
             assert!(s.is_storming(z, e.start));
             assert!(s.is_storming(z, e.start + (e.end - e.start).mul_f64(0.5)));
             assert!(!s.is_storming(z, e.end));
-            assert_eq!(s.fault_multiplier(z, e.start), s.cfg.fault_multiplier);
+            assert_eq!(s.fault_multiplier(z, e.start), s.config().fault_multiplier);
         }
         if eps[0].start > SimTime::ZERO {
             assert!(!s.is_storming(z, SimTime::ZERO));

@@ -1,6 +1,6 @@
 //! The pool manager: pack, schedule each group, aggregate.
 
-use crate::packing::{pack, PlacementGroup};
+use crate::packing::pack;
 use crate::report::{FleetReport, GroupOutcome};
 use crate::vm::CustomerVm;
 use rayon::prelude::*;
@@ -53,17 +53,17 @@ impl FleetConfig {
         }
     }
 
-    fn scheduler_config(&self, group: &PlacementGroup, fleet_seed: u64) -> SchedulerConfig {
+    /// The scheduler configuration every group shares but for its size.
+    /// One storm schedule is built here from the fleet seed and pinned, so
+    /// every group sees the same episodes and mass revocations, whatever
+    /// its jittered run seed.
+    fn scheduler_config(&self, traces: &TraceSet, fleet_seed: u64) -> SchedulerConfig {
         SchedulerConfig::multi(self.scope())
             .with_policy(self.policy)
             .with_mechanism(self.mechanism)
-            .with_capacity_units(group.allocated_units())
             .with_stability_weight(self.stability_weight)
             .with_storms(self.storms.clone())
-            // Pin the storm timeline to the fleet seed so every group
-            // sees the same episodes and mass revocations, whatever its
-            // jittered run seed.
-            .with_storm_seed(fleet_seed)
+            .with_shared_storms(traces, fleet_seed)
     }
 }
 
@@ -88,12 +88,15 @@ pub fn run_fleet(
         .flat_map(|&z| spothost_market::types::MarketId::all_in_zone(z))
         .collect();
     let traces = TraceSet::generate(&catalog, &markets, seed, horizon);
+    let base_cfg = cfg.scheduler_config(&traces, seed);
 
     let outcomes: Vec<GroupOutcome> = groups
         .par_iter()
         .enumerate()
         .map(|(i, group)| {
-            let sched_cfg = cfg.scheduler_config(group, seed);
+            let sched_cfg = base_cfg
+                .clone()
+                .with_capacity_units(group.allocated_units());
             // Distinct provider streams per group (startup jitter), same
             // shared price history.
             let report = SimRun::new(&traces, &sched_cfg, seed.wrapping_add(i as u64)).run();

@@ -1,15 +1,15 @@
 //! Fleet-scale service simulation: N per-VM schedulers in lockstep on a
-//! shared event queue, fronted by a least-loaded balancer and a reactive
-//! autoscaler (ROADMAP item 1).
+//! shared clock, fronted by a least-loaded balancer and a reactive
+//! autoscaler.
 //!
 //! Where [`crate::pool`] hosts a *fixed* tenant population, this module
 //! simulates one *service* whose capacity breathes with demand:
 //!
 //! * a [`TrafficModel`] (diurnal + flash crowds) produces the offered
 //!   concurrent-user population at every instant;
-//! * a fleet-level [`EventQueue`] of control ticks advances every live
-//!   VM's [`SimRun`] in lockstep (`step_until(tick)`), so the whole
-//!   fleet observes the same arena-backed market history on one shared
+//! * control ticks every `control_interval` advance every live VM's
+//!   [`SimRun`] in lockstep (`step_until(tick)`), so the whole fleet
+//!   observes the same arena-backed market history on one shared
 //!   simulated clock;
 //! * at each tick, the least-loaded balancer's even user split lets
 //!   [`spothost_workload::mva::fleet_response`] close the loop — offered
@@ -25,13 +25,12 @@
 //!
 //! The fleet report is a pure function of `(config, seed, horizon)`:
 //! per-VM provider streams derive from `derive_seed(fleet_seed,
-//! "fleet-vm", spawn_index)`, the storm timeline is pinned to the fleet
-//! seed (one storm hits everyone at once), the flash schedule derives
-//! from its own named stream, and every tick iterates VMs in stable
-//! spawn order. Same seed → byte-identical [`FleetSimReport`]
-//! (proptest-guarded in `tests/fleet_sim_properties.rs`).
+//! "fleet-vm", spawn_index)`, one storm schedule built from the fleet
+//! seed is shared by every VM (one storm hits everyone at once), the
+//! flash schedule derives from its own named stream, and every tick
+//! iterates VMs in stable spawn order. Same seed → byte-identical
+//! [`FleetSimReport`] (proptest-guarded in `tests/fleet_sim_properties.rs`).
 
-use spothost_cloudsim::EventQueue;
 use spothost_core::config::SchedulerConfig;
 use spothost_core::policy::BiddingPolicy;
 use spothost_core::report::RunReport;
@@ -59,8 +58,9 @@ pub struct FleetSimConfig {
     pub policy: BiddingPolicy,
     /// Migration mechanism combo of every per-VM scheduler.
     pub mechanism: MechanismCombo,
-    /// Correlated-failure storms, pinned to the fleet seed so the whole
-    /// fleet sees one episode timeline.
+    /// Correlated-failure storms: one schedule built from the fleet seed
+    /// is shared by every VM, so the whole fleet sees one episode
+    /// timeline.
     pub storms: StormConfig,
     /// The offered-load model driving the autoscaler.
     pub traffic: TrafficConfig,
@@ -130,6 +130,7 @@ impl FleetSimConfig {
         if self.zones.is_empty() {
             return Err("fleet needs at least one zone".into());
         }
+        self.scope().validate()?;
         if self.min_vms == 0 {
             return Err("min_vms must be >= 1".into());
         }
@@ -157,24 +158,14 @@ impl FleetSimConfig {
         self.traffic.validate()
     }
 
-    fn scheduler_config(&self, fleet_seed: u64) -> SchedulerConfig {
+    fn scheduler_config(&self, traces: &TraceSet, fleet_seed: u64) -> SchedulerConfig {
         SchedulerConfig::multi(self.scope())
             .with_policy(self.policy)
             .with_mechanism(self.mechanism)
             .with_capacity_units(self.vm_units)
             .with_storms(self.storms.clone())
-            .with_storm_seed(fleet_seed)
+            .with_shared_storms(traces, fleet_seed)
     }
-}
-
-/// Fleet-level events on the shared queue. Control ticks are the only
-/// kind today; the queue exists so fleet-scoped events (zone failovers,
-/// maintenance drains) slot in beside them without re-architecting.
-#[derive(Debug, Clone, Copy)]
-enum FleetEv {
-    /// Autoscaler control tick: step every VM, re-solve load, re-decide
-    /// capacity.
-    ControlTick,
 }
 
 /// One autoscaler control-tick observation.
@@ -354,7 +345,6 @@ pub struct FleetSim<'t, F: SinkFactory = NullSinkFactory> {
     traffic: TrafficModel,
     seed: u64,
     horizon: SimTime,
-    queue: EventQueue<FleetEv>,
     vms: Vec<VmSlot<'t, F::Sink>>,
     scratch_pool: Vec<SimScratch>,
     per_vm_cap: u64,
@@ -401,10 +391,8 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         let horizon = SimTime::ZERO + traces.horizon();
         let traffic = TrafficModel::new(cfg.traffic.clone(), seed, traces.horizon());
         let per_vm_cap = capacity_at_utilization(&cfg.per_vm_network, cfg.target_utilization);
-        let sched_cfg = cfg.scheduler_config(seed);
+        let sched_cfg = cfg.scheduler_config(traces, seed);
         let baseline_rate = cfg.scope().baseline_rate(traces.catalog(), cfg.vm_units);
-        let mut queue = EventQueue::with_capacity(16);
-        queue.push(SimTime::ZERO, FleetEv::ControlTick);
         FleetSim {
             cfg,
             traces,
@@ -413,7 +401,6 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             traffic,
             seed,
             horizon,
-            queue,
             vms: Vec::new(),
             scratch_pool: Vec::new(),
             per_vm_cap,
@@ -447,13 +434,10 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         for _ in 0..self.cfg.min_vms {
             self.spawn(SimTime::ZERO);
         }
-        while let Some((t, ev)) = self.queue.pop() {
-            if t >= self.horizon {
-                break;
-            }
-            match ev {
-                FleetEv::ControlTick => self.control_tick(t),
-            }
+        let mut t = SimTime::ZERO;
+        while t < self.horizon {
+            self.control_tick(t);
+            t += self.cfg.control_interval;
         }
         // Settle every VM still alive at the horizon.
         let horizon = self.horizon;
@@ -565,9 +549,8 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             self.scale_downs += 1;
             self.last_scale = t;
         }
-        // 4. Record the tick (the pre-action observation the decision was
-        // made on; the action's effect shows up in the next sample) and
-        // schedule the next tick.
+        // 4. Record the tick: the pre-action observation the decision was
+        // made on; the action's effect shows up in the next sample.
         self.samples.push(FleetSample {
             t,
             users: users_f,
@@ -578,10 +561,6 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             mean_response_s: mean_r,
             p99_response_s: p99,
         });
-        let next = t + self.cfg.control_interval;
-        if next < self.horizon {
-            self.queue.push(next, FleetEv::ControlTick);
-        }
     }
 
     fn into_report(self) -> FleetSimReport {
@@ -803,5 +782,18 @@ mod tests {
         cfg.target_utilization = 0.0;
         assert!(cfg.validate().is_err());
         assert!(small_cfg().validate().is_ok());
+    }
+
+    #[test]
+    fn a_repeated_zone_is_rejected() {
+        // Regression: `[us-east-1a, us-east-1a]` used to validate, and
+        // every VM then saw each of that zone's storm edges twice.
+        let cfg = FleetSimConfig {
+            zones: vec![Zone::UsEast1a, Zone::UsEast1a],
+            storms: StormConfig::intensity(0.5),
+            ..small_cfg()
+        };
+        let err = cfg.validate().expect_err("repeated zone");
+        assert!(err.contains("us-east-1a"), "{err}");
     }
 }
