@@ -12,6 +12,13 @@
 //! (c) Pruning soundness: any predicate's pruned selection equals the
 //!     brute-force filter of the fully decoded stream — pruning never
 //!     drops a matching event.
+//! (d) Mutation robustness: random truncations and bit flips of a valid
+//!     multi-VM store make every read entry point return a `ColError` or
+//!     succeed, never panic; an unchanged file reads back whole.
+//! (e) Grouping parity: `group_counts` and `grouped_values` equal a
+//!     `String`-keyed fold over the same events for every `GroupBy` and
+//!     every `Field`, on stores with enough VMs that `vm10` and `vm2`
+//!     must sort as strings.
 
 use proptest::prelude::*;
 use spothost_cloudsim::{InstanceId, TerminationReason};
@@ -28,6 +35,7 @@ use spothost_telemetry::{
     DenialReason, MigrationPhase, SchedulerState, Sink, TelemetryEvent, TimedEvent,
 };
 use spothost_virt::MigrationKind;
+use std::collections::BTreeMap;
 
 // ---- strategies (built on the workspace's minimal vendored proptest) -----
 
@@ -252,7 +260,11 @@ fn arb_event() -> impl Strategy<Value = TelemetryEvent> {
 
 /// A monotone event stream: timestamps are a prefix sum of deltas.
 fn arb_stream(max_len: usize) -> impl Strategy<Value = Vec<TimedEvent>> {
-    prop::collection::vec((0u64..600_000u64, arb_event()), 0..max_len).prop_map(|raw| {
+    arb_stream_len(0..max_len)
+}
+
+fn arb_stream_len(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TimedEvent>> {
+    prop::collection::vec((0u64..600_000u64, arb_event()), len).prop_map(|raw| {
         let mut t = 0u64;
         raw.into_iter()
             .map(|(dt, ev)| {
@@ -334,6 +346,78 @@ fn store_roundtrip(events: &[TimedEvent], block_events: usize) -> Vec<StoredEven
     let reader = ColReader::from_bytes(&store.bytes()).expect("store bytes must parse");
     reader.decode_all().expect("store bytes must decode")
 }
+
+/// A store holding one tagged stream per VM (`streams[v]` is `vm{v}`'s),
+/// emitted round-robin through live sinks so that blocks of different
+/// VMs interleave in the file, as they do in a fleet run.
+fn multi_vm_store(streams: &[Vec<TimedEvent>], block_events: usize) -> Vec<u8> {
+    let store = ColumnarStore::in_memory().with_block_events(block_events);
+    {
+        let mut sinks: Vec<_> = (0..streams.len() as u32)
+            .map(|vm| store.sink_for_vm(vm))
+            .collect();
+        let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
+        for i in 0..longest {
+            for (sink, stream) in sinks.iter_mut().zip(streams) {
+                if let Some((t, ev)) = stream.get(i) {
+                    sink.emit(*t, *ev);
+                }
+            }
+        }
+    }
+    store.bytes()
+}
+
+/// `vm`'s events of a selection, in order, as plain timed events.
+fn stream_of(events: &[StoredEvent], vm: u32) -> Vec<TimedEvent> {
+    events
+        .iter()
+        .filter(|se| se.vm == Some(vm))
+        .map(|se| (se.at, se.event))
+        .collect()
+}
+
+fn streams_bits_equal(a: &[TimedEvent], b: &[TimedEvent]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|((t1, e1), (t2, e2))| t1 == t2 && events_bits_equal(e1, e2))
+}
+
+// ---- String-keyed reference grouping -------------------------------------
+
+/// Event counts per group, with one `String` key per event folded into a
+/// `BTreeMap`: slow, but sorted by key by construction.
+fn reference_group_counts(events: &[StoredEvent], group: GroupBy) -> Vec<(String, u64)> {
+    let mut map: BTreeMap<String, u64> = BTreeMap::new();
+    for se in events {
+        *map.entry(group.key(se)).or_insert(0) += 1;
+    }
+    map.into_iter().collect()
+}
+
+/// Per-group samples of `field`, folded the same way.
+fn reference_grouped_values(
+    events: &[StoredEvent],
+    field: Field,
+    group: GroupBy,
+) -> Vec<(String, Vec<f64>)> {
+    let mut map: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    for se in events {
+        if let Some(v) = field.extract(&se.event) {
+            map.entry(group.key(se)).or_default().push(v);
+        }
+    }
+    map.into_iter().collect()
+}
+
+const GROUPS: [GroupBy; 5] = [
+    GroupBy::None,
+    GroupBy::Kind,
+    GroupBy::Market,
+    GroupBy::Zone,
+    GroupBy::Vm,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -447,6 +531,113 @@ proptest! {
             prop_assert!(events_bits_equal(&a.event, &b.event));
         }
         prop_assert!(sel.blocks_decoded <= sel.blocks_total);
+    }
+}
+
+proptest! {
+    // Cheap cases, and most of them damage the file: run many.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// (d) Truncations and bit flips of a valid store never panic the
+    /// reader; with no byte changed it returns the original streams.
+    #[test]
+    fn mutated_stores_error_or_decode_never_panic(
+        streams in prop::collection::vec(arb_stream(40), 2..5),
+        block_events in 1usize..10,
+        cut in opt(0.0f64..1.0),
+        flips in prop::collection::vec((0.0f64..1.0, 0u8..8), 0..4),
+        vm in 0u32..5,
+        window in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let bytes = multi_vm_store(&streams, block_events);
+        let mut bad = bytes.clone();
+        if let Some(f) = cut {
+            bad.truncate((f * bytes.len() as f64) as usize);
+        }
+        for (at, bit) in flips {
+            if !bad.is_empty() {
+                let i = (at * bad.len() as f64) as usize;
+                bad[i] ^= 1 << bit;
+            }
+        }
+        let t_max = streams
+            .iter()
+            .flatten()
+            .map(|(t, _)| t.as_millis())
+            .max()
+            .unwrap_or(0) as f64;
+        let from = SimTime::millis((window.0 * t_max) as u64);
+        let to = from + SimDuration::millis((window.1 * t_max) as u64);
+        let by_vm = Predicate::any().with_vm(vm);
+        let by_time = Predicate::any().with_time_range(from, to);
+
+        let reader = ColReader::from_bytes(&bad);
+        let reads = reader.as_ref().ok().map(|r| {
+            (r.decode_all(), r.select(&by_vm), r.select(&by_time))
+        });
+        if bad != bytes {
+            // Any outcome but a panic is acceptable for a damaged file.
+            return Ok(());
+        }
+        let (all, vm_sel, time_sel) = reads.expect("an unchanged store must parse");
+        let all = all.expect("an unchanged store must decode");
+        let vm_sel = vm_sel.expect("an unchanged store must select by VM");
+        let time_sel = time_sel.expect("an unchanged store must select by time");
+        prop_assert_eq!(all.len(), streams.iter().map(Vec::len).sum::<usize>());
+        for (v, stream) in streams.iter().enumerate() {
+            let v = v as u32;
+            prop_assert!(streams_bits_equal(&stream_of(&all, v), stream));
+            let in_window: Vec<TimedEvent> = stream
+                .iter()
+                .filter(|(t, _)| from <= *t && *t <= to)
+                .copied()
+                .collect();
+            prop_assert!(streams_bits_equal(&stream_of(&time_sel.events, v), &in_window));
+        }
+        let want = streams.get(vm as usize).map_or(&[][..], Vec::as_slice);
+        prop_assert_eq!(vm_sel.events.len(), want.len());
+        prop_assert!(streams_bits_equal(&stream_of(&vm_sel.events, vm), want));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// (e) Every grouping of every field equals the `String`-keyed
+    /// reference fold, bit for bit and in the same key order.
+    #[test]
+    fn grouping_matches_string_keyed_reference(
+        streams in prop::collection::vec(arb_stream_len(1..12), 11..16),
+        untagged in arb_stream(12),
+        block_events in 1usize..10,
+    ) {
+        let mut events = ColReader::from_bytes(&multi_vm_store(&streams, block_events))
+            .and_then(|r| r.decode_all())
+            .expect("store must decode");
+        events.extend(untagged.iter().map(|&(at, event)| StoredEvent { vm: None, at, event }));
+        for group in GROUPS {
+            prop_assert_eq!(
+                group_counts(&events, group),
+                reference_group_counts(&events, group)
+            );
+            for field in Field::ALL {
+                let got = grouped_values(&events, field, group);
+                let want = reference_grouped_values(&events, field, group);
+                prop_assert_eq!(got.len(), want.len());
+                for ((kg, vg), (kw, vw)) in got.iter().zip(&want) {
+                    prop_assert_eq!(kg, kw);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(vg), bits(vw));
+                }
+            }
+        }
+        // Keys sort as strings, not as VM numbers.
+        let keys: Vec<String> = group_counts(&events, GroupBy::Vm)
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        let at = |k: &str| keys.iter().position(|x| x == k).expect("every VM has events");
+        prop_assert!(at("vm10") < at("vm2"), "vm10 must sort before vm2: {:?}", keys);
     }
 }
 
