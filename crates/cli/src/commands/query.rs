@@ -44,7 +44,9 @@ fn build_predicate(args: &Args) -> Result<Predicate, String> {
     let mut pred = Predicate::any();
     let from_h = args.get_f64("from-h", 0.0)?;
     let to_h = args.get_f64("to-h", f64::INFINITY)?;
-    if from_h < 0.0 || (to_h.is_finite() && to_h < from_h) {
+    // `--to-h inf` is the open end; NaN fails every comparison, so it is
+    // rejected by name rather than slipping through as "no bound".
+    if !from_h.is_finite() || from_h < 0.0 || to_h.is_nan() || to_h < from_h {
         return Err(format!("bad time range: --from-h {from_h} --to-h {to_h}"));
     }
     if from_h > 0.0 || to_h.is_finite() {
@@ -345,6 +347,12 @@ mod tests {
         .is_err());
         assert!(run(&argv(&["--store", store, "--group-by", "planet"])).is_err());
         assert!(run(&argv(&["--store", store, "--from-h", "5", "--to-h", "1"])).is_err());
+        // Non-finite bounds: NaN is no bound at all, and an infinite
+        // start selects nothing; both are bad ranges, not silent answers.
+        for bounds in [["--from-h", "nan"], ["--to-h", "nan"], ["--from-h", "inf"]] {
+            let err = run(&argv(&["--store", store, bounds[0], bounds[1]])).unwrap_err();
+            assert!(err.starts_with("bad time range"), "{bounds:?}: {err}");
+        }
         assert!(run(&argv(&["--store", store, "--zone", "mars"])).is_err());
     }
 }

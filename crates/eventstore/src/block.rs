@@ -25,6 +25,12 @@
 //! stream order. `decode` ∘ `seal` is the identity on any event stream
 //! (proptest-guarded in `tests/columnar_properties.rs`), with f64 fields
 //! compared by `to_bits`.
+//!
+//! Fleet stores hold tens of thousands of small per-VM blocks, so both
+//! directions keep their working buffers across blocks: an `Encoder`
+//! (owned by the store) and a `Decoder` (one per selection) allocate
+//! only while their buffers grow to the largest block seen. [`seal`] and
+//! [`decode`] are one-block wrappers over them.
 
 use crate::schema::{
     denial_code, denial_from_code, fault_code, fault_from_code, instance_of, market_code,
@@ -38,6 +44,9 @@ use spothost_cloudsim::InstanceId;
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_telemetry::{TelemetryEvent, TimedEvent};
 use std::collections::HashMap;
+
+/// Number of event kinds: the size of every per-kind table.
+const KINDS: usize = EventKind::ALL.len();
 
 /// Parsed block header: everything predicate pruning needs, decodable
 /// without touching the dictionary or columns.
@@ -63,70 +72,97 @@ pub struct BlockMeta {
 /// Encode `events` (one sink's buffered run, in emission order) into a
 /// block payload. Empty input yields an empty payload (callers skip it).
 pub fn seal(vm: Option<u32>, events: &[TimedEvent]) -> Vec<u8> {
-    if events.is_empty() {
-        return Vec::new();
-    }
-    let mut min_t = u64::MAX;
-    let mut max_t = 0u64;
-    let mut kinds_bm = 0u32;
-    let mut markets_bm = 0u16;
-    let mut zones_bm = 0u8;
-    let mut dict_ids: Vec<u64> = Vec::new();
-    let mut dict_refs: HashMap<u64, u32> = HashMap::new();
-    for (t, ev) in events {
-        min_t = min_t.min(t.as_millis());
-        max_t = max_t.max(t.as_millis());
-        kinds_bm |= 1 << EventKind::of(ev).index();
-        let (m1, m2) = markets_of(ev);
-        for m in [m1, m2].into_iter().flatten() {
-            markets_bm |= 1 << market_code(m);
-        }
-        let (z1, z2) = zones_of(ev);
-        for z in [z1, z2].into_iter().flatten() {
-            zones_bm |= 1 << zone_code(z);
-        }
-        if let Some(id) = instance_of(ev) {
-            dict_refs.entry(id.0).or_insert_with(|| {
-                dict_ids.push(id.0);
-                (dict_ids.len() - 1) as u32
-            });
-        }
-    }
-
-    let mut buf = Vec::with_capacity(events.len() * 8);
-    // Header.
-    write_u64(&mut buf, vm.map(|v| u64::from(v) + 1).unwrap_or(0));
-    write_u64(&mut buf, events.len() as u64);
-    write_u64(&mut buf, min_t);
-    write_u64(&mut buf, max_t - min_t);
-    write_u64(&mut buf, u64::from(kinds_bm));
-    write_u64(&mut buf, u64::from(markets_bm));
-    write_u64(&mut buf, u64::from(zones_bm));
-    // Instance-id dictionary, first-use order.
-    write_u64(&mut buf, dict_ids.len() as u64);
-    for id in &dict_ids {
-        write_u64(&mut buf, *id);
-    }
-    // Kind stream.
-    for (_, ev) in events {
-        buf.push(EventKind::of(ev).index() as u8);
-    }
-    // Per-kind columns.
-    let mut col = Vec::new();
-    for kind in EventKind::ALL {
-        if kinds_bm & (1 << kind.index()) == 0 {
-            continue;
-        }
-        col.clear();
-        let evs: Vec<&TimedEvent> = events
-            .iter()
-            .filter(|(_, ev)| EventKind::of(ev) == kind)
-            .collect();
-        encode_column(&mut col, kind, &evs, min_t, &dict_refs);
-        write_u64(&mut buf, col.len() as u64);
-        buf.extend_from_slice(&col);
-    }
+    let mut buf = Vec::new();
+    Encoder::default().seal(vm, events, &mut buf);
     buf
+}
+
+/// Sealing buffers kept from block to block: the instance-id
+/// dictionary, each event's dictionary ref, each kind's rows and the
+/// column buffer.
+#[derive(Debug, Default)]
+pub(crate) struct Encoder {
+    dict_ids: Vec<u64>,
+    dict_refs: HashMap<u64, u32>,
+    /// Dictionary ref of event `i`'s instance id (0 if it has none).
+    refs: Vec<u32>,
+    /// Indices of each kind's events, in stream order.
+    by_kind: [Vec<usize>; KINDS],
+    col: Vec<u8>,
+}
+
+impl Encoder {
+    /// Append the block payload of `events` to `buf` (nothing for empty
+    /// input). One pass over the events builds the header, the
+    /// dictionary and the per-kind rows; each column is then written from
+    /// its rows.
+    pub(crate) fn seal(&mut self, vm: Option<u32>, events: &[TimedEvent], buf: &mut Vec<u8>) {
+        if events.is_empty() {
+            return;
+        }
+        self.dict_ids.clear();
+        self.dict_refs.clear();
+        self.refs.clear();
+        for rows in &mut self.by_kind {
+            rows.clear();
+        }
+        let mut min_t = u64::MAX;
+        let mut max_t = 0u64;
+        let mut kinds_bm = 0u32;
+        let mut markets_bm = 0u16;
+        let mut zones_bm = 0u8;
+        for (i, (t, ev)) in events.iter().enumerate() {
+            min_t = min_t.min(t.as_millis());
+            max_t = max_t.max(t.as_millis());
+            let kind = EventKind::of(ev).index();
+            kinds_bm |= 1 << kind;
+            self.by_kind[kind].push(i);
+            let (m1, m2) = markets_of(ev);
+            for m in [m1, m2].into_iter().flatten() {
+                markets_bm |= 1 << market_code(m);
+            }
+            let (z1, z2) = zones_of(ev);
+            for z in [z1, z2].into_iter().flatten() {
+                zones_bm |= 1 << zone_code(z);
+            }
+            let dref = match instance_of(ev) {
+                Some(id) => *self.dict_refs.entry(id.0).or_insert_with(|| {
+                    self.dict_ids.push(id.0);
+                    (self.dict_ids.len() - 1) as u32
+                }),
+                None => 0,
+            };
+            self.refs.push(dref);
+        }
+
+        buf.reserve(events.len() * 8);
+        // Header.
+        write_u64(buf, vm.map(|v| u64::from(v) + 1).unwrap_or(0));
+        write_u64(buf, events.len() as u64);
+        write_u64(buf, min_t);
+        write_u64(buf, max_t - min_t);
+        write_u64(buf, u64::from(kinds_bm));
+        write_u64(buf, u64::from(markets_bm));
+        write_u64(buf, u64::from(zones_bm));
+        // Instance-id dictionary, first-use order.
+        write_u64(buf, self.dict_ids.len() as u64);
+        for id in &self.dict_ids {
+            write_u64(buf, *id);
+        }
+        // Kind stream.
+        buf.extend(events.iter().map(|(_, ev)| EventKind::of(ev).index() as u8));
+        // Per-kind columns.
+        for kind in EventKind::ALL {
+            let rows = &self.by_kind[kind.index()];
+            if rows.is_empty() {
+                continue;
+            }
+            self.col.clear();
+            encode_column(&mut self.col, kind, events, rows, &self.refs, min_t);
+            write_u64(buf, self.col.len() as u64);
+            buf.extend_from_slice(&self.col);
+        }
+    }
 }
 
 /// Parse only the header of a block payload (for pruning).
@@ -143,13 +179,19 @@ fn read_meta(c: &mut Cursor<'_>) -> Result<BlockMeta, ColError> {
         Some(u32::try_from(vm_tag - 1).map_err(|_| ColError::Corrupt("vm tag overflows u32"))?)
     };
     let count = usize::try_from(c.u64()?).map_err(|_| ColError::Corrupt("count overflow"))?;
+    // The kind stream alone is `count` raw bytes, so a count exceeding
+    // the payload is corrupt. Checking it on the header bounds every
+    // buffer sized from header counts by the input size.
+    if count > c.remaining() {
+        return Err(ColError::Corrupt("count exceeds payload size"));
+    }
     let min_t_ms = c.u64()?;
     let span = c.u64()?;
     let max_t_ms = min_t_ms
         .checked_add(span)
         .ok_or(ColError::Corrupt("time span overflow"))?;
     let kinds = u32::try_from(c.u64()?).map_err(|_| ColError::Corrupt("kind bitmap overflow"))?;
-    if kinds >> EventKind::ALL.len() != 0 {
+    if kinds >> KINDS != 0 {
         return Err(ColError::Corrupt("kind bitmap has unknown bits"));
     }
     let markets =
@@ -168,67 +210,114 @@ fn read_meta(c: &mut Cursor<'_>) -> Result<BlockMeta, ColError> {
 
 /// Decode a full block payload back into its event stream (and meta).
 pub fn decode(payload: &[u8]) -> Result<(BlockMeta, Vec<TimedEvent>), ColError> {
-    let mut c = Cursor::new(payload);
-    let meta = read_meta(&mut c)?;
-    // The kind stream alone is `count` raw bytes, so a count exceeding
-    // the payload length is corrupt; checking here also bounds every
-    // `with_capacity` below by the actual input size.
-    if meta.count > payload.len() {
-        return Err(ColError::Corrupt("count exceeds payload size"));
-    }
-    // Dictionary.
-    let n_ids = usize::try_from(c.u64()?).map_err(|_| ColError::Corrupt("dict overflow"))?;
-    if n_ids > meta.count {
-        return Err(ColError::Corrupt("dict larger than block"));
-    }
-    let mut dict = Vec::with_capacity(n_ids);
-    for _ in 0..n_ids {
-        dict.push(c.u64()?);
-    }
-    // Kind stream.
-    let kind_bytes = c.bytes(meta.count)?;
-    let mut kinds = Vec::with_capacity(meta.count);
-    let mut counts = [0usize; 26];
-    for &b in kind_bytes {
-        let k = EventKind::from_index(b as usize)
-            .ok_or(ColError::Corrupt("kind stream has unknown kind"))?;
-        if meta.kinds & (1 << k.index()) == 0 {
-            return Err(ColError::Corrupt("kind stream disagrees with bitmap"));
-        }
-        counts[k.index()] += 1;
-        kinds.push(k);
-    }
-    // Columns, per present kind.
-    let mut per_kind: [Vec<TimedEvent>; 26] = Default::default();
-    for kind in EventKind::ALL {
-        if meta.kinds & (1 << kind.index()) == 0 {
-            continue;
-        }
-        let n = counts[kind.index()];
-        if n == 0 {
-            return Err(ColError::Corrupt("bitmap kind missing from stream"));
-        }
-        let len = usize::try_from(c.u64()?).map_err(|_| ColError::Corrupt("column overflow"))?;
-        let col = c.bytes(len)?;
-        let mut cc = Cursor::new(col);
-        per_kind[kind.index()] = decode_column(&mut cc, kind, n, meta.min_t_ms, &dict)?;
-        if !cc.is_empty() {
-            return Err(ColError::Corrupt("column has trailing bytes"));
-        }
-    }
-    if !c.is_empty() {
-        return Err(ColError::Corrupt("block has trailing bytes"));
-    }
-    // Re-interleave into stream order.
-    let mut next = [0usize; 26];
-    let mut out = Vec::with_capacity(meta.count);
-    for k in kinds {
-        let i = next[k.index()];
-        next[k.index()] += 1;
-        out.push(per_kind[k.index()][i]);
-    }
-    Ok((meta, out))
+    let mut decoder = Decoder::default();
+    let (meta, events) = decoder.decode(payload)?;
+    Ok((meta, events.collect()))
 }
+
+/// The block decoder. Its dictionary, timestamp, numeric-field and
+/// per-kind row buffers are kept from block to block, and byte columns
+/// are read in place from the payload.
+#[derive(Debug, Default)]
+pub(crate) struct Decoder {
+    dict: Vec<u64>,
+    ts: Vec<u64>,
+    /// The current column's varint, time and `f64` fields, one run of
+    /// `n` values per field (see [`fields`]).
+    nums: Vec<u64>,
+    /// Each present kind's decoded events, in stream order.
+    rows: [Vec<TimedEvent>; KINDS],
+}
+
+impl Decoder {
+    /// Decode a full block payload: its header, and its events in stream
+    /// order. The whole payload is validated before the first event is
+    /// handed out.
+    pub(crate) fn decode<'a>(
+        &'a mut self,
+        payload: &'a [u8],
+    ) -> Result<(BlockMeta, BlockEvents<'a>), ColError> {
+        let mut c = Cursor::new(payload);
+        let meta = read_meta(&mut c)?;
+        // Dictionary.
+        let n_ids = usize::try_from(c.u64()?).map_err(|_| ColError::Corrupt("dict overflow"))?;
+        if n_ids > meta.count {
+            return Err(ColError::Corrupt("dict larger than block"));
+        }
+        self.dict.clear();
+        for _ in 0..n_ids {
+            self.dict.push(c.u64()?);
+        }
+        // Kind stream.
+        let kinds = c.bytes(meta.count)?;
+        let mut counts = [0usize; KINDS];
+        for &b in kinds {
+            let k = EventKind::from_index(usize::from(b))
+                .ok_or(ColError::Corrupt("kind stream has unknown kind"))?;
+            if meta.kinds & (1 << k.index()) == 0 {
+                return Err(ColError::Corrupt("kind stream disagrees with bitmap"));
+            }
+            counts[k.index()] += 1;
+        }
+        // Columns, per present kind.
+        for kind in EventKind::ALL {
+            if meta.kinds & (1 << kind.index()) == 0 {
+                continue;
+            }
+            let n = counts[kind.index()];
+            if n == 0 {
+                return Err(ColError::Corrupt("bitmap kind missing from stream"));
+            }
+            let len =
+                usize::try_from(c.u64()?).map_err(|_| ColError::Corrupt("column overflow"))?;
+            let mut cc = Cursor::new(c.bytes(len)?);
+            decode_ts(&mut cc, n, meta.min_t_ms, &mut self.ts)?;
+            let rows = &mut self.rows[kind.index()];
+            rows.clear();
+            decode_column(&mut cc, kind, &self.ts, &self.dict, &mut self.nums, rows)?;
+            if !cc.is_empty() {
+                return Err(ColError::Corrupt("column has trailing bytes"));
+            }
+        }
+        if !c.is_empty() {
+            return Err(ColError::Corrupt("block has trailing bytes"));
+        }
+        let events = BlockEvents {
+            kinds: kinds.iter(),
+            rows: &self.rows,
+            next: [0; KINDS],
+        };
+        Ok((meta, events))
+    }
+}
+
+/// The events of a block a [`Decoder`] has decoded, re-interleaved into
+/// stream order by the block's kind stream.
+#[derive(Debug)]
+pub(crate) struct BlockEvents<'a> {
+    kinds: std::slice::Iter<'a, u8>,
+    rows: &'a [Vec<TimedEvent>; KINDS],
+    next: [usize; KINDS],
+}
+
+impl Iterator for BlockEvents<'_> {
+    type Item = TimedEvent;
+
+    fn next(&mut self) -> Option<TimedEvent> {
+        // The decoder checked every kind byte against the bitmap and
+        // counted each kind's rows from the same stream.
+        let k = usize::from(*self.kinds.next()?);
+        let i = self.next[k];
+        self.next[k] += 1;
+        Some(self.rows[k][i])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.kinds.size_hint()
+    }
+}
+
+impl ExactSizeIterator for BlockEvents<'_> {}
 
 // ---- column codecs -------------------------------------------------------
 
@@ -238,22 +327,6 @@ fn t_delta(buf: &mut Vec<u8>, field: SimTime, at: SimTime) {
     write_i64(buf, field.as_millis().wrapping_sub(at.as_millis()) as i64);
 }
 
-fn read_t_delta(c: &mut Cursor<'_>, at_ms: u64) -> Result<SimTime, ColError> {
-    Ok(SimTime(at_ms.wrapping_add(c.i64()? as u64)))
-}
-
-fn read_vec<T>(
-    c: &mut Cursor<'_>,
-    n: usize,
-    mut f: impl FnMut(&mut Cursor<'_>) -> Result<T, ColError>,
-) -> Result<Vec<T>, ColError> {
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(f(c)?);
-    }
-    Ok(v)
-}
-
 fn dict_id(dict: &[u64], r: u64) -> Result<InstanceId, ColError> {
     let i = usize::try_from(r).map_err(|_| ColError::Corrupt("dict ref overflow"))?;
     dict.get(i)
@@ -261,162 +334,200 @@ fn dict_id(dict: &[u64], r: u64) -> Result<InstanceId, ColError> {
         .ok_or(ColError::Corrupt("dict ref out of range"))
 }
 
+fn u32_field(v: u64, what: &'static str) -> Result<u32, ColError> {
+    u32::try_from(v).map_err(|_| ColError::Corrupt(what))
+}
+
 /// Encode the timestamps column: deltas chained from `min_t`.
-fn encode_ts(buf: &mut Vec<u8>, evs: &[&TimedEvent], min_t: u64) {
+fn encode_ts(buf: &mut Vec<u8>, times: impl Iterator<Item = SimTime>, min_t: u64) {
     let mut prev = min_t;
-    for (t, _) in evs.iter().copied() {
+    for t in times {
         let ms = t.as_millis();
         write_u64(buf, ms.wrapping_sub(prev));
         prev = ms;
     }
 }
 
-fn decode_ts(c: &mut Cursor<'_>, n: usize, min_t: u64) -> Result<Vec<u64>, ColError> {
+fn decode_ts(c: &mut Cursor<'_>, n: usize, min_t: u64, ts: &mut Vec<u64>) -> Result<(), ColError> {
+    ts.clear();
     let mut prev = min_t;
-    read_vec(c, n, |c| {
+    for _ in 0..n {
         prev = prev.wrapping_add(c.u64()?);
-        Ok(prev)
-    })
+        ts.push(prev);
+    }
+    Ok(())
 }
 
 /// One `Option<f64>` column: a presence byte per row, then the bit
 /// patterns of the present values.
-fn encode_opt_f64(buf: &mut Vec<u8>, vals: &[Option<f64>]) {
-    for v in vals {
+fn encode_opt_f64(buf: &mut Vec<u8>, vals: impl Iterator<Item = Option<f64>> + Clone) {
+    for v in vals.clone() {
         buf.push(u8::from(v.is_some()));
     }
-    for v in vals.iter().flatten() {
-        write_f64_bits(buf, *v);
+    for v in vals.flatten() {
+        write_f64_bits(buf, v);
     }
 }
 
-fn decode_opt_f64(c: &mut Cursor<'_>, n: usize) -> Result<Vec<Option<f64>>, ColError> {
-    let flags = c.bytes(n)?.to_vec();
-    let mut out = Vec::with_capacity(n);
-    for f in flags {
-        out.push(match f {
-            0 => None,
-            1 => Some(c.f64_bits()?),
+// Field readers: each appends one field's `n` values to `nums`.
+
+fn read_varints(c: &mut Cursor<'_>, n: usize, nums: &mut Vec<u64>) -> Result<(), ColError> {
+    for _ in 0..n {
+        nums.push(c.u64()?);
+    }
+    Ok(())
+}
+
+/// In-variant times, as absolute ms: each row's zigzag delta from its
+/// emission instant `ts[i]`.
+fn read_times(c: &mut Cursor<'_>, ts: &[u64], nums: &mut Vec<u64>) -> Result<(), ColError> {
+    for &t in ts {
+        nums.push(t.wrapping_add(c.i64()? as u64));
+    }
+    Ok(())
+}
+
+fn read_f64s(c: &mut Cursor<'_>, n: usize, nums: &mut Vec<u64>) -> Result<(), ColError> {
+    for _ in 0..n {
+        nums.push(c.f64_bits()?.to_bits());
+    }
+    Ok(())
+}
+
+/// An `Option<f64>` column: returns the presence bytes and appends the
+/// bit pattern of each row (0 for absent rows).
+fn read_opt_f64s<'a>(
+    c: &mut Cursor<'a>,
+    n: usize,
+    nums: &mut Vec<u64>,
+) -> Result<&'a [u8], ColError> {
+    let flags = c.bytes(n)?;
+    for &f in flags {
+        nums.push(match f {
+            0 => 0,
+            1 => c.f64_bits()?.to_bits(),
             _ => return Err(ColError::Corrupt("option flag out of range")),
         });
     }
-    Ok(out)
+    Ok(flags)
 }
 
-/// Extract the per-kind rows once, then write each field as its own
-/// array. `evs` is pre-filtered to `kind`; the `unreachable!` arms state
-/// that invariant.
+fn opt_f64(flag: u8, bits: u64) -> Option<f64> {
+    (flag != 0).then_some(f64::from_bits(bits))
+}
+
+/// The `K` fields a column's readers appended to `nums`, `n` values each.
+fn fields<const K: usize>(nums: &[u64], n: usize) -> [&[u64]; K] {
+    std::array::from_fn(|j| &nums[j * n..(j + 1) * n])
+}
+
+/// Write `kind`'s column: timestamps, then each variant field as its own
+/// array, each a pass over the kind's rows (`idx` into `events`, in
+/// stream order; `refs[i]` is event `i`'s dictionary ref). The
+/// `unreachable!` arms state that `idx` holds only `kind`.
 fn encode_column(
     buf: &mut Vec<u8>,
     kind: EventKind,
-    evs: &[&TimedEvent],
+    events: &[TimedEvent],
+    idx: &[usize],
+    refs: &[u32],
     min_t: u64,
-    dict: &HashMap<u64, u32>,
 ) {
-    encode_ts(buf, evs, min_t);
-    let dref = |id: InstanceId| u64::from(dict[&id.0]);
+    let evs = || idx.iter().map(|&i| (&events[i], u64::from(refs[i])));
+    encode_ts(buf, evs().map(|((t, _), _)| *t), min_t);
     match kind {
         EventKind::BidPlaced => {
-            let rows: Vec<(u8, Option<f64>, Option<f64>)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::BidPlaced {
                         market,
                         bid,
                         predicted_risk,
                     } => (market_code(*market), *bid, *predicted_risk),
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            buf.extend(rows.iter().map(|r| r.0));
-            encode_opt_f64(buf, &rows.iter().map(|r| r.1).collect::<Vec<_>>());
-            encode_opt_f64(buf, &rows.iter().map(|r| r.2).collect::<Vec<_>>());
+            };
+            buf.extend(rows().map(|r| r.0));
+            encode_opt_f64(buf, rows().map(|r| r.1));
+            encode_opt_f64(buf, rows().map(|r| r.2));
         }
         EventKind::LeaseGranted => {
-            let rows: Vec<(u64, u8, bool, SimTime, SimTime)> = evs
-                .iter()
-                .map(|(t, ev)| match ev {
+            let rows = || {
+                evs().map(|((t, ev), dref)| match ev {
                     TelemetryEvent::LeaseGranted {
-                        id,
                         market,
                         spot,
                         ready_at,
-                    } => (dref(*id), market_code(*market), *spot, *ready_at, *t),
-                    _ => unreachable!("pre-filtered by kind"),
+                        ..
+                    } => (dref, market_code(*market), *spot, *ready_at, *t),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, r.0);
             }
-            buf.extend(rows.iter().map(|r| r.1));
-            buf.extend(rows.iter().map(|r| u8::from(r.2)));
-            for r in &rows {
+            buf.extend(rows().map(|r| r.1));
+            buf.extend(rows().map(|r| u8::from(r.2)));
+            for r in rows() {
                 t_delta(buf, r.3, r.4);
             }
         }
         EventKind::LeaseDenied => {
-            let rows: Vec<(u8, bool, u8)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::LeaseDenied {
                         market,
                         spot,
                         reason,
                     } => (market_code(*market), *spot, denial_code(*reason)),
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            buf.extend(rows.iter().map(|r| r.0));
-            buf.extend(rows.iter().map(|r| u8::from(r.1)));
-            buf.extend(rows.iter().map(|r| r.2));
+            };
+            buf.extend(rows().map(|r| r.0));
+            buf.extend(rows().map(|r| u8::from(r.1)));
+            buf.extend(rows().map(|r| r.2));
         }
         EventKind::LeaseActivated | EventKind::UnwarnedDeath => {
-            let rows: Vec<(u64, u8)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
-                    TelemetryEvent::LeaseActivated { id, market }
-                    | TelemetryEvent::UnwarnedDeath { id, market } => {
-                        (dref(*id), market_code(*market))
-                    }
-                    _ => unreachable!("pre-filtered by kind"),
+            let rows = || {
+                evs().map(|((_, ev), dref)| match ev {
+                    TelemetryEvent::LeaseActivated { market, .. }
+                    | TelemetryEvent::UnwarnedDeath { market, .. } => (dref, market_code(*market)),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, r.0);
             }
-            buf.extend(rows.iter().map(|r| r.1));
+            buf.extend(rows().map(|r| r.1));
         }
         EventKind::ActivationFailed => {
-            let rows: Vec<(u64, u8, bool)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
-                    TelemetryEvent::ActivationFailed { id, market, doomed } => {
-                        (dref(*id), market_code(*market), *doomed)
+            let rows = || {
+                evs().map(|((_, ev), dref)| match ev {
+                    TelemetryEvent::ActivationFailed { market, doomed, .. } => {
+                        (dref, market_code(*market), *doomed)
                     }
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, r.0);
             }
-            buf.extend(rows.iter().map(|r| r.1));
-            buf.extend(rows.iter().map(|r| u8::from(r.2)));
+            buf.extend(rows().map(|r| r.1));
+            buf.extend(rows().map(|r| u8::from(r.2)));
         }
         EventKind::LeaseClosed => {
-            #[allow(clippy::type_complexity)]
-            let rows: Vec<(u64, u8, bool, u8, SimTime, SimTime, f64, SimTime)> = evs
-                .iter()
-                .map(|(t, ev)| match ev {
+            let rows = || {
+                evs().map(|((t, ev), dref)| match ev {
                     TelemetryEvent::LeaseClosed {
-                        id,
                         market,
                         spot,
                         reason,
                         start,
                         end,
                         cost,
+                        ..
                     } => (
-                        dref(*id),
+                        dref,
                         market_code(*market),
                         *spot,
                         termination_code(*reason),
@@ -425,81 +536,77 @@ fn encode_column(
                         *cost,
                         *t,
                     ),
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, r.0);
             }
-            buf.extend(rows.iter().map(|r| r.1));
-            buf.extend(rows.iter().map(|r| u8::from(r.2)));
-            buf.extend(rows.iter().map(|r| r.3));
-            for r in &rows {
+            buf.extend(rows().map(|r| r.1));
+            buf.extend(rows().map(|r| u8::from(r.2)));
+            buf.extend(rows().map(|r| r.3));
+            for r in rows() {
                 t_delta(buf, r.4, r.7);
             }
-            for r in &rows {
+            for r in rows() {
                 t_delta(buf, r.5, r.7);
             }
-            for r in &rows {
+            for r in rows() {
                 write_f64_bits(buf, r.6);
             }
         }
         EventKind::PriceCrossing | EventKind::RevocationWarning => {
-            let rows: Vec<(u64, u8, SimTime, SimTime)> = evs
-                .iter()
-                .map(|(t, ev)| match ev {
-                    TelemetryEvent::PriceCrossing { id, market, at } => {
-                        (dref(*id), market_code(*market), *at, *t)
+            let rows = || {
+                evs().map(|((t, ev), dref)| match ev {
+                    TelemetryEvent::PriceCrossing { market, at, .. } => {
+                        (dref, market_code(*market), *at, *t)
                     }
                     TelemetryEvent::RevocationWarning {
-                        id,
                         market,
                         terminate_at,
-                    } => (dref(*id), market_code(*market), *terminate_at, *t),
-                    _ => unreachable!("pre-filtered by kind"),
+                        ..
+                    } => (dref, market_code(*market), *terminate_at, *t),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, r.0);
             }
-            buf.extend(rows.iter().map(|r| r.1));
-            for r in &rows {
+            buf.extend(rows().map(|r| r.1));
+            for r in rows() {
                 t_delta(buf, r.2, r.3);
             }
         }
         EventKind::MigrationStarted => {
-            let rows: Vec<(u8, u8, u8)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::MigrationStarted { kind, from, to } => {
                         (migkind_code(*kind), market_code(*from), market_code(*to))
                     }
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            buf.extend(rows.iter().map(|r| r.0));
-            buf.extend(rows.iter().map(|r| r.1));
-            buf.extend(rows.iter().map(|r| r.2));
+            };
+            buf.extend(rows().map(|r| r.0));
+            buf.extend(rows().map(|r| r.1));
+            buf.extend(rows().map(|r| r.2));
         }
         EventKind::MigrationPhase => {
-            let rows: Vec<(u8, u64)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::MigrationPhase { phase, duration } => {
                         (phase_code(*phase), duration.as_millis())
                     }
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            buf.extend(rows.iter().map(|r| r.0));
-            for r in &rows {
+            };
+            buf.extend(rows().map(|r| r.0));
+            for r in rows() {
                 write_u64(buf, r.1);
             }
         }
         EventKind::MigrationCompleted => {
-            let rows: Vec<(u8, u8, u8, u64, u64)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::MigrationCompleted {
                         kind,
                         from,
@@ -513,247 +620,239 @@ fn encode_column(
                         downtime.as_millis(),
                         degraded.as_millis(),
                     ),
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            buf.extend(rows.iter().map(|r| r.0));
-            buf.extend(rows.iter().map(|r| r.1));
-            buf.extend(rows.iter().map(|r| r.2));
-            for r in &rows {
+            };
+            buf.extend(rows().map(|r| r.0));
+            buf.extend(rows().map(|r| r.1));
+            buf.extend(rows().map(|r| r.2));
+            for r in rows() {
                 write_u64(buf, r.3);
             }
-            for r in &rows {
+            for r in rows() {
                 write_u64(buf, r.4);
             }
         }
         EventKind::MigrationAborted => {
-            let rows: Vec<(u8, u8)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::MigrationAborted { kind, from } => {
                         (migkind_code(*kind), market_code(*from))
                     }
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            buf.extend(rows.iter().map(|r| r.0));
-            buf.extend(rows.iter().map(|r| r.1));
+            };
+            buf.extend(rows().map(|r| r.0));
+            buf.extend(rows().map(|r| r.1));
         }
         EventKind::Outage | EventKind::Degraded => {
-            let rows: Vec<(SimTime, SimTime, SimTime)> = evs
-                .iter()
-                .map(|(t, ev)| match ev {
+            let rows = || {
+                evs().map(|((t, ev), _)| match ev {
                     TelemetryEvent::Outage { start, end }
                     | TelemetryEvent::Degraded { start, end } => (*start, *end, *t),
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 t_delta(buf, r.0, r.2);
             }
-            for r in &rows {
+            for r in rows() {
                 t_delta(buf, r.1, r.2);
             }
         }
         EventKind::ServiceUp => {
-            let rows: Vec<(u64, u8, bool, bool)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), dref)| match ev {
                     TelemetryEvent::ServiceUp {
-                        id,
                         market,
                         spot,
                         first,
-                    } => (dref(*id), market_code(*market), *spot, *first),
-                    _ => unreachable!("pre-filtered by kind"),
+                        ..
+                    } => (dref, market_code(*market), *spot, *first),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, r.0);
             }
-            buf.extend(rows.iter().map(|r| r.1));
-            buf.extend(rows.iter().map(|r| u8::from(r.2)));
-            buf.extend(rows.iter().map(|r| u8::from(r.3)));
+            buf.extend(rows().map(|r| r.1));
+            buf.extend(rows().map(|r| u8::from(r.2)));
+            buf.extend(rows().map(|r| u8::from(r.3)));
         }
         EventKind::FaultInjected => {
-            for (_, ev) in evs.iter().copied() {
-                match ev {
-                    TelemetryEvent::FaultInjected { kind } => buf.push(fault_code(*kind)),
-                    _ => unreachable!("pre-filtered by kind"),
-                }
-            }
+            buf.extend(evs().map(|((_, ev), _)| match ev {
+                TelemetryEvent::FaultInjected { kind } => fault_code(*kind),
+                _ => unreachable!("bucketed by kind"),
+            }));
         }
         EventKind::BackoffScheduled => {
-            let rows: Vec<(u32, SimTime, SimTime)> = evs
-                .iter()
-                .map(|(t, ev)| match ev {
+            let rows = || {
+                evs().map(|((t, ev), _)| match ev {
                     TelemetryEvent::BackoffScheduled { attempt, until } => (*attempt, *until, *t),
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, u64::from(r.0));
             }
-            for r in &rows {
+            for r in rows() {
                 t_delta(buf, r.1, r.2);
             }
         }
         EventKind::StateChange => {
-            for (_, ev) in evs.iter().copied() {
-                match ev {
-                    TelemetryEvent::StateChange { state } => buf.push(state_code(*state)),
-                    _ => unreachable!("pre-filtered by kind"),
-                }
-            }
+            buf.extend(evs().map(|((_, ev), _)| match ev {
+                TelemetryEvent::StateChange { state } => state_code(*state),
+                _ => unreachable!("bucketed by kind"),
+            }));
         }
         EventKind::StormStarted | EventKind::StormEnded => {
-            for (_, ev) in evs.iter().copied() {
-                match ev {
-                    TelemetryEvent::StormStarted { zone } | TelemetryEvent::StormEnded { zone } => {
-                        buf.push(zone_code(*zone))
-                    }
-                    _ => unreachable!("pre-filtered by kind"),
+            buf.extend(evs().map(|((_, ev), _)| match ev {
+                TelemetryEvent::StormStarted { zone } | TelemetryEvent::StormEnded { zone } => {
+                    zone_code(*zone)
                 }
-            }
+                _ => unreachable!("bucketed by kind"),
+            }));
         }
         EventKind::QuotaExhausted => {
-            for (_, ev) in evs.iter().copied() {
-                match ev {
-                    TelemetryEvent::QuotaExhausted { market } => buf.push(market_code(*market)),
-                    _ => unreachable!("pre-filtered by kind"),
-                }
-            }
+            buf.extend(evs().map(|((_, ev), _)| match ev {
+                TelemetryEvent::QuotaExhausted { market } => market_code(*market),
+                _ => unreachable!("bucketed by kind"),
+            }));
         }
         EventKind::JobStarted => {
-            let rows: Vec<(u32, u8, bool)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::JobStarted { job, market, spot } => {
                         (*job, market_code(*market), *spot)
                     }
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, u64::from(r.0));
             }
-            buf.extend(rows.iter().map(|r| r.1));
-            buf.extend(rows.iter().map(|r| u8::from(r.2)));
+            buf.extend(rows().map(|r| r.1));
+            buf.extend(rows().map(|r| u8::from(r.2)));
         }
         EventKind::JobCheckpointed => {
-            let rows: Vec<(u32, u64)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::JobCheckpointed { job, duration } => {
                         (*job, duration.as_millis())
                     }
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, u64::from(r.0));
             }
-            for r in &rows {
+            for r in rows() {
                 write_u64(buf, r.1);
             }
         }
         EventKind::JobRestarted => {
-            let rows: Vec<(u32, u8, u64)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::JobRestarted { job, market, lost } => {
                         (*job, market_code(*market), lost.as_millis())
                     }
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, u64::from(r.0));
             }
-            buf.extend(rows.iter().map(|r| r.1));
-            for r in &rows {
+            buf.extend(rows().map(|r| r.1));
+            for r in rows() {
                 write_u64(buf, r.2);
             }
         }
         EventKind::JobFinished => {
-            let rows: Vec<(u32, bool, f64)> = evs
-                .iter()
-                .map(|(_, ev)| match ev {
+            let rows = || {
+                evs().map(|((_, ev), _)| match ev {
                     TelemetryEvent::JobFinished { job, missed, cost } => (*job, *missed, *cost),
-                    _ => unreachable!("pre-filtered by kind"),
+                    _ => unreachable!("bucketed by kind"),
                 })
-                .collect();
-            for r in &rows {
+            };
+            for r in rows() {
                 write_u64(buf, u64::from(r.0));
             }
-            buf.extend(rows.iter().map(|r| u8::from(r.1)));
-            for r in &rows {
+            buf.extend(rows().map(|r| u8::from(r.1)));
+            for r in rows() {
                 write_f64_bits(buf, r.2);
             }
         }
     }
 }
 
+/// Decode `kind`'s column (after its timestamps `ts`) into `out`: first
+/// every field, byte fields as slices of the column and the others into
+/// `nums`, then one event per row.
 fn decode_column(
     c: &mut Cursor<'_>,
     kind: EventKind,
-    n: usize,
-    min_t: u64,
+    ts: &[u64],
     dict: &[u64],
-) -> Result<Vec<TimedEvent>, ColError> {
-    let ts = decode_ts(c, n, min_t)?;
-    let mut out = Vec::with_capacity(n);
+    nums: &mut Vec<u64>,
+    out: &mut Vec<TimedEvent>,
+) -> Result<(), ColError> {
+    let n = ts.len();
+    nums.clear();
+    let mut push = |i: usize, ev: TelemetryEvent| out.push((SimTime(ts[i]), ev));
     match kind {
         EventKind::BidPlaced => {
-            let markets = c.bytes(n)?.to_vec();
-            let bids = decode_opt_f64(c, n)?;
-            let risks = decode_opt_f64(c, n)?;
+            let markets = c.bytes(n)?;
+            let has_bid = read_opt_f64s(c, n, nums)?;
+            let has_risk = read_opt_f64s(c, n, nums)?;
+            let [bids, risks] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::BidPlaced {
                         market: market_from_code(markets[i])?,
-                        bid: bids[i],
-                        predicted_risk: risks[i],
+                        bid: opt_f64(has_bid[i], bids[i]),
+                        predicted_risk: opt_f64(has_risk[i], risks[i]),
                     },
-                ));
+                );
             }
         }
         EventKind::LeaseGranted => {
-            let ids = read_vec(c, n, |c| c.u64())?;
-            let markets = c.bytes(n)?.to_vec();
-            let spots = c.bytes(n)?.to_vec();
+            read_varints(c, n, nums)?;
+            let markets = c.bytes(n)?;
+            let spots = c.bytes(n)?;
+            read_times(c, ts, nums)?;
+            let [ids, ready] = fields(nums, n);
             for i in 0..n {
-                let ready_at = read_t_delta(c, ts[i])?;
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::LeaseGranted {
                         id: dict_id(dict, ids[i])?,
                         market: market_from_code(markets[i])?,
                         spot: spots[i] != 0,
-                        ready_at,
+                        ready_at: SimTime(ready[i]),
                     },
-                ));
+                );
             }
         }
         EventKind::LeaseDenied => {
-            let markets = c.bytes(n)?.to_vec();
-            let spots = c.bytes(n)?.to_vec();
-            let reasons = c.bytes(n)?.to_vec();
+            let markets = c.bytes(n)?;
+            let spots = c.bytes(n)?;
+            let reasons = c.bytes(n)?;
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::LeaseDenied {
                         market: market_from_code(markets[i])?,
                         spot: spots[i] != 0,
                         reason: denial_from_code(reasons[i])?,
                     },
-                ));
+                );
             }
         }
         EventKind::LeaseActivated | EventKind::UnwarnedDeath => {
-            let ids = read_vec(c, n, |c| c.u64())?;
-            let markets = c.bytes(n)?.to_vec();
+            read_varints(c, n, nums)?;
+            let markets = c.bytes(n)?;
+            let [ids] = fields(nums, n);
             for i in 0..n {
                 let id = dict_id(dict, ids[i])?;
                 let market = market_from_code(markets[i])?;
@@ -762,60 +861,58 @@ fn decode_column(
                 } else {
                     TelemetryEvent::UnwarnedDeath { id, market }
                 };
-                out.push((SimTime(ts[i]), ev));
+                push(i, ev);
             }
         }
         EventKind::ActivationFailed => {
-            let ids = read_vec(c, n, |c| c.u64())?;
-            let markets = c.bytes(n)?.to_vec();
-            let doomed = c.bytes(n)?.to_vec();
+            read_varints(c, n, nums)?;
+            let markets = c.bytes(n)?;
+            let doomed = c.bytes(n)?;
+            let [ids] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::ActivationFailed {
                         id: dict_id(dict, ids[i])?,
                         market: market_from_code(markets[i])?,
                         doomed: doomed[i] != 0,
                     },
-                ));
+                );
             }
         }
         EventKind::LeaseClosed => {
-            let ids = read_vec(c, n, |c| c.u64())?;
-            let markets = c.bytes(n)?.to_vec();
-            let spots = c.bytes(n)?.to_vec();
-            let reasons = c.bytes(n)?.to_vec();
-            let mut starts = Vec::with_capacity(n);
-            for &t in ts.iter().take(n) {
-                starts.push(read_t_delta(c, t)?);
-            }
-            let mut ends = Vec::with_capacity(n);
-            for &t in ts.iter().take(n) {
-                ends.push(read_t_delta(c, t)?);
-            }
-            let costs = read_vec(c, n, |c| c.f64_bits())?;
+            read_varints(c, n, nums)?;
+            let markets = c.bytes(n)?;
+            let spots = c.bytes(n)?;
+            let reasons = c.bytes(n)?;
+            read_times(c, ts, nums)?;
+            read_times(c, ts, nums)?;
+            read_f64s(c, n, nums)?;
+            let [ids, starts, ends, costs] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::LeaseClosed {
                         id: dict_id(dict, ids[i])?,
                         market: market_from_code(markets[i])?,
                         spot: spots[i] != 0,
                         reason: termination_from_code(reasons[i])?,
-                        start: starts[i],
-                        end: ends[i],
-                        cost: costs[i],
+                        start: SimTime(starts[i]),
+                        end: SimTime(ends[i]),
+                        cost: f64::from_bits(costs[i]),
                     },
-                ));
+                );
             }
         }
         EventKind::PriceCrossing | EventKind::RevocationWarning => {
-            let ids = read_vec(c, n, |c| c.u64())?;
-            let markets = c.bytes(n)?.to_vec();
+            read_varints(c, n, nums)?;
+            let markets = c.bytes(n)?;
+            read_times(c, ts, nums)?;
+            let [ids, whens] = fields(nums, n);
             for i in 0..n {
-                let when = read_t_delta(c, ts[i])?;
                 let id = dict_id(dict, ids[i])?;
                 let market = market_from_code(markets[i])?;
+                let when = SimTime(whens[i]);
                 let ev = if kind == EventKind::PriceCrossing {
                     TelemetryEvent::PriceCrossing {
                         id,
@@ -829,46 +926,48 @@ fn decode_column(
                         terminate_at: when,
                     }
                 };
-                out.push((SimTime(ts[i]), ev));
+                push(i, ev);
             }
         }
         EventKind::MigrationStarted => {
-            let kinds = c.bytes(n)?.to_vec();
-            let froms = c.bytes(n)?.to_vec();
-            let tos = c.bytes(n)?.to_vec();
+            let kinds = c.bytes(n)?;
+            let froms = c.bytes(n)?;
+            let tos = c.bytes(n)?;
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::MigrationStarted {
                         kind: migkind_from_code(kinds[i])?,
                         from: market_from_code(froms[i])?,
                         to: market_from_code(tos[i])?,
                     },
-                ));
+                );
             }
         }
         EventKind::MigrationPhase => {
-            let phases = c.bytes(n)?.to_vec();
-            let durs = read_vec(c, n, |c| c.u64())?;
+            let phases = c.bytes(n)?;
+            read_varints(c, n, nums)?;
+            let [durs] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::MigrationPhase {
                         phase: phase_from_code(phases[i])?,
                         duration: SimDuration(durs[i]),
                     },
-                ));
+                );
             }
         }
         EventKind::MigrationCompleted => {
-            let kinds = c.bytes(n)?.to_vec();
-            let froms = c.bytes(n)?.to_vec();
-            let tos = c.bytes(n)?.to_vec();
-            let downs = read_vec(c, n, |c| c.u64())?;
-            let degs = read_vec(c, n, |c| c.u64())?;
+            let kinds = c.bytes(n)?;
+            let froms = c.bytes(n)?;
+            let tos = c.bytes(n)?;
+            read_varints(c, n, nums)?;
+            read_varints(c, n, nums)?;
+            let [downs, degs] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::MigrationCompleted {
                         kind: migkind_from_code(kinds[i])?,
                         from: market_from_code(froms[i])?,
@@ -876,188 +975,173 @@ fn decode_column(
                         downtime: SimDuration(downs[i]),
                         degraded: SimDuration(degs[i]),
                     },
-                ));
+                );
             }
         }
         EventKind::MigrationAborted => {
-            let kinds = c.bytes(n)?.to_vec();
-            let froms = c.bytes(n)?.to_vec();
+            let kinds = c.bytes(n)?;
+            let froms = c.bytes(n)?;
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::MigrationAborted {
                         kind: migkind_from_code(kinds[i])?,
                         from: market_from_code(froms[i])?,
                     },
-                ));
+                );
             }
         }
         EventKind::Outage | EventKind::Degraded => {
-            let mut starts = Vec::with_capacity(n);
-            for &t in ts.iter().take(n) {
-                starts.push(read_t_delta(c, t)?);
-            }
+            read_times(c, ts, nums)?;
+            read_times(c, ts, nums)?;
+            let [starts, ends] = fields(nums, n);
             for i in 0..n {
-                let end = read_t_delta(c, ts[i])?;
+                let (start, end) = (SimTime(starts[i]), SimTime(ends[i]));
                 let ev = if kind == EventKind::Outage {
-                    TelemetryEvent::Outage {
-                        start: starts[i],
-                        end,
-                    }
+                    TelemetryEvent::Outage { start, end }
                 } else {
-                    TelemetryEvent::Degraded {
-                        start: starts[i],
-                        end,
-                    }
+                    TelemetryEvent::Degraded { start, end }
                 };
-                out.push((SimTime(ts[i]), ev));
+                push(i, ev);
             }
         }
         EventKind::ServiceUp => {
-            let ids = read_vec(c, n, |c| c.u64())?;
-            let markets = c.bytes(n)?.to_vec();
-            let spots = c.bytes(n)?.to_vec();
-            let firsts = c.bytes(n)?.to_vec();
+            read_varints(c, n, nums)?;
+            let markets = c.bytes(n)?;
+            let spots = c.bytes(n)?;
+            let firsts = c.bytes(n)?;
+            let [ids] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::ServiceUp {
                         id: dict_id(dict, ids[i])?,
                         market: market_from_code(markets[i])?,
                         spot: spots[i] != 0,
                         first: firsts[i] != 0,
                     },
-                ));
+                );
             }
         }
         EventKind::FaultInjected => {
-            let kinds = c.bytes(n)?.to_vec();
-            for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+            for (i, &k) in c.bytes(n)?.iter().enumerate() {
+                push(
+                    i,
                     TelemetryEvent::FaultInjected {
-                        kind: fault_from_code(kinds[i])?,
+                        kind: fault_from_code(k)?,
                     },
-                ));
+                );
             }
         }
         EventKind::BackoffScheduled => {
-            let attempts = read_vec(c, n, |c| {
-                u32::try_from(c.u64()?).map_err(|_| ColError::Corrupt("attempt overflows u32"))
-            })?;
+            read_varints(c, n, nums)?;
+            read_times(c, ts, nums)?;
+            let [attempts, untils] = fields(nums, n);
             for i in 0..n {
-                let until = read_t_delta(c, ts[i])?;
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::BackoffScheduled {
-                        attempt: attempts[i],
-                        until,
+                        attempt: u32_field(attempts[i], "attempt overflows u32")?,
+                        until: SimTime(untils[i]),
                     },
-                ));
+                );
             }
         }
         EventKind::StateChange => {
-            let states = c.bytes(n)?.to_vec();
-            for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+            for (i, &s) in c.bytes(n)?.iter().enumerate() {
+                push(
+                    i,
                     TelemetryEvent::StateChange {
-                        state: state_from_code(states[i])?,
+                        state: state_from_code(s)?,
                     },
-                ));
+                );
             }
         }
         EventKind::StormStarted | EventKind::StormEnded => {
-            let zones = c.bytes(n)?.to_vec();
-            for i in 0..n {
-                let zone = zone_from_code(zones[i])?;
+            for (i, &z) in c.bytes(n)?.iter().enumerate() {
+                let zone = zone_from_code(z)?;
                 let ev = if kind == EventKind::StormStarted {
                     TelemetryEvent::StormStarted { zone }
                 } else {
                     TelemetryEvent::StormEnded { zone }
                 };
-                out.push((SimTime(ts[i]), ev));
+                push(i, ev);
             }
         }
         EventKind::QuotaExhausted => {
-            let markets = c.bytes(n)?.to_vec();
-            for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+            for (i, &m) in c.bytes(n)?.iter().enumerate() {
+                push(
+                    i,
                     TelemetryEvent::QuotaExhausted {
-                        market: market_from_code(markets[i])?,
+                        market: market_from_code(m)?,
                     },
-                ));
+                );
             }
         }
         EventKind::JobStarted => {
-            let jobs = read_vec(c, n, |c| {
-                u32::try_from(c.u64()?).map_err(|_| ColError::Corrupt("job id overflows u32"))
-            })?;
-            let markets = c.bytes(n)?.to_vec();
-            let spots = c.bytes(n)?.to_vec();
+            read_varints(c, n, nums)?;
+            let markets = c.bytes(n)?;
+            let spots = c.bytes(n)?;
+            let [jobs] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::JobStarted {
-                        job: jobs[i],
+                        job: u32_field(jobs[i], "job id overflows u32")?,
                         market: market_from_code(markets[i])?,
                         spot: spots[i] != 0,
                     },
-                ));
+                );
             }
         }
         EventKind::JobCheckpointed => {
-            let jobs = read_vec(c, n, |c| {
-                u32::try_from(c.u64()?).map_err(|_| ColError::Corrupt("job id overflows u32"))
-            })?;
-            let durs = read_vec(c, n, |c| c.u64())?;
+            read_varints(c, n, nums)?;
+            read_varints(c, n, nums)?;
+            let [jobs, durs] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::JobCheckpointed {
-                        job: jobs[i],
+                        job: u32_field(jobs[i], "job id overflows u32")?,
                         duration: SimDuration(durs[i]),
                     },
-                ));
+                );
             }
         }
         EventKind::JobRestarted => {
-            let jobs = read_vec(c, n, |c| {
-                u32::try_from(c.u64()?).map_err(|_| ColError::Corrupt("job id overflows u32"))
-            })?;
-            let markets = c.bytes(n)?.to_vec();
-            let losts = read_vec(c, n, |c| c.u64())?;
+            read_varints(c, n, nums)?;
+            let markets = c.bytes(n)?;
+            read_varints(c, n, nums)?;
+            let [jobs, losts] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::JobRestarted {
-                        job: jobs[i],
+                        job: u32_field(jobs[i], "job id overflows u32")?,
                         market: market_from_code(markets[i])?,
                         lost: SimDuration(losts[i]),
                     },
-                ));
+                );
             }
         }
         EventKind::JobFinished => {
-            let jobs = read_vec(c, n, |c| {
-                u32::try_from(c.u64()?).map_err(|_| ColError::Corrupt("job id overflows u32"))
-            })?;
-            let missed = c.bytes(n)?.to_vec();
-            let costs = read_vec(c, n, |c| c.f64_bits())?;
+            read_varints(c, n, nums)?;
+            let missed = c.bytes(n)?;
+            read_f64s(c, n, nums)?;
+            let [jobs, costs] = fields(nums, n);
             for i in 0..n {
-                out.push((
-                    SimTime(ts[i]),
+                push(
+                    i,
                     TelemetryEvent::JobFinished {
-                        job: jobs[i],
+                        job: u32_field(jobs[i], "job id overflows u32")?,
                         missed: missed[i] != 0,
-                        cost: costs[i],
+                        cost: f64::from_bits(costs[i]),
                     },
-                ));
+                );
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1154,5 +1238,36 @@ mod tests {
         trailing.push(0);
         assert!(decode(&trailing).is_err());
         assert!(decode(&[]).is_err());
+    }
+
+    #[test]
+    fn reused_encoder_and_decoder_match_one_shot_calls() {
+        // A long block, then a short one with fewer kinds: nothing from
+        // the first may leak into the second through the kept buffers.
+        let long = sample_stream();
+        let short = vec![long[1], long[4]];
+        let mut enc = Encoder::default();
+        let mut dec = Decoder::default();
+        for (vm, events) in [(Some(1), &long), (None, &short), (Some(2), &long)] {
+            let mut payload = Vec::new();
+            enc.seal(vm, events, &mut payload);
+            assert_eq!(payload, seal(vm, events));
+            let (meta, decoded) = dec.decode(&payload).unwrap();
+            assert_eq!(meta.vm, vm);
+            assert_eq!(decoded.len(), events.len());
+            assert_eq!(decoded.collect::<Vec<_>>(), *events);
+        }
+    }
+
+    #[test]
+    fn header_count_beyond_payload_is_corrupt() {
+        let mut payload = Vec::new();
+        write_u64(&mut payload, 0); // untagged
+        write_u64(&mut payload, 1 << 40); // count
+        payload.extend_from_slice(&[0; 8]);
+        assert!(matches!(
+            decode_meta(&payload),
+            Err(ColError::Corrupt("count exceeds payload size"))
+        ));
     }
 }

@@ -9,16 +9,18 @@
 //! Aggregations ([`group_counts`], [`grouped_values`], [`percentile_of`],
 //! [`histogram_of`]) reuse `spothost-analysis` so the numbers the query
 //! CLI prints are bit-identical to what a report computed from the raw
-//! stream would say — a property the crate's proptests pin down.
+//! stream would say — a property the crate's proptests pin down. Grouped
+//! aggregations accumulate on one dense slot per group and format each
+//! group's key once, not once per event.
 
 use crate::block::BlockMeta;
 use crate::read::StoredEvent;
 use crate::schema::{market_code, markets_of, zone_code, zones_of, EventKind};
 use spothost_analysis::{percentile, FixedHistogram};
 use spothost_market::time::SimTime;
-use spothost_market::types::{MarketId, Zone};
+use spothost_market::types::{InstanceType, MarketId, Zone};
 use spothost_telemetry::TelemetryEvent;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A conjunctive filter over stored events.
 ///
@@ -267,6 +269,18 @@ pub enum GroupBy {
     Vm,
 }
 
+/// An event's group as a number: the kind index, the market or zone code
+/// (one past the last code for `"-"`), or the VM tag.
+#[derive(Debug, Clone, Copy)]
+enum GroupCode {
+    Dense(usize),
+    Vm(Option<u32>),
+}
+
+/// Every dense code is below this: 26 kind indices outnumber the 17
+/// market and 5 zone codes.
+const DENSE_CODES: usize = EventKind::ALL.len();
+
 impl GroupBy {
     /// Parse a CLI `--group-by` value.
     pub fn parse(name: &str) -> Option<GroupBy> {
@@ -300,15 +314,89 @@ impl GroupBy {
             },
         }
     }
+
+    /// The event's group as a number: events share a [`key`](Self::key)
+    /// exactly when they share a code.
+    fn code(self, se: &StoredEvent) -> GroupCode {
+        const NO_MARKET: usize = Zone::ALL.len() * InstanceType::ALL.len();
+        match self {
+            GroupBy::None => GroupCode::Dense(0),
+            GroupBy::Kind => GroupCode::Dense(EventKind::of(&se.event).index()),
+            GroupBy::Market => GroupCode::Dense(
+                markets_of(&se.event)
+                    .0
+                    .map_or(NO_MARKET, |m| usize::from(market_code(m))),
+            ),
+            GroupBy::Zone => GroupCode::Dense(
+                zones_of(&se.event)
+                    .0
+                    .map_or(Zone::ALL.len(), |z| usize::from(zone_code(z))),
+            ),
+            GroupBy::Vm => GroupCode::Vm(se.vm),
+        }
+    }
+}
+
+/// Dense accumulator slots for one grouping, numbered in first-seen
+/// order. Dense codes index a table; VM tags, which a file may carry up
+/// to `u32::MAX`, go through a map.
+struct Slots {
+    group: GroupBy,
+    dense: [Option<usize>; DENSE_CODES],
+    vms: HashMap<Option<u32>, usize>,
+    /// Each slot's first event, which its key is formatted from.
+    first: Vec<usize>,
+}
+
+impl Slots {
+    fn new(group: GroupBy) -> Self {
+        Slots {
+            group,
+            dense: [None; DENSE_CODES],
+            vms: HashMap::new(),
+            first: Vec::new(),
+        }
+    }
+
+    /// The slot of event `i`; a new group gets the next slot.
+    fn of(&mut self, i: usize, se: &StoredEvent) -> usize {
+        let next = self.first.len();
+        let slot = match self.group.code(se) {
+            GroupCode::Dense(c) => *self.dense[c].get_or_insert(next),
+            GroupCode::Vm(vm) => *self.vms.entry(vm).or_insert(next),
+        };
+        if slot == next {
+            self.first.push(i);
+        }
+        slot
+    }
+
+    /// Pair each slot's accumulator with its key, sorted by key.
+    fn keyed<T>(&self, events: &[StoredEvent], accs: Vec<T>) -> Vec<(String, T)> {
+        let mut out: Vec<(String, T)> = self
+            .first
+            .iter()
+            .map(|&i| self.group.key(&events[i]))
+            .zip(accs)
+            .collect();
+        // Distinct groups have distinct keys, so the order is total.
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
 }
 
 /// Event counts per group, sorted by key.
 pub fn group_counts(events: &[StoredEvent], group: GroupBy) -> Vec<(String, u64)> {
-    let mut map: BTreeMap<String, u64> = BTreeMap::new();
-    for se in events {
-        *map.entry(group.key(se)).or_insert(0) += 1;
+    let mut slots = Slots::new(group);
+    let mut counts: Vec<u64> = Vec::new();
+    for (i, se) in events.iter().enumerate() {
+        let s = slots.of(i, se);
+        if s == counts.len() {
+            counts.push(0);
+        }
+        counts[s] += 1;
     }
-    map.into_iter().collect()
+    slots.keyed(events, counts)
 }
 
 /// Per-group samples of `field`, sorted by key. Events that don't carry
@@ -318,13 +406,18 @@ pub fn grouped_values(
     field: Field,
     group: GroupBy,
 ) -> Vec<(String, Vec<f64>)> {
-    let mut map: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for se in events {
+    let mut slots = Slots::new(group);
+    let mut values: Vec<Vec<f64>> = Vec::new();
+    for (i, se) in events.iter().enumerate() {
         if let Some(v) = field.extract(&se.event) {
-            map.entry(group.key(se)).or_default().push(v);
+            let s = slots.of(i, se);
+            if s == values.len() {
+                values.push(Vec::new());
+            }
+            values[s].push(v);
         }
     }
-    map.into_iter().collect()
+    slots.keyed(events, values)
 }
 
 /// Percentile of a sample (delegates to `spothost-analysis`, so query
@@ -395,7 +488,6 @@ pub fn reacquire_seconds(events: &[StoredEvent]) -> Vec<(Zone, f64)> {
 mod tests {
     use super::*;
     use spothost_cloudsim::InstanceId;
-    use spothost_market::types::InstanceType;
 
     fn se(vm: Option<u32>, at_ms: u64, event: TelemetryEvent) -> StoredEvent {
         StoredEvent {

@@ -3,7 +3,7 @@
 //! selections, decoding only the blocks whose header zone maps survive
 //! pruning.
 
-use crate::block::{self, BlockMeta};
+use crate::block::{self, BlockMeta, Decoder};
 use crate::query::Predicate;
 use crate::store::MAGIC;
 use crate::ColError;
@@ -23,9 +23,11 @@ pub struct StoredEvent {
     pub event: TelemetryEvent,
 }
 
+/// A block's header and where its payload lies in the file.
 struct RawBlock {
     meta: BlockMeta,
-    payload: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 /// The result of [`ColReader::select`]: matching events plus pruning
@@ -44,6 +46,7 @@ pub struct Selection {
 
 /// A reader over one columnar store file.
 pub struct ColReader {
+    data: Vec<u8>,
     blocks: Vec<RawBlock>,
 }
 
@@ -64,37 +67,45 @@ impl ColReader {
     /// An empty input is a valid, empty store (a run that emitted no
     /// events writes no bytes).
     pub fn from_bytes(data: &[u8]) -> Result<Self, ColError> {
+        ColReader::parse(data.to_vec())
+    }
+
+    /// Open and parse a `.col` file.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, ColError> {
+        ColReader::parse(std::fs::read(path)?)
+    }
+
+    /// Index the frames of `data`, which the reader keeps: payloads are
+    /// decoded in place, not copied out per block.
+    fn parse(data: Vec<u8>) -> Result<Self, ColError> {
         if data.is_empty() {
-            return Ok(ColReader { blocks: Vec::new() });
+            return Ok(ColReader {
+                data,
+                blocks: Vec::new(),
+            });
         }
         if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
             return Err(ColError::BadMagic);
         }
-        let mut rest = &data[MAGIC.len()..];
+        let mut pos = MAGIC.len();
         let mut blocks = Vec::new();
-        while !rest.is_empty() {
+        while pos < data.len() {
+            let rest = &data[pos..];
             if rest.len() < 4 {
                 return Err(ColError::Truncated);
             }
             let mut len4 = [0u8; 4];
             len4.copy_from_slice(&rest[..4]);
             let len = u32::from_le_bytes(len4) as usize;
-            rest = &rest[4..];
-            if rest.len() < len {
+            if rest.len() - 4 < len {
                 return Err(ColError::Truncated);
             }
-            let payload = rest[..len].to_vec();
-            rest = &rest[len..];
-            let meta = block::decode_meta(&payload)?;
-            blocks.push(RawBlock { meta, payload });
+            let (start, end) = (pos + 4, pos + 4 + len);
+            let meta = block::decode_meta(&data[start..end])?;
+            blocks.push(RawBlock { meta, start, end });
+            pos = end;
         }
-        Ok(ColReader { blocks })
-    }
-
-    /// Open and parse a `.col` file.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, ColError> {
-        let data = std::fs::read(path)?;
-        ColReader::from_bytes(&data)
+        Ok(ColReader { data, blocks })
     }
 
     /// Number of blocks in the file.
@@ -128,28 +139,26 @@ impl ColReader {
     /// Evaluate `pred`: prune blocks on their headers, decode survivors,
     /// then filter events. The returned [`Selection`] reports how many
     /// blocks were decoded vs. total — the pruning win.
+    ///
+    /// The output is reserved once from the surviving headers' counts,
+    /// and one block `Decoder` decodes every surviving block.
     pub fn select(&self, pred: &Predicate) -> Result<Selection, ColError> {
-        let mut events = Vec::new();
+        let survivors = || self.blocks.iter().filter(|b| pred.matches_meta(&b.meta));
+        let mut events = Vec::with_capacity(survivors().map(|b| b.meta.count).sum());
+        let mut decoder = Decoder::default();
         let mut decoded = 0usize;
-        for raw in &self.blocks {
-            if !pred.matches_meta(&raw.meta) {
-                continue;
-            }
+        for raw in survivors() {
             decoded += 1;
-            let (meta, stream) = block::decode(&raw.payload)?;
+            let (meta, stream) = decoder.decode(&self.data[raw.start..raw.end])?;
             if meta != raw.meta {
                 return Err(ColError::Corrupt("block body disagrees with header"));
             }
-            for (at, event) in stream {
-                let se = StoredEvent {
-                    vm: meta.vm,
-                    at,
-                    event,
-                };
-                if pred.matches_event(&se) {
-                    events.push(se);
-                }
-            }
+            let stream = stream.map(|(at, event)| StoredEvent {
+                vm: meta.vm,
+                at,
+                event,
+            });
+            events.extend(stream.filter(|se| pred.matches_event(se)));
         }
         Ok(Selection {
             events,

@@ -3,12 +3,15 @@
 //! seal them into columnar blocks.
 //!
 //! The store is single-threaded by design — the simulators step VMs
-//! sequentially — so sinks share the store through `Rc<RefCell<..>>`.
+//! sequentially — so sinks share the store through `Rc<RefCell<..>>`,
+//! along with the store's sealing buffers: a fleet seals one small block
+//! per VM, and reusing one block `Encoder` and payload buffer for all
+//! of them keeps sealing free of per-block allocation.
 //! I/O errors are latched (like `Recorder`): emission never panics or
 //! returns errors into the hot path; [`ColumnarStore::finish`] reports
 //! the first failure at the end.
 
-use crate::block;
+use crate::block::Encoder;
 use spothost_market::time::SimTime;
 use spothost_telemetry::{Sink, SinkFactory, TelemetryEvent, TimedEvent};
 use std::cell::RefCell;
@@ -38,26 +41,37 @@ struct StoreInner {
     blocks: u64,
     events: u64,
     io_error: Option<io::Error>,
+    encoder: Encoder,
+    /// The block being written, reused from block to block.
+    payload: Vec<u8>,
 }
 
 impl StoreInner {
-    fn write_block(&mut self, payload: &[u8], count: usize) {
-        if payload.is_empty() || self.io_error.is_some() {
+    /// Seal `events` into one block and append its frame (the magic
+    /// first, if nothing was written yet) straight to the output.
+    fn write_block(&mut self, vm: Option<u32>, events: &[TimedEvent]) {
+        if events.is_empty() || self.io_error.is_some() {
             return;
         }
+        self.payload.clear();
+        self.encoder.seal(vm, events, &mut self.payload);
         self.blocks += 1;
-        self.events += count as u64;
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        if !self.wrote_magic {
-            frame.extend_from_slice(MAGIC);
-            self.wrote_magic = true;
-        }
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
+        self.events += events.len() as u64;
+        let magic: &[u8] = if self.wrote_magic { &[] } else { MAGIC };
+        self.wrote_magic = true;
+        let len = (self.payload.len() as u32).to_le_bytes();
         match &mut self.out {
-            Output::Memory(buf) => buf.extend_from_slice(&frame),
+            Output::Memory(buf) => {
+                buf.extend_from_slice(magic);
+                buf.extend_from_slice(&len);
+                buf.extend_from_slice(&self.payload);
+            }
             Output::Writer(w) => {
-                if let Err(e) = w.write_all(&frame) {
+                let written = w
+                    .write_all(magic)
+                    .and_then(|()| w.write_all(&len))
+                    .and_then(|()| w.write_all(&self.payload));
+                if let Err(e) = written {
                     self.io_error = Some(e);
                 }
             }
@@ -104,6 +118,8 @@ impl ColumnarStore {
                 blocks: 0,
                 events: 0,
                 io_error: None,
+                encoder: Encoder::default(),
+                payload: Vec::new(),
             })),
             block_events: DEFAULT_BLOCK_EVENTS,
         }
@@ -146,7 +162,7 @@ impl ColumnarStore {
         ColumnarSink {
             inner: Rc::clone(&self.inner),
             vm,
-            buf: Vec::with_capacity(self.block_events),
+            buf: Vec::new(),
             block_events: self.block_events,
         }
     }
@@ -202,6 +218,10 @@ impl SinkFactory for ColumnarStore {
 /// A telemetry [`Sink`] that buffers events and seals them into columnar
 /// blocks in its parent [`ColumnarStore`].
 ///
+/// The buffer grows with the events emitted, up to the store's
+/// events-per-block threshold, so a fleet's many short-lived VMs each
+/// hold only what they emitted.
+///
 /// Dropping the sink seals any partial block, so simply letting a
 /// `SimRun` finish guarantees a complete file.
 pub struct ColumnarSink {
@@ -225,10 +245,7 @@ impl ColumnarSink {
         if self.buf.is_empty() {
             return;
         }
-        let payload = block::seal(self.vm, &self.buf);
-        self.inner
-            .borrow_mut()
-            .write_block(&payload, self.buf.len());
+        self.inner.borrow_mut().write_block(self.vm, &self.buf);
         self.buf.clear();
     }
 }
