@@ -22,8 +22,9 @@ use spothost_market::types::MarketId;
 ///
 /// This is the *replay* form: O(hours x log n) in binary searches. The
 /// simulation hot path bills through [`SpotLeaseMeter`] instead, which is
-/// bit-identical (same additions in the same order) but amortised O(1)
-/// per hour; this function remains the reference oracle for property
+/// bit-identical (same additions in the same order) but O(1) per hour when
+/// consecutive hours are a few price changes apart and O(log d) when they
+/// are `d` apart; this function remains the reference oracle for property
 /// tests and for one-shot charges outside a simulation.
 pub fn spot_lease_charge(trace: &PriceTrace, start: SimTime, end: SimTime, revoked: bool) -> f64 {
     assert!(end >= start, "lease must not end before it starts");
@@ -49,10 +50,11 @@ pub fn spot_lease_charge(trace: &PriceTrace, start: SimTime, end: SimTime, revok
 /// later ends; only the final partial hour depends on who terminated it
 /// (free if the provider revoked, billed if the customer walked away).
 /// The meter exploits exactly that: [`advance_to`] charges each
-/// instance-hour the moment it completes, walking the price trace
-/// forward with a [`TraceCursor`] (amortised O(1) per hour, no
-/// allocation, no binary search), and [`close`] settles only the final
-/// partial hour.
+/// instance-hour the moment it completes, seeking the price trace
+/// forward with a [`TraceCursor`] (no allocation; O(1) for the next
+/// price change and O(log d) for a jump of `d` changes, including the
+/// first lookup from the trace start to a lease granted deep in the
+/// horizon), and [`close`] settles only the final partial hour.
 ///
 /// The accumulated charge is **bit-identical** to
 /// [`spot_lease_charge`]'s replay: both perform the same f64 additions
@@ -95,8 +97,9 @@ impl<'a> SpotLeaseMeter<'a> {
     /// Charge every instance-hour that has *completed* by `now`. A
     /// complete hour is owed regardless of how the lease later ends, so
     /// charging it eagerly is always correct. Calls must use
-    /// non-decreasing `now` (the simulation clock); each call is
-    /// amortised O(hours + price changes) over the lease's life.
+    /// non-decreasing `now` (the simulation clock); each call costs
+    /// O(1) per completed hour plus O(log d) per jump of `d` price
+    /// changes between hours.
     pub fn advance_to(&mut self, now: SimTime) {
         loop {
             let hour_start = self.start + SimDuration::hours(self.hours_charged);

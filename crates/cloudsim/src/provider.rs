@@ -86,9 +86,10 @@ pub struct RevocationSchedule {
 ///
 /// All price queries (`spot_price`, crossing scans, billing) go through
 /// per-market [`TraceCursor`]s held behind a `RefCell`: the simulation
-/// clock only moves forward, so every lookup is an amortised O(1) cursor
-/// step instead of an O(log n) binary search, and the cursors are
-/// invisible to callers (`&self` query methods keep their signatures).
+/// clock only moves forward, so a lookup is an O(1) cursor step to the
+/// next price change or an O(log d) gallop over `d` changes instead of an
+/// O(log n) binary search, and the cursors are invisible to callers
+/// (`&self` query methods keep their signatures).
 /// A cursor handed an out-of-order timestamp simply resyncs, so
 /// correctness never depends on monotonicity — only speed does.
 #[derive(Debug)]

@@ -4,30 +4,39 @@
 //! settled charge must be **bit-identical** (`f64::to_bits` equal) to
 //! `spot_lease_charge`'s whole-lease replay. Bit identity — not just
 //! approximate equality — is what lets the simulation swap the O(hours x
-//! log n) replay for the amortised-O(1) meter without perturbing a
-//! single figure.
+//! log n) replay for the cursor-driven meter without perturbing a single
+//! figure. Traces run to about 2000 points and leases start anywhere in
+//! them, so a meter's first lookup gallops deep into the trace and, on
+//! dense traces, each billed hour jumps many points.
 
 use proptest::prelude::*;
 use spothost_cloudsim::billing::{spot_lease_charge, SpotLeaseMeter};
-use spothost_market::time::{SimDuration, SimTime, MILLIS_PER_HOUR};
+use spothost_market::time::{SimDuration, SimTime, MILLIS_PER_HOUR, MILLIS_PER_MINUTE};
 use spothost_market::trace::{PricePoint, PriceTrace};
 
 /// A random trace: first point at t=0, strictly increasing change times,
-/// positive finite prices, horizon past the last point.
+/// positive finite prices, horizon past the last point. Dense traces
+/// change price up to 5 minutes apart, sparse ones up to 4 hours apart.
 fn arb_trace() -> impl Strategy<Value = PriceTrace> {
     (
-        prop::collection::vec((1u64..4 * MILLIS_PER_HOUR, 0.01f64..20.0), 0..40),
+        prop::bool::ANY,
+        prop::collection::vec((0.0f64..1.0, 0.01f64..20.0), 0..2000),
         0.01f64..20.0,
         1u64..2 * MILLIS_PER_HOUR,
     )
-        .prop_map(|(steps, p0, tail)| {
+        .prop_map(|(dense, steps, p0, tail)| {
+            let max_gap = if dense {
+                5 * MILLIS_PER_MINUTE
+            } else {
+                4 * MILLIS_PER_HOUR
+            };
             let mut points = vec![PricePoint {
                 at: SimTime::ZERO,
                 price: p0,
             }];
             let mut t = 0u64;
-            for (delta, price) in steps {
-                t += delta;
+            for (gap, price) in steps {
+                t += 1 + (gap * max_gap as f64) as u64;
                 points.push(PricePoint {
                     at: SimTime::millis(t),
                     price,
@@ -43,7 +52,9 @@ proptest! {
     #[test]
     fn meter_is_bit_identical_to_replay(
         trace in arb_trace(),
-        start_ms in 0u64..6 * MILLIS_PER_HOUR,
+        // Where the lease starts, as a fraction of the horizon (past it
+        // up to 1.1).
+        start_at in 0.0f64..1.1,
         lease_ms in 0u64..50 * MILLIS_PER_HOUR,
         revoked in prop::bool::ANY,
         // Fractions of the lease at which the scheduler happens to call
@@ -51,6 +62,7 @@ proptest! {
         // in non-decreasing order because the sim clock is monotonic).
         advances in prop::collection::vec(0.0f64..1.0, 0..8),
     ) {
+        let start_ms = (start_at * trace.end().as_millis() as f64) as u64;
         let start = SimTime::millis(start_ms);
         let end = start + SimDuration::millis(lease_ms);
         let expect = spot_lease_charge(&trace, start, end, revoked);

@@ -16,7 +16,7 @@
 //! be fed price history causally — each job's bid decision sees exactly
 //! the history up to its own start, never the future.
 
-use spothost_cloudsim::{on_demand_lease_charge, spot_lease_charge};
+use spothost_cloudsim::billing::{on_demand_lease_charge, SpotLeaseMeter};
 use spothost_core::BiddingPolicy;
 use spothost_faults::{FaultPlan, StormSchedule, WarningFault};
 use spothost_forecast::{ForecastParams, MarketForecaster};
@@ -24,8 +24,9 @@ use spothost_market::gen::derive_seed;
 use spothost_market::time::{
     SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR, MILLIS_PER_MINUTE, MILLIS_PER_SECOND,
 };
+use spothost_market::trace::TraceCursor;
 use spothost_market::types::Zone;
-use spothost_market::{Catalog, PriceTrace, TraceSet};
+use spothost_market::{Catalog, TraceSet};
 use spothost_telemetry::{NullSink, Sink, TelemetryEvent};
 use spothost_virt::{BoundedCheckpointer, VirtParams, VmSpec};
 
@@ -165,7 +166,7 @@ pub fn run_jobs_on<S: Sink>(
 
     let mut ctx = Ctx {
         cfg,
-        trace,
+        prices: trace.cursor(),
         pon: traces.catalog().on_demand_price(cfg.market),
         cap: traces.catalog().max_bid(cfg.market),
         horizon,
@@ -201,7 +202,7 @@ pub fn run_jobs_on<S: Sink>(
         // Feed the forecaster exactly the history up to this start
         // (monotone across jobs — see the module docs).
         if start > ctx.forecaster.fed_to() {
-            for seg in trace.segments_in(ctx.forecaster.fed_to(), start) {
+            for seg in trace.segments_in_iter(ctx.forecaster.fed_to(), start) {
                 ctx.forecaster.feed(seg);
             }
         }
@@ -240,7 +241,10 @@ enum LeaseEnd {
 
 struct Ctx<'a> {
     cfg: &'a JobsConfig,
-    trace: &'a PriceTrace,
+    /// The market's price trace. Queries follow each job's leases in
+    /// time order, so they seek forward; a job that starts before the
+    /// previous job's last lease ended costs one binary search back.
+    prices: TraceCursor<'a>,
     pon: f64,
     cap: f64,
     horizon: SimTime,
@@ -353,8 +357,8 @@ impl Ctx<'_> {
             }
 
             // Wait for the spot price to clear the bid.
-            if self.trace.price_at(now) > bid {
-                match self.trace.next_time_at_or_below(now, bid) {
+            if self.prices.price_at(now) > bid {
+                match self.prices.next_time_at_or_below(now, bid) {
                     Some(t) if t < self.horizon => now = t,
                     _ => break 'job,
                 }
@@ -507,7 +511,7 @@ impl Ctx<'_> {
     ) {
         let wall = end.since(grant);
         debug_assert!(useful <= wall);
-        let charge = spot_lease_charge(self.trace, grant, end, revoked);
+        let charge = SpotLeaseMeter::new(self.prices.trace(), grant).close(end, revoked);
         out.cost += charge;
         out.useful += useful;
         out.wasted += wall - useful;
@@ -556,7 +560,7 @@ impl Ctx<'_> {
         } else {
             Some(LeaseEnd::Horizon)
         };
-        if let Some(t) = self.trace.next_time_above(grant, bid) {
+        if let Some(t) = self.prices.next_time_above(grant, bid) {
             if t < stop_t {
                 stop_t = t;
                 end_kind = Some(LeaseEnd::Warned);

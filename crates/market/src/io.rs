@@ -18,7 +18,7 @@
 
 use crate::catalog::Catalog;
 use crate::gen::TraceSet;
-use crate::time::{SimDuration, SimTime};
+use crate::time::{SimTime, MILLIS_PER_HOUR};
 use crate::trace::{PricePoint, PriceTrace};
 use crate::types::{InstanceType, MarketId, Zone};
 use std::fmt::Write as _;
@@ -29,8 +29,13 @@ use std::path::Path;
 pub enum TraceIoError {
     MissingHeader(&'static str),
     UnknownMarket(String),
-    BadRow { line: usize, reason: String },
+    BadRow {
+        line: usize,
+        reason: String,
+    },
     Empty,
+    /// Two trace files in one directory name the same market.
+    DuplicateMarket(MarketId),
     Io(String),
 }
 
@@ -41,6 +46,7 @@ impl std::fmt::Display for TraceIoError {
             TraceIoError::UnknownMarket(m) => write!(f, "unknown market '{m}'"),
             TraceIoError::BadRow { line, reason } => write!(f, "line {line}: {reason}"),
             TraceIoError::Empty => write!(f, "trace has no price rows"),
+            TraceIoError::DuplicateMarket(m) => write!(f, "two trace files name market '{m}'"),
             TraceIoError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -81,6 +87,8 @@ pub fn trace_from_csv(text: &str) -> Result<(MarketId, PriceTrace), TraceIoError
     let mut market = None;
     let mut horizon_ms = None;
     let mut points = Vec::new();
+    // Latest timestamp seen and its line, to blame if no horizon fits.
+    let mut latest = (0u64, 0usize);
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() {
@@ -122,6 +130,9 @@ pub fn trace_from_csv(text: &str) -> Result<(MarketId, PriceTrace), TraceIoError
                 reason: format!("price must be positive, got {price}"),
             });
         }
+        if at >= latest.0 {
+            latest = (at, i + 1);
+        }
         points.push(PricePoint {
             at: SimTime::millis(at),
             price,
@@ -153,15 +164,18 @@ pub fn trace_from_csv(text: &str) -> Result<(MarketId, PriceTrace), TraceIoError
         );
         points.dedup_by_key(|p| p.at);
     }
-    let last = points
-        .last()
-        .expect("parser inserted at least the t=0 point")
-        .at;
+    // The horizon defaults to an hour past the last change and must lie
+    // after it; a timestamp too close to `u64::MAX` leaves no room.
+    let last = latest.0;
     let horizon = horizon_ms
-        .map(SimTime::millis)
-        .unwrap_or(last + SimDuration::hours(1));
-    let horizon = horizon.max(last + SimDuration::millis(1));
-    Ok((market, PriceTrace::new(points, horizon)))
+        .or_else(|| last.checked_add(MILLIS_PER_HOUR))
+        .zip(last.checked_add(1))
+        .map(|(h, min)| h.max(min))
+        .ok_or_else(|| TraceIoError::BadRow {
+            line: latest.1,
+            reason: format!("timestamp {last} leaves no room for the trace horizon"),
+        })?;
+    Ok((market, PriceTrace::new(points, SimTime::millis(horizon))))
 }
 
 /// Write a whole trace set to `dir`, one `<zone>_<size>.csv` per market.
@@ -188,7 +202,11 @@ pub fn read_trace_set(catalog: &Catalog, dir: &Path) -> Result<TraceSet, TraceIo
             continue;
         }
         let text = std::fs::read_to_string(&path).map_err(|e| TraceIoError::Io(e.to_string()))?;
-        parsed.push(trace_from_csv(&text)?);
+        let (market, trace) = trace_from_csv(&text)?;
+        if parsed.iter().any(|(m, _)| *m == market) {
+            return Err(TraceIoError::DuplicateMarket(market));
+        }
+        parsed.push((market, trace));
     }
     if parsed.is_empty() {
         return Err(TraceIoError::Empty);
@@ -220,6 +238,7 @@ pub fn read_trace_set(catalog: &Catalog, dir: &Path) -> Result<TraceSet, TraceIo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     fn sample_market() -> MarketId {
         MarketId::new(Zone::UsEast1a, InstanceType::Small)
@@ -294,6 +313,18 @@ timestamp_ms,price
         ));
         let no_rows = "# market: us-east-1a/small\ntimestamp_ms,price\n";
         assert!(matches!(trace_from_csv(no_rows), Err(TraceIoError::Empty)));
+        // No horizon fits after a change at the last representable
+        // millisecond, nor does the default hour after one near it.
+        let at_max = "# market: us-east-1a/small\n0,0.01\n18446744073709551615,0.02\n";
+        assert!(matches!(
+            trace_from_csv(at_max),
+            Err(TraceIoError::BadRow { line: 3, .. })
+        ));
+        let near_max = "# market: us-east-1a/small\n18446744073709551000,0.02\n";
+        assert!(matches!(
+            trace_from_csv(near_max),
+            Err(TraceIoError::BadRow { line: 2, .. })
+        ));
     }
 
     #[test]
@@ -321,6 +352,21 @@ timestamp_ms,price
             assert_eq!(loaded.trace(*m).unwrap(), set.trace(*m).unwrap(), "{m}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn directory_with_duplicate_market_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("spothost-io-test3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = trace_to_csv(sample_market(), &sample_trace());
+        std::fs::write(dir.join("a.csv"), &csv).unwrap();
+        std::fs::write(dir.join("b.csv"), &csv).unwrap();
+        let loaded = read_trace_set(&Catalog::ec2_2015(), &dir);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            loaded.err(),
+            Some(TraceIoError::DuplicateMarket(sample_market()))
+        );
     }
 
     #[test]

@@ -325,15 +325,42 @@ impl PriceTrace {
     }
 }
 
+/// Points a forward [`TraceCursor`] seek walks before it gallops.
+const WALK: usize = 8;
+
+/// Index of the last point at or before `t`, given `pts[lo].at <= t`:
+/// probes `WALK`, `2 WALK`, `4 WALK`, ... points past `lo`, then binary
+/// searches the last bracket, so a target `d` points ahead costs
+/// O(log d). Kept out of line so that the walk in
+/// [`TraceCursor::seek`] stays small enough to inline into callers in
+/// other crates.
+#[inline(never)]
+fn gallop(pts: &[PricePoint], mut lo: usize, t: SimTime) -> usize {
+    let mut step = WALK;
+    let hi = loop {
+        let hi = lo + step;
+        if hi >= pts.len() || pts[hi].at > t {
+            break hi.min(pts.len());
+        }
+        lo = hi;
+        step *= 2;
+    };
+    lo + pts[lo + 1..hi].partition_point(|p| p.at <= t)
+}
+
 /// A stateful cursor over a trace's piecewise-constant segments.
 ///
 /// The simulation clock only moves forward, so the scheduler's price
 /// lookups, revocation scans and billing-hour charges for one lease form
 /// a single non-decreasing sequence of query times. A cursor exploits
-/// that: it remembers the segment containing the last query and walks
-/// forward from there, making each lookup **amortised O(1)** with no
-/// allocation, versus the O(log n) binary search of
-/// [`PriceTrace::price_at`].
+/// that: it remembers the segment containing the last query and seeks
+/// forward from there with no allocation. A query in the committed
+/// segment or a few points past it walks, **O(1)** for the next point;
+/// a jump of `d` points gallops, **O(log d)**, wherever the cursor
+/// starts. Either beats the O(log n) binary search of
+/// [`PriceTrace::price_at`] for the short steps a simulation makes, and a
+/// cursor created at time zero reaches a lease granted deep in the
+/// horizon without walking every point before it.
 ///
 /// # API contract: monotonic advance
 ///
@@ -341,9 +368,9 @@ impl PriceTrace {
 /// segment containing the query time. Queries with non-decreasing times
 /// are the designed use and hit the fast path. A query *earlier* than
 /// the committed position does not return wrong data — the cursor
-/// re-synchronises with a binary search — but it forfeits the O(1)
-/// amortisation, so callers that need to look backwards (e.g. windowed
-/// statistics) should use [`PriceTrace::segments_in_iter`] instead.
+/// re-synchronises with a binary search over the whole trace — so callers
+/// that mostly look backwards (e.g. windowed statistics) should use
+/// [`PriceTrace::segments_in_iter`] instead.
 ///
 /// Results are always identical to the corresponding stateless
 /// [`PriceTrace`] queries; the cursor is purely an access-path
@@ -363,8 +390,10 @@ impl<'a> TraceCursor<'a> {
     }
 
     /// Commit the cursor to the segment containing `t` and return its
-    /// index. Fast path: walk forward. Slow path (non-monotonic query):
-    /// binary search.
+    /// index. A target fewer than [`WALK`] points ahead is walked to; a
+    /// farther one is found by [`gallop`]. A query behind the committed
+    /// segment re-synchronises with a binary search.
+    #[inline]
     fn seek(&mut self, t: SimTime) -> usize {
         let pts = &self.trace.points;
         if t < pts[self.idx].at {
@@ -372,8 +401,13 @@ impl<'a> TraceCursor<'a> {
             self.idx = self.trace.segment_index(t);
             return self.idx;
         }
-        while self.idx + 1 < pts.len() && pts[self.idx + 1].at <= t {
-            self.idx += 1;
+        let far = self.idx + WALK;
+        if far < pts.len() && pts[far].at <= t {
+            self.idx = gallop(pts, far, t);
+        } else {
+            while self.idx + 1 < pts.len() && pts[self.idx + 1].at <= t {
+                self.idx += 1;
+            }
         }
         self.idx
     }
@@ -381,12 +415,14 @@ impl<'a> TraceCursor<'a> {
     /// The spot price in effect at instant `t`. Times at or past the
     /// trace end return the final price, exactly like
     /// [`PriceTrace::price_at`].
+    #[inline]
     pub fn price_at(&mut self, t: SimTime) -> f64 {
         let i = self.seek(t);
         self.trace.points[i].price
     }
 
     /// The constant-price segment containing `t`, clipped to the horizon.
+    #[inline]
     pub fn segment_at(&mut self, t: SimTime) -> Segment {
         let i = self.seek(t);
         let pts = &self.trace.points;
@@ -398,6 +434,7 @@ impl<'a> TraceCursor<'a> {
     }
 
     /// First price-change time strictly after `t`, if any remains.
+    #[inline]
     pub fn next_change_after(&mut self, t: SimTime) -> Option<SimTime> {
         let i = self.seek(t);
         self.trace.points.get(i + 1).map(|p| p.at)
@@ -432,7 +469,7 @@ impl<'a> TraceCursor<'a> {
     /// for online consumers (forecasters) that observe each span of
     /// price history exactly once as the clock advances. Commits the
     /// cursor to the segment containing the window end, so successive
-    /// calls with abutting windows stay on the amortised-O(1) fast path.
+    /// calls with abutting windows start where the last one stopped.
     ///
     /// Emits exactly what [`PriceTrace::segments_in_iter`]`(from, to)`
     /// yields; the cursor is purely an access-path optimisation.

@@ -1,0 +1,141 @@
+//! Property tests pinning every `TraceCursor` query to its stateless
+//! `PriceTrace` counterpart on long traces. A query sequence mixes
+//! next-point steps, long forward jumps that make the cursor gallop,
+//! repeats, backward moves and times past the horizon, and interleaves
+//! all six cursor methods, so each seek starts from wherever the previous
+//! query committed the cursor.
+
+use proptest::prelude::*;
+use spothost_market::time::{MILLIS_PER_HOUR, MILLIS_PER_MINUTE};
+use spothost_market::trace::{PricePoint, PriceTrace, Segment};
+use spothost_market::SimTime;
+
+/// A random trace of up to about 2000 points. Dense traces change price
+/// up to 10 minutes apart, sparse ones up to 4 hours apart.
+fn arb_trace() -> impl Strategy<Value = PriceTrace> {
+    (
+        prop::bool::ANY,
+        prop::collection::vec((0.0f64..1.0, 0.01f64..20.0), 0..2000),
+        0.01f64..20.0,
+        1u64..2 * MILLIS_PER_HOUR,
+    )
+        .prop_map(|(dense, steps, p0, tail)| {
+            let max_gap = if dense {
+                10 * MILLIS_PER_MINUTE
+            } else {
+                4 * MILLIS_PER_HOUR
+            };
+            let mut points = vec![PricePoint {
+                at: SimTime::ZERO,
+                price: p0,
+            }];
+            let mut t = 0u64;
+            for (gap, price) in steps {
+                t += 1 + (gap * max_gap as f64) as u64;
+                points.push(PricePoint {
+                    at: SimTime::millis(t),
+                    price,
+                });
+            }
+            PriceTrace::new(points, SimTime::millis(t + tail))
+        })
+}
+
+/// How one query moves the query time.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// Stay at the previous query time.
+    Repeat,
+    /// To the next price change, or a little way into the segment.
+    NextPoint,
+    /// `k` points ahead, anywhere inside the segment there.
+    Jump(usize),
+    /// Back to a fraction of the previous query time.
+    Back,
+    /// Anywhere in `[0, 1.1 x end)`, so past the horizon too.
+    Anywhere,
+}
+
+/// Mostly next-point steps and long jumps.
+fn arb_move() -> impl Strategy<Value = Move> {
+    (0u8..10, 8usize..2000).prop_map(|(kind, k)| match kind {
+        0 => Move::Repeat,
+        1..=4 => Move::NextPoint,
+        5..=7 => Move::Jump(k),
+        8 => Move::Back,
+        _ => Move::Anywhere,
+    })
+}
+
+/// One query: a move, a cursor method (0..6), and a fraction used for
+/// offsets, thresholds and window lengths.
+fn arb_query() -> impl Strategy<Value = (Move, u8, f64)> {
+    (arb_move(), 0u8..6, 0.0f64..1.0)
+}
+
+/// The segment containing `t`, found in the full segment list: the
+/// stateless reference for `segment_at`.
+fn segment_containing(segs: &[Segment], t: SimTime) -> Segment {
+    segs[segs.partition_point(|s| s.start <= t) - 1]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn cursor_equals_stateless_queries_on_long_traces(
+        trace in arb_trace(),
+        queries in prop::collection::vec(arb_query(), 1..200),
+    ) {
+        let pts = trace.points();
+        let segs: Vec<Segment> = trace.segments().collect();
+        let end_ms = trace.end().as_millis();
+        let mut c = trace.cursor();
+        let mut t = SimTime::ZERO;
+        for (mv, method, frac) in queries {
+            let i = pts.partition_point(|p| p.at <= t) - 1;
+            // A time `frac` of the way through segment `j`.
+            let inside = |j: usize| {
+                let seg = segs[j];
+                seg.start.as_millis() + (frac * seg.duration().as_millis() as f64) as u64
+            };
+            t = match mv {
+                Move::Repeat => t,
+                Move::NextPoint => match pts.get(i + 1) {
+                    Some(p) if frac < 0.5 => p.at,
+                    _ => SimTime::millis(t.as_millis() + (frac * MILLIS_PER_MINUTE as f64) as u64),
+                },
+                Move::Jump(k) => SimTime::millis(inside((i + k).min(pts.len() - 1))),
+                Move::Back => SimTime::millis((frac * t.as_millis() as f64) as u64),
+                Move::Anywhere => SimTime::millis((frac * 1.1 * end_ms as f64) as u64),
+            };
+            // A threshold among the trace's prices, so crossings happen.
+            let threshold = pts[(frac * pts.len() as f64) as usize].price;
+            match method {
+                0 => prop_assert_eq!(c.price_at(t), trace.price_at(t), "price_at {}", t),
+                1 => prop_assert_eq!(c.segment_at(t), segment_containing(&segs, t), "segment_at {}", t),
+                2 => prop_assert_eq!(c.next_change_after(t), trace.next_change_after(t), "next_change_after {}", t),
+                3 => prop_assert_eq!(
+                    c.next_time_above(t, threshold),
+                    trace.next_time_above(t, threshold),
+                    "next_time_above {} {}", t, threshold
+                ),
+                4 => prop_assert_eq!(
+                    c.next_time_at_or_below(t, threshold),
+                    trace.next_time_at_or_below(t, threshold),
+                    "next_time_at_or_below {} {}", t, threshold
+                ),
+                _ => {
+                    // A window reaching up to a few hundred points past `t`.
+                    let at = pts.partition_point(|p| p.at <= t) - 1;
+                    let to = SimTime::millis(inside((at + (frac * 300.0) as usize).min(pts.len() - 1)))
+                        .max(t);
+                    let mut fed = Vec::new();
+                    c.feed_segments(t, to, |s| fed.push(s));
+                    prop_assert_eq!(fed, trace.segments_in(t, to), "feed_segments [{}, {})", t, to);
+                    t = to;
+                }
+            }
+        }
+    }
+}
