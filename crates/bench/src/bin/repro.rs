@@ -90,6 +90,14 @@ fn main() {
         ExpSettings::full()
     };
     spothost_market::TraceArena::global().set_trace_capacity(trace_cap);
+    let total = Instant::now();
+    let runs = match experiments::run_suite(&names, &settings) {
+        Ok(runs) => runs,
+        Err(unknown) => {
+            eprintln!("{unknown} (try --list)");
+            std::process::exit(2);
+        }
+    };
     println!(
         "spothost repro — seeds {} x horizon {} ({} mode)\n",
         settings.seeds,
@@ -97,55 +105,46 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
 
-    let total = Instant::now();
-    for name in &names {
-        let start = Instant::now();
-        match experiments::run_with_csv(name, &settings) {
-            Some((report, artifacts)) => {
-                println!("{}", "=".repeat(78));
-                println!("{report}");
-                if let Some(dir) = &csv_dir {
-                    std::fs::create_dir_all(dir).expect("create csv dir");
-                    for (file, contents) in &artifacts {
-                        let path = std::path::Path::new(dir).join(file);
-                        std::fs::write(&path, contents).expect("write csv");
-                        println!("[wrote {}]", path.display());
-                    }
-                }
-                if let Some(dir) = &trace_dir {
-                    if let Some(rec) = experiments::representative_recording(name, &settings) {
-                        std::fs::create_dir_all(dir).expect("create trace dir");
-                        let path = std::path::Path::new(dir).join(format!("{name}.trace.jsonl"));
-                        let mut out = std::io::BufWriter::new(
-                            std::fs::File::create(&path).expect("create trace file"),
-                        );
-                        rec.write_jsonl(&mut out).expect("write trace");
-                        println!("[wrote {} ({} events)]", path.display(), rec.len());
-                        // The same stream as a columnar store, ready for
-                        // `spothost query --store`.
-                        let col_path = std::path::Path::new(dir).join(format!("{name}.col"));
-                        let store = spothost_eventstore::ColumnarStore::create(&col_path)
-                            .expect("create columnar store");
-                        let mut sink = store.sink();
-                        for &(t, ev) in rec.events() {
-                            spothost_core::telemetry::Sink::emit(&mut sink, t, ev);
-                        }
-                        drop(sink);
-                        store.finish().expect("flush columnar store");
-                        println!(
-                            "[wrote {} ({} blocks)]",
-                            col_path.display(),
-                            store.blocks_written()
-                        );
-                    }
-                }
-                println!("[{name} done in {:.1}s]\n", start.elapsed().as_secs_f64());
-            }
-            None => {
-                eprintln!("unknown experiment '{name}' (try --list)");
-                std::process::exit(2);
+    for run in &runs {
+        let name = run.name;
+        println!("{}", "=".repeat(78));
+        println!("{}", run.report);
+        if let Some(dir) = &csv_dir {
+            std::fs::create_dir_all(dir).expect("create csv dir");
+            for (file, contents) in &run.artifacts {
+                let path = std::path::Path::new(dir).join(file);
+                std::fs::write(&path, contents).expect("write csv");
+                println!("[wrote {}]", path.display());
             }
         }
+        if let Some(dir) = &trace_dir {
+            if let Some(rec) = experiments::representative_recording(name, &settings) {
+                std::fs::create_dir_all(dir).expect("create trace dir");
+                let path = std::path::Path::new(dir).join(format!("{name}.trace.jsonl"));
+                let mut out = std::io::BufWriter::new(
+                    std::fs::File::create(&path).expect("create trace file"),
+                );
+                rec.write_jsonl(&mut out).expect("write trace");
+                println!("[wrote {} ({} events)]", path.display(), rec.len());
+                // The same stream as a columnar store, ready for
+                // `spothost query --store`.
+                let col_path = std::path::Path::new(dir).join(format!("{name}.col"));
+                let store = spothost_eventstore::ColumnarStore::create(&col_path)
+                    .expect("create columnar store");
+                let mut sink = store.sink();
+                for &(t, ev) in rec.events() {
+                    spothost_core::telemetry::Sink::emit(&mut sink, t, ev);
+                }
+                drop(sink);
+                store.finish().expect("flush columnar store");
+                println!(
+                    "[wrote {} ({} blocks)]",
+                    col_path.display(),
+                    store.blocks_written()
+                );
+            }
+        }
+        println!("[{name} done in {:.1}s]\n", run.wall.as_secs_f64());
     }
     println!("total: {:.1}s", total.elapsed().as_secs_f64());
 }

@@ -25,6 +25,7 @@
 //! separates (`same-hours on-demand` isolates the spot win).
 
 use crate::settings::ExpSettings;
+use spothost_analysis::mc::par_map;
 use spothost_faults::StormConfig;
 use spothost_fleet::{run_fleet_sim, FleetSimConfig, FleetSimReport};
 use spothost_market::time::SimDuration;
@@ -96,23 +97,30 @@ pub fn horizon_for(settings: &ExpSettings) -> SimDuration {
     settings.horizon.min(SimDuration::days(30))
 }
 
+/// Run the four (storm, scope) variants on the pool, one fleet per
+/// worker; rows keep the calm-then-storm, single-then-cross order.
 pub fn run(settings: &ExpSettings) -> FleetExp {
     let horizon = horizon_for(settings);
-    let mut rows = Vec::new();
-    for storm in [0.0, STORM_INTENSITY] {
-        for (name, zones) in scopes() {
-            let cfg = config_for(settings, zones, storm);
-            let report = run_fleet_sim(&cfg, settings.seed0, horizon);
-            let label: &'static str = match (name, storm > 0.0) {
-                ("single-zone multi-market", false) => "single-zone multi-market",
-                ("cross-region", false) => "cross-region",
-                ("single-zone multi-market", true) => "single-zone multi-market, storm",
-                ("cross-region", true) => "cross-region, storm",
-                _ => unreachable!("unknown variant"),
-            };
-            rows.push(FleetRow { label, report });
-        }
-    }
+    let variants: Vec<(f64, &'static str, Vec<Zone>)> = [0.0, STORM_INTENSITY]
+        .into_iter()
+        .flat_map(|storm| {
+            scopes()
+                .into_iter()
+                .map(move |(name, zones)| (storm, name, zones))
+        })
+        .collect();
+    let rows = par_map(variants, |(storm, name, zones)| {
+        let cfg = config_for(settings, zones, storm);
+        let report = run_fleet_sim(&cfg, settings.seed0, horizon);
+        let label: &'static str = match (name, storm > 0.0) {
+            ("single-zone multi-market", false) => "single-zone multi-market",
+            ("cross-region", false) => "cross-region",
+            ("single-zone multi-market", true) => "single-zone multi-market, storm",
+            ("cross-region", true) => "cross-region, storm",
+            _ => unreachable!("unknown variant"),
+        };
+        FleetRow { label, report }
+    });
     FleetExp { rows, horizon }
 }
 

@@ -23,6 +23,9 @@ pub mod tab3;
 pub mod tab4;
 
 use crate::settings::ExpSettings;
+use spothost_analysis::mc::par_map;
+use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Every experiment, by its CLI name, with a one-line description.
 pub const ALL: [(&str, &str); 23] = [
@@ -86,6 +89,65 @@ pub const ALL: [(&str, &str); 23] = [
         "JOBS: deadline batch scheduling on spot with checkpoint/restart economics",
     ),
 ];
+
+/// One experiment's outcome from [`run_suite`].
+#[derive(Debug)]
+pub struct ExpRun {
+    /// The experiment's CLI name, as listed in [`ALL`].
+    pub name: &'static str,
+    /// The rendered report.
+    pub report: String,
+    /// CSV artifacts as `(file name, contents)`; empty for experiments
+    /// without a tabular form.
+    pub artifacts: Vec<(String, String)>,
+    /// Wall time of this experiment, from its start to its report.
+    pub wall: Duration,
+}
+
+/// A requested experiment name that [`ALL`] does not list.
+#[derive(Debug)]
+pub struct UnknownExperiment(pub String);
+
+impl fmt::Display for UnknownExperiment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown experiment '{}'", self.0)
+    }
+}
+
+/// Run the named experiments concurrently on the pool and return their
+/// outcomes in the order named. Every name is checked before any
+/// experiment starts, so an unknown name runs nothing.
+///
+/// Experiments share nothing but the process-global trace arena, whose
+/// entries are keyed by everything that determines a trace, so a report
+/// does not depend on which experiments run beside it. An experiment's
+/// own sweep (`run_grid`, `par_map_chunks`) nests its pool inside this
+/// one.
+pub fn run_suite<S: AsRef<str>>(
+    names: &[S],
+    settings: &ExpSettings,
+) -> Result<Vec<ExpRun>, UnknownExperiment> {
+    let names = names
+        .iter()
+        .map(|n| {
+            let n = n.as_ref();
+            ALL.iter()
+                .find(|(known, _)| *known == n)
+                .map(|(known, _)| *known)
+                .ok_or_else(|| UnknownExperiment(n.to_string()))
+        })
+        .collect::<Result<Vec<&'static str>, _>>()?;
+    Ok(par_map(names, |name| {
+        let start = Instant::now();
+        let (report, artifacts) = run_with_csv(name, settings).expect("name is listed in ALL");
+        ExpRun {
+            name,
+            report,
+            artifacts,
+            wall: start.elapsed(),
+        }
+    }))
+}
 
 /// Run one experiment and also return CSV artifacts where the experiment
 /// has a natural tabular form: `(rendered text, vec of (filename, csv))`.

@@ -172,7 +172,10 @@ pub fn run_grid(
     }
     // One job per seed, processed in chunks so a worker's scratch state
     // survives across the seeds of its chunk; the chunk size only affects
-    // amortisation, never results (scratch is reset per run).
+    // amortisation, never results (scratch is reset per run). Workers
+    // claim chunks one at a time, so about four chunks per thread lets a
+    // worker that drew cheap seeds take more while another finishes a
+    // slow one, without giving up the scratch reuse within a chunk.
     let seeds: Vec<u64> = (seed0..seed0 + n_seeds).collect();
     let chunk = seeds
         .len()
