@@ -111,7 +111,10 @@ impl SeriesSet {
     }
 }
 
-fn csv_escape(s: &str) -> String {
+/// Quote one CSV field per RFC 4180: a field holding a comma, a double
+/// quote or a newline is wrapped in double quotes, with inner quotes
+/// doubled; any other field is returned as is.
+pub fn csv_escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

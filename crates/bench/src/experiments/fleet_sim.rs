@@ -26,6 +26,7 @@
 
 use crate::settings::ExpSettings;
 use spothost_analysis::mc::par_map;
+use spothost_analysis::series::csv_escape;
 use spothost_faults::StormConfig;
 use spothost_fleet::{run_fleet_sim, FleetSimConfig, FleetSimReport};
 use spothost_market::time::SimDuration;
@@ -136,7 +137,7 @@ impl FleetExp {
             let _ = writeln!(
                 out,
                 "{},{:.6},{:.6},{:.6},{:.6},{:.4},{:.4},{},{:.1},{:.6},{:.6},{}",
-                row.label,
+                csv_escape(row.label),
                 r.normalized_cost(),
                 r.spot_cost_ratio(),
                 r.service_availability(),

@@ -151,6 +151,7 @@ pub fn run_suite<S: AsRef<str>>(
 
 /// Run one experiment and also return CSV artifacts where the experiment
 /// has a natural tabular form: `(rendered text, vec of (filename, csv))`.
+/// `None` for a name [`ALL`] does not list.
 pub fn run_with_csv(name: &str, settings: &ExpSettings) -> Option<(String, Vec<(String, String)>)> {
     Some(match name {
         "fig6" => {
@@ -201,7 +202,18 @@ pub fn run_with_csv(name: &str, settings: &ExpSettings) -> Option<(String, Vec<(
             let f = jobs::run(settings);
             (f.render(), vec![("jobs.csv".into(), f.to_csv())])
         }
-        other => (run_by_name(other, settings)?, vec![]),
+        "fig1" => (fig1::run(settings).render(), vec![]),
+        "tab1" => (tab1::run(settings).render(), vec![]),
+        "tab2" => (tab2::run().render(), vec![]),
+        "tab3" => (tab3::run(settings).render(), vec![]),
+        "tab4" => (tab4::run(settings).render(), vec![]),
+        "cost_impact" => (cost_impact::run(settings).render(), vec![]),
+        "naive" => (naive::run(settings).render(), vec![]),
+        "stability" => (stability::run(settings).render(), vec![]),
+        "ablation_bid" => (ablation::run_bid(settings).render(), vec![]),
+        "ablation_hop" => (ablation::run_hop(settings).render(), vec![]),
+        "ablation_yank" => (ablation::run_yank(settings).render(), vec![]),
+        _ => return None,
     })
 }
 
@@ -289,34 +301,4 @@ pub fn representative_recording(
     let cfg = representative_config(name)?;
     let (_, rec) = spothost_core::run_one_recorded(&cfg, settings.seed0, settings.horizon);
     Some(rec)
-}
-
-/// Run one experiment by name and return its rendered report.
-pub fn run_by_name(name: &str, settings: &ExpSettings) -> Option<String> {
-    Some(match name {
-        "fig1" => fig1::run(settings).render(),
-        "tab1" => tab1::run(settings).render(),
-        "tab2" => tab2::run().render(),
-        "fig6" => fig6::run(settings).render(),
-        "fig7" => fig7::run(settings).render(),
-        "fig8" => fig8::run(settings).render(),
-        "fig9" => fig9::run(settings).render(),
-        "fig10" => fig10::run(settings).render(),
-        "fig11" => fig11::run(settings).render(),
-        "tab3" => tab3::run(settings).render(),
-        "tab4" => tab4::run(settings).render(),
-        "fig12" => fig12::run().render(),
-        "cost_impact" => cost_impact::run(settings).render(),
-        "naive" => naive::run(settings).render(),
-        "stability" => stability::run(settings).render(),
-        "ablation_bid" => ablation::run_bid(settings).render(),
-        "ablation_hop" => ablation::run_hop(settings).render(),
-        "ablation_yank" => ablation::run_yank(settings).render(),
-        "faults" => faults::run(settings).render(),
-        "adaptive" => adaptive::run(settings).render(),
-        "storms" => storms::run(settings).render(),
-        "fleet" => fleet_sim::run(settings).render(),
-        "jobs" => jobs::run(settings).render(),
-        _ => return None,
-    })
 }

@@ -9,20 +9,13 @@
 //! summary. Fixed seed → byte-identical output.
 
 use crate::args::Args;
-use crate::commands::simulate::{parse_mechanism, parse_policy};
+use crate::commands::simulate::{parse_mechanism, parse_policy, parse_zone};
 use spothost_faults::StormConfig;
 use spothost_fleet::{run_fleet_sim, run_fleet_sim_with, FleetSample, FleetSimConfig};
 use spothost_market::time::SimDuration;
 use spothost_market::types::Zone;
 use spothost_workload::TrafficConfig;
 use std::fmt::Write as _;
-
-fn parse_zone(s: &str) -> Result<Zone, String> {
-    Zone::ALL
-        .into_iter()
-        .find(|z| z.name() == s)
-        .ok_or_else(|| format!("unknown zone '{s}'"))
-}
 
 fn parse_zones(args: &Args) -> Result<Vec<Zone>, String> {
     let Some(scope) = args.get("scope") else {

@@ -8,20 +8,13 @@
 //! `--perfetto` exports the selection as a Chrome/Perfetto trace instead.
 
 use crate::args::Args;
+use crate::commands::simulate::parse_zone;
 use spothost_eventstore::query::{
     group_counts, grouped_values, histogram_of, percentile_of, Field, GroupBy, Predicate,
 };
 use spothost_eventstore::{perfetto, ColReader, EventKind};
 use spothost_market::io::parse_market;
 use spothost_market::time::SimTime;
-use spothost_market::types::Zone;
-
-fn parse_zone(s: &str) -> Result<Zone, String> {
-    Zone::ALL
-        .into_iter()
-        .find(|z| z.name() == s)
-        .ok_or_else(|| format!("unknown zone '{s}'"))
-}
 
 fn field_names() -> String {
     Field::ALL

@@ -31,7 +31,7 @@ pub(crate) fn parse_mechanism(s: &str) -> Result<MechanismCombo, String> {
     })
 }
 
-fn parse_zone(s: &str) -> Result<Zone, String> {
+pub(crate) fn parse_zone(s: &str) -> Result<Zone, String> {
     Zone::ALL
         .into_iter()
         .find(|z| z.name() == s)

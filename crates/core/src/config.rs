@@ -4,7 +4,6 @@ use crate::policy::BiddingPolicy;
 use crate::strategy::MarketScope;
 use spothost_faults::{FaultConfig, StormConfig, StormSchedule};
 use spothost_market::gen::{derive_seed, TraceSet};
-use spothost_market::time::SimDuration;
 use spothost_market::types::MarketId;
 use spothost_virt::{MechanismCombo, ParamRegime, VirtParams};
 
@@ -24,14 +23,10 @@ pub struct SchedulerConfig {
     /// Service size in capacity units (small = 1). Must be one of
     /// [`crate::capacity::SUPPORTED_UNITS`].
     pub capacity_units: u32,
-    /// Disk state (GiB) that must be replicated on cross-region moves.
-    pub disk_gib: f64,
     /// Hysteresis for hopping to a cheaper spot market when the current one
     /// is still below on-demand: move only if the candidate is at least
     /// this fraction cheaper. Keeps multi-market bidding from flapping.
     pub hop_margin: f64,
-    /// Extra safety margin added to the migration lead time.
-    pub lead_slack: SimDuration,
     /// Stability-aware bidding weight (the paper's §8 future work). When
     /// choosing which spot market to migrate to, a candidate's effective
     /// rate is inflated by `stability_weight * baseline_rate * risk`,
@@ -63,11 +58,6 @@ pub struct SchedulerConfig {
     /// correlated across the fleet, not redrawn per service. A pinned
     /// schedule must be built from `storms` over the runs' trace set.
     pub storm_schedule: Option<StormSchedule>,
-    /// After this much continuous uptime on one lease, the reacquire
-    /// backoff ladder resets to its 60 s base. Shorter stints keep their
-    /// escalated backoff so a brief mid-storm activation cannot re-arm
-    /// the thundering herd.
-    pub stable_backoff_reset: SimDuration,
 }
 
 impl SchedulerConfig {
@@ -82,16 +72,13 @@ impl SchedulerConfig {
             mechanism: MechanismCombo::CKPT_LR,
             regime: ParamRegime::Typical,
             capacity_units: market.itype.capacity_units(),
-            disk_gib: 8.0,
             hop_margin: 0.25,
-            lead_slack: SimDuration::secs(120),
             stability_weight: 0.0,
             virt_params_override: None,
             naive_restart: false,
             faults: FaultConfig::none(),
             storms: StormConfig::none(),
             storm_schedule: None,
-            stable_backoff_reset: SimDuration::minutes(30),
         }
     }
 
@@ -104,16 +91,13 @@ impl SchedulerConfig {
             mechanism: MechanismCombo::CKPT_LR_LIVE,
             regime: ParamRegime::Typical,
             capacity_units: 8,
-            disk_gib: 8.0,
             hop_margin: 0.25,
-            lead_slack: SimDuration::secs(120),
             stability_weight: 0.0,
             virt_params_override: None,
             naive_restart: false,
             faults: FaultConfig::none(),
             storms: StormConfig::none(),
             storm_schedule: None,
-            stable_backoff_reset: SimDuration::minutes(30),
         }
     }
 
@@ -191,13 +175,6 @@ impl SchedulerConfig {
             .or_else(|| build_storms(&self.storms, traces, seed))
     }
 
-    /// Tune the stable-uptime interval after which the reacquire backoff
-    /// ladder resets to its base.
-    pub fn with_stable_backoff_reset(mut self, interval: SimDuration) -> Self {
-        self.stable_backoff_reset = interval;
-        self
-    }
-
     /// The virtualization parameters this configuration runs with.
     pub fn virt_params(&self) -> VirtParams {
         self.virt_params_override
@@ -223,9 +200,6 @@ impl SchedulerConfig {
         if !(0.0..1.0).contains(&self.hop_margin) {
             return Err("hop_margin must lie in [0,1)".into());
         }
-        if self.disk_gib.is_nan() || self.disk_gib < 0.0 {
-            return Err("disk_gib must be non-negative".into());
-        }
         if !(self.stability_weight >= 0.0 && self.stability_weight.is_finite()) {
             return Err("stability_weight must be non-negative and finite".into());
         }
@@ -238,9 +212,6 @@ impl SchedulerConfig {
             if schedule.config() != &self.storms {
                 return Err("storm_schedule must be built from the storms config".into());
             }
-        }
-        if self.stable_backoff_reset == SimDuration::ZERO {
-            return Err("stable_backoff_reset must be positive".into());
         }
         Ok(())
     }
@@ -268,6 +239,7 @@ fn build_storms(storms: &StormConfig, traces: &TraceSet, seed: u64) -> Option<St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spothost_market::time::SimDuration;
     use spothost_market::types::{InstanceType, Zone};
 
     #[test]

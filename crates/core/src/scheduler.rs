@@ -53,6 +53,18 @@ use spothost_virt::{
 /// naive (Figure 3) recovery: OS boot plus application start.
 const NAIVE_SERVICE_BOOT: SimDuration = SimDuration(60 * 1000);
 
+/// Disk state (GiB) replicated on a cross-region move.
+const DISK_GIB: f64 = 8.0;
+
+/// Safety margin added to the migration decision lead time.
+const LEAD_SLACK: SimDuration = SimDuration(120 * 1000);
+
+/// After this much continuous uptime on one lease, the reacquire backoff
+/// ladder resets to its 60 s base. Shorter stints keep their escalated
+/// backoff so a brief mid-storm activation cannot re-arm the thundering
+/// herd.
+const STABLE_BACKOFF_RESET: SimDuration = SimDuration(30 * 60 * 1000);
+
 /// Scheduler events. Instance ids double as generation tokens: an event
 /// whose id no longer matches the current state is stale and ignored.
 #[derive(Debug, Clone, Copy)]
@@ -337,7 +349,7 @@ pub struct SimRun<'t, S: Sink = NullSink> {
     /// Consecutive faulted acquisition attempts (drives the backoff).
     acquire_attempts: u32,
     /// Start of the current continuous `Active` stint. Leaving `Active`
-    /// after at least `cfg.stable_backoff_reset` of uptime resets
+    /// after at least `STABLE_BACKOFF_RESET` of uptime resets
     /// `acquire_attempts` to the 60 s base; shorter stints keep their
     /// escalated backoff so a brief mid-storm activation cannot re-arm
     /// the thundering herd.
@@ -415,7 +427,7 @@ impl<'t> SimRun<'t, NullSink> {
         let baseline_rate = cfg
             .scope
             .baseline_rate(traces.catalog(), cfg.capacity_units);
-        let lead = compute_lead(cfg, &vparams, &candidates);
+        let lead = compute_lead(&vparams, &candidates);
         // Fault plans are split: the provider draws request/startup/warning
         // faults, the scheduler draws mechanism faults. Separate derived
         // seeds keep the two stream families independent. With faults
@@ -700,7 +712,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     ///
     /// This is the single choke point for `Active` stint tracking: entry
     /// stamps `active_since`, and exit resets the reacquire backoff
-    /// ladder only after a stable stint (`cfg.stable_backoff_reset`). A
+    /// ladder only after a stable stint (`STABLE_BACKOFF_RESET`). A
     /// brief mid-storm activation therefore keeps its escalated backoff
     /// instead of re-arming the thundering herd at the 60 s base.
     fn enter(&mut self, st: St) {
@@ -710,7 +722,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             self.active_since = Some(self.now);
         } else if was_active && !is_active {
             if let Some(since) = self.active_since.take() {
-                if self.now - since >= self.cfg.stable_backoff_reset {
+                if self.now - since >= STABLE_BACKOFF_RESET {
                     self.acquire_attempts = 0;
                 }
             }
@@ -1463,7 +1475,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
                         vm: self.vm_for(from.market),
                         from_region: from.market.zone.region(),
                         to_region: to.market.zone.region(),
-                        disk_gib: self.cfg.disk_gib,
+                        disk_gib: DISK_GIB,
                     };
                     let live = self.cfg.mechanism.live && kind.is_voluntary();
                     let mut timing = plan_migration(self.cfg.mechanism, kind, &ctx, &self.vparams);
@@ -2377,11 +2389,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
 /// every bidding decision — is identical across mechanisms. Mechanisms
 /// must only change downtime, never the cost structure (§5.2's
 /// comparison holds the bidding fixed while varying the mechanism).
-fn compute_lead(
-    cfg: &SchedulerConfig,
-    vparams: &VirtParams,
-    candidates: &[MarketId],
-) -> SimDuration {
+fn compute_lead(vparams: &VirtParams, candidates: &[MarketId]) -> SimDuration {
     let startup = StartupModel::table1();
     let max_startup = candidates
         .iter()
@@ -2400,7 +2408,7 @@ fn compute_lead(
         })
         .max()
         .unwrap_or(SimDuration::secs(60));
-    let lead = max_startup + max_prepare + cfg.lead_slack;
+    let lead = max_startup + max_prepare + LEAD_SLACK;
     lead.min(SimDuration::minutes(50))
 }
 
@@ -3007,7 +3015,7 @@ mod tests {
         // unconditionally, so a lease that survived only seconds mid-storm
         // re-armed the 60 s base backoff and the thundering herd with it.
         // The ladder must persist across short stints and reset only after
-        // `stable_backoff_reset` of continuous uptime.
+        // `STABLE_BACKOFF_RESET` of continuous uptime.
         let ts = quiet_traces(3);
         let c = cfg();
         let mut run = SimRun::new(&ts, &c, 1);
@@ -3025,7 +3033,7 @@ mod tests {
         assert_eq!(run.acquire_attempts, 4, "short stint must keep the ladder");
         run.now = SimTime::hours(2);
         run.enter(St::Active { lease });
-        run.now = SimTime::hours(2) + c.stable_backoff_reset;
+        run.now = SimTime::hours(2) + STABLE_BACKOFF_RESET;
         run.enter(St::DownWaiting { cold: false });
         assert_eq!(
             run.acquire_attempts, 0,

@@ -1,39 +1,19 @@
 //! # spothost-fleet
 //!
-//! A SpotCheck-style *derivative cloud* pool (Sharma et al., EuroSys'15 —
-//! the paper's §7: "Our work assumes the presence of such system level
-//! mechanisms"): a provider that hosts many customers' nested VMs on a
-//! fleet of spot and on-demand servers, using the `spothost-core`
-//! scheduler per server group.
-//!
-//! Customer VMs declare a capacity demand in units (small = 1). The pool
-//! bin-packs them into *placement groups* of at most one xlarge server's
-//! worth of capacity (first-fit-decreasing). Each group migrates as one
-//! unit under the cloud scheduler — all its VMs share a market, a bid, and
-//! therefore a fate — exactly the packing §4, footnote 2 describes. A
-//! group whose demand doesn't fill a supported server size pays for the
-//! padding; the pool reports that *waste* so operators can see the cost of
-//! fragmentation.
-//!
-//! The [`sim`] module goes one level up: a *service* simulation where a
-//! reactive autoscaler grows and shrinks a fleet of per-VM schedulers
-//! against a diurnal + flash-crowd demand curve, closing the loop with
-//! the fleet-level MVA model (`spothost_workload::mva::fleet_response`).
+//! An autoscaled service fleet on spot markets: a reactive autoscaler
+//! grows and shrinks a fleet of per-VM `spothost-core` schedulers against
+//! a diurnal + flash-crowd demand curve, closing the loop with the
+//! fleet-level MVA model (`spothost_workload::mva::fleet_response`). Every
+//! VM bids, migrates and suffers faults and storms through the ordinary
+//! scheduler machinery, on one shared clock and one shared price history.
+//! See the [`sim`] module for the model and its determinism contract.
 
 // Library code must not unwrap (see DESIGN.md "Failure semantics").
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
-pub mod packing;
-pub mod pool;
-pub mod report;
 pub mod sim;
-pub mod vm;
 
-pub use packing::{pack, PlacementGroup};
-pub use pool::{run_fleet, FleetConfig};
-pub use report::FleetReport;
 pub use sim::{
     run_fleet_sim, run_fleet_sim_with, FleetSample, FleetSim, FleetSimConfig, FleetSimReport,
 };
-pub use vm::CustomerVm;

@@ -2,8 +2,7 @@
 //! shared clock, fronted by a least-loaded balancer and a reactive
 //! autoscaler.
 //!
-//! Where [`crate::pool`] hosts a *fixed* tenant population, this module
-//! simulates one *service* whose capacity breathes with demand:
+//! The fleet is one *service* whose capacity breathes with demand:
 //!
 //! * a [`TrafficModel`] (diurnal + flash crowds) produces the offered
 //!   concurrent-user population at every instant;
@@ -48,6 +47,13 @@ use spothost_workload::tpcw::{tpcw_network, NestedPenalties, Platform, TpcwConfi
 use spothost_workload::traffic::{TrafficConfig, TrafficModel};
 use spothost_workload::ClosedNetwork;
 
+/// Capacity units of each VM: one small server.
+const VM_UNITS: u32 = 1;
+
+/// Minimum quiet time between a scaling action and a later scale *down*
+/// (scale-ups are never delayed).
+const SCALE_DOWN_COOLDOWN: SimDuration = SimDuration(20 * 60 * 1000);
+
 /// Configuration of a fleet-scale service simulation.
 #[derive(Debug, Clone)]
 pub struct FleetSimConfig {
@@ -76,14 +82,9 @@ pub struct FleetSimConfig {
     /// fleet so the balanced per-VM population stays at or below the
     /// capacity this utilisation implies.
     pub target_utilization: f64,
-    /// Minimum quiet time between a scaling action and a later scale
-    /// *down* (scale-ups are never delayed).
-    pub scale_down_cooldown: SimDuration,
     /// Response-time SLO (seconds) that violation fractions are measured
     /// against.
     pub slo_response_s: f64,
-    /// Capacity units of each VM (1 = small).
-    pub vm_units: u32,
     /// The per-VM queueing model users are balanced into. The default is
     /// the CPU-bound nested TPC-W network (images on a CDN), with the
     /// load-dependent nested-CPU fixed point resolved at a mid-range
@@ -103,9 +104,7 @@ impl Default for FleetSimConfig {
             max_vms: 200,
             control_interval: SimDuration::minutes(5),
             target_utilization: 0.6,
-            scale_down_cooldown: SimDuration::minutes(20),
             slo_response_s: 1.0,
-            vm_units: 1,
             per_vm_network: tpcw_network(
                 TpcwConfig::NoImages,
                 Platform::Nested,
@@ -162,7 +161,7 @@ impl FleetSimConfig {
         SchedulerConfig::multi(self.scope())
             .with_policy(self.policy)
             .with_mechanism(self.mechanism)
-            .with_capacity_units(self.vm_units)
+            .with_capacity_units(VM_UNITS)
             .with_storms(self.storms.clone())
             .with_shared_storms(traces, fleet_seed)
     }
@@ -392,7 +391,7 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         let traffic = TrafficModel::new(cfg.traffic.clone(), seed, traces.horizon());
         let per_vm_cap = capacity_at_utilization(&cfg.per_vm_network, cfg.target_utilization);
         let sched_cfg = cfg.scheduler_config(traces, seed);
-        let baseline_rate = cfg.scope().baseline_rate(traces.catalog(), cfg.vm_units);
+        let baseline_rate = cfg.scope().baseline_rate(traces.catalog(), VM_UNITS);
         FleetSim {
             cfg,
             traces,
@@ -544,7 +543,7 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             }
             self.scale_ups += 1;
             self.last_scale = t;
-        } else if desired < live && t.0 - self.last_scale.0 >= self.cfg.scale_down_cooldown.0 {
+        } else if desired < live && t.0 - self.last_scale.0 >= SCALE_DOWN_COOLDOWN.0 {
             self.release((live - desired) as usize, t);
             self.scale_downs += 1;
             self.last_scale = t;
