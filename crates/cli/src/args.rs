@@ -69,6 +69,15 @@ impl Args {
         }
     }
 
+    /// A `--key` that must be a positive integer, such as a day or seed
+    /// count: zero is an argument error, not an empty run.
+    pub fn get_positive(&self, key: &str, default: u64) -> Result<u64, String> {
+        match self.get_u64(key, default)? {
+            0 => Err(format!("--{key} must be >= 1")),
+            v => Ok(v),
+        }
+    }
+
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.get(key) {
             None => Ok(default),
@@ -92,6 +101,7 @@ mod tests {
         let a = parse(&argv(&["--days", "30", "--pessimistic", "--seed", "7"])).unwrap();
         assert_eq!(a.get("days"), Some("30"));
         assert_eq!(a.get_u64("seed", 0).unwrap(), 7);
+        assert_eq!(a.get_positive("days", 1).unwrap(), 30);
         assert!(a.has("pessimistic"));
         assert!(!a.has("verbose"));
     }
@@ -100,6 +110,7 @@ mod tests {
     fn defaults_apply() {
         let a = parse(&argv(&[])).unwrap();
         assert_eq!(a.get_u64("days", 60).unwrap(), 60);
+        assert_eq!(a.get_positive("seeds", 1).unwrap(), 1);
         assert_eq!(a.get_f64("stability", 0.0).unwrap(), 0.0);
         assert_eq!(a.get_or("policy", "proactive"), "proactive");
     }
@@ -119,5 +130,11 @@ mod tests {
     fn rejects_bad_numbers() {
         let a = parse(&argv(&["--days", "soon"])).unwrap();
         assert!(a.get_u64("days", 1).is_err());
+        assert!(a.get_positive("days", 1).is_err());
+        let a = parse(&argv(&["--days", "0"])).unwrap();
+        assert_eq!(
+            a.get_positive("days", 7).unwrap_err(),
+            "--days must be >= 1"
+        );
     }
 }

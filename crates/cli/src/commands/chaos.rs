@@ -3,8 +3,8 @@
 //! The CLI face of the chaos invariant harness
 //! (`crates/core/tests/chaos_properties.rs`): burn a wall-clock budget
 //! running randomized-but-reproducible storm x fault x policy x
-//! mechanism x scope configurations and verify, for every trial, that
-//! the scheduler
+//! mechanism x scope x stability-weight configurations and verify, for
+//! every trial, that the scheduler
 //!
 //! * terminates with conserved accounting (downtime fits inside the
 //!   measured span, cost finite and within a constant factor of the
@@ -66,6 +66,9 @@ fn trial_cfg(state: &mut u64) -> SchedulerConfig {
     faults.od_capacity_rate = unit(state) * 0.5;
     faults.warning_miss_rate = unit(state) * 0.5;
     faults.ckpt_failure_rate = unit(state) * 0.5;
+    // Zero weight half the time (the greedy path); otherwise the
+    // stability penalty's trailing windows run under storms and faults.
+    let stability = [0.0, 0.0, 0.0, 2.0, 8.0, 32.0][(splitmix64(state) % 6) as usize];
     let cfg = match &scope {
         MarketScope::Single(m) => SchedulerConfig::single_market(*m),
         _ => SchedulerConfig::multi(scope),
@@ -74,6 +77,7 @@ fn trial_cfg(state: &mut u64) -> SchedulerConfig {
         .with_mechanism(mechanism)
         .with_faults(faults)
         .with_storms(storms)
+        .with_stability_weight(stability)
 }
 
 fn check_conservation(r: &RunReport, horizon: SimDuration) -> Result<(), String> {
@@ -168,7 +172,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err(format!("--seconds must be positive, got {budget_s}"));
     }
     let seed = args.get_u64("seed", 0)?;
-    let days = args.get_u64("days", 7)?;
+    let days = args.get_positive("days", 7)?;
     let horizon = SimDuration::days(days);
 
     println!(

@@ -88,8 +88,8 @@ fn day_axis(cols: usize, days: f64) -> String {
 pub fn run(args: &Args) -> Result<(), String> {
     let max_vms = args.get_u64("vms", 200)? as u32;
     let min_vms = args.get_u64("min-vms", 2)? as u32;
-    let interval_s = args.get_u64("seconds", 300)?;
-    let days = args.get_u64("days", 7)?;
+    let interval_s = args.get_positive("seconds", 300)?;
+    let days = args.get_positive("days", 7)?;
     let seed = args.get_u64("seed", 0)?;
     let target_util = args.get_f64("target-util", 0.6)?;
     let storm = args.get_f64("storm-intensity", 0.0)?;
@@ -97,9 +97,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     let width = args.get_u64("width", 96)? as usize;
     if !(10..=500).contains(&width) {
         return Err(format!("--width must be in [10, 500], got {width}"));
-    }
-    if interval_s == 0 {
-        return Err("--seconds must be >= 1".to_string());
     }
 
     let cfg = FleetSimConfig {

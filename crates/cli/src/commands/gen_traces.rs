@@ -7,7 +7,7 @@ use std::path::Path;
 
 pub fn run(args: &Args) -> Result<(), String> {
     let seed = args.get_u64("seed", 0)?;
-    let days = args.get_u64("days", 28)?;
+    let days = args.get_positive("days", 28)?;
     let out = args.get_or("out", "traces");
     let markets = match args.get("zone") {
         None => MarketId::all(),

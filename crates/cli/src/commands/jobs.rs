@@ -88,10 +88,7 @@ fn print_worst_outcomes(run: &JobsRunResult, n: usize) {
 
 pub fn run(args: &Args) -> Result<(), String> {
     let policies = parse_policies(args.get_or("policy", "all"))?;
-    let days = args.get_u64("days", 14)?;
-    if days == 0 {
-        return Err("--days must be >= 1".to_string());
-    }
+    let days = args.get_positive("days", 14)?;
     let seed = args.get_u64("seed", 0)?;
     let outcomes = args.has("outcomes");
     let base = config_from(args)?;

@@ -121,8 +121,8 @@ pub(crate) fn load_traces(
 pub fn run(args: &Args) -> Result<(), String> {
     let cfg = build_cfg(args)?;
     let policy = cfg.policy;
-    let days = args.get_u64("days", 60)?;
-    let seeds = args.get_u64("seeds", 1)?;
+    let days = args.get_positive("days", 60)?;
+    let seeds = args.get_positive("seeds", 1)?;
     let seed0 = args.get_u64("seed", 0)?;
     let stability = args.get_f64("stability", 0.0)?;
     let fault_rate = args.get_f64("fault-rate", 0.0)?;

@@ -12,7 +12,7 @@ use spothost_market::time::SimTime;
 
 pub fn run(args: &Args) -> Result<(), String> {
     let cfg = build_cfg(args)?;
-    let days = args.get_u64("days", 14)?;
+    let days = args.get_positive("days", 14)?;
     let seed = args.get_u64("seed", 0)?;
     let width = args.get_u64("width", 96)? as usize;
     if !(10..=500).contains(&width) {

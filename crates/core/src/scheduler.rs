@@ -38,8 +38,8 @@ use spothost_cloudsim::{
 use spothost_faults::{FaultKind, FaultPlan, StormSchedule};
 use spothost_forecast::{ForecastParams, MarketForecaster};
 use spothost_market::gen::{derive_seed, TraceSet};
-use spothost_market::time::{SimDuration, SimTime, MILLIS_PER_HOUR};
-use spothost_market::trace::TraceCursor;
+use spothost_market::time::{SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR};
+use spothost_market::trace::{TraceCursor, TrailingWindow};
 use spothost_market::types::{MarketId, Zone};
 use spothost_telemetry::{
     DenialReason, MigrationPhase, NullSink, SchedulerState, Sink, TelemetryEvent,
@@ -58,6 +58,9 @@ const DISK_GIB: f64 = 8.0;
 
 /// Safety margin added to the migration decision lead time.
 const LEAD_SLACK: SimDuration = SimDuration(120 * 1000);
+
+/// The trailing price history the stability penalty reads.
+const STABILITY_WINDOW: SimDuration = SimDuration(7 * MILLIS_PER_DAY);
 
 /// After this much continuous uptime on one lease, the reacquire backoff
 /// ladder resets to its 60 s base. Shorter stints keep their escalated
@@ -360,6 +363,10 @@ pub struct SimRun<'t, S: Sink = NullSink> {
     boot_blocked_since: Option<SimTime>,
     /// Online per-market forecasters (adaptive policy only).
     forecast: Option<ForecastState<'t>>,
+    /// Per candidate (index-aligned with `candidates`): the share of the
+    /// trailing week its price spent above its on-demand price. Empty
+    /// unless `stability_weight` is positive.
+    windows: Vec<TrailingWindow<'t>>,
     /// Telemetry sink (the default `NullSink` compiles to nothing).
     sink: S,
 }
@@ -483,6 +490,17 @@ impl<'t> SimRun<'t, NullSink> {
             }),
             _ => None,
         };
+        let windows = if cfg.stability_weight > 0.0 {
+            candidates
+                .iter()
+                .map(|&m| {
+                    let trace = traces.trace(m).expect("asserted above");
+                    trace.trailing_window(STABILITY_WINDOW, traces.catalog().on_demand_price(m))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         SimRun {
             provider,
             cfg: cfg.clone(),
@@ -504,6 +522,7 @@ impl<'t> SimRun<'t, NullSink> {
             active_since: None,
             boot_blocked_since: None,
             forecast,
+            windows,
             sink: NullSink,
         }
     }
@@ -535,6 +554,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             active_since: self.active_since,
             boot_blocked_since: self.boot_blocked_since,
             forecast: self.forecast,
+            windows: self.windows,
             sink,
         }
     }
@@ -1027,7 +1047,9 @@ impl<'t, S: Sink> SimRun<'t, S> {
         self.feed_forecasters();
         let catalog = self.provider.traces().catalog();
         let mut ranked = Vec::new();
-        for (i, &m) in self.candidates.iter().enumerate() {
+        // By index: the stability penalty advances candidate `i`'s window.
+        for i in 0..self.candidates.len() {
+            let m = self.candidates[i];
             if Some(m) == exclude {
                 continue;
             }
@@ -1065,9 +1087,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
                 .storms
                 .as_ref()
                 .is_some_and(|s| s.is_storming(m.zone, self.now));
-            let score = rate
-                + self.stability_penalty(m, pon)
-                + if storm { self.baseline_rate } else { 0.0 };
+            let score =
+                rate + self.stability_penalty(i) + if storm { self.baseline_rate } else { 0.0 };
             ranked.push(Candidate {
                 market: m,
                 bid,
@@ -1116,21 +1137,17 @@ impl<'t, S: Sink> SimRun<'t, S> {
         self.ranked_spots(exclude).into_iter().next()
     }
 
-    /// Stability-aware penalty on a candidate market (§8 future work):
-    /// the observable fraction of the trailing week spent above on-demand
+    /// Stability-aware penalty on candidate `i` (§8 future work): the
+    /// observable fraction of the trailing week spent above on-demand
     /// price — a direct revocation-risk proxy — scaled by the baseline
     /// rate and the configured weight. Zero weight = the paper's greedy
-    /// cheapest-market selection.
-    fn stability_penalty(&self, market: MarketId, pon: f64) -> f64 {
-        if self.cfg.stability_weight == 0.0 {
-            return 0.0;
-        }
-        let window = SimDuration::days(7);
-        let from = self.now.saturating_sub(window);
-        let Some(trace) = self.provider.traces().trace(market) else {
-            return 0.0; // candidates are asserted to have traces in new()
+    /// cheapest-market selection. Simulated time never moves backwards,
+    /// so each call slides the candidate's window forward.
+    fn stability_penalty(&mut self, i: usize) -> f64 {
+        let Some(window) = self.windows.get_mut(i) else {
+            return 0.0; // zero weight: no windows
         };
-        let risk = trace.fraction_above_in(from, self.now, pon);
+        let risk = window.fraction_at(self.now);
         self.cfg.stability_weight * self.baseline_rate * risk
     }
 
@@ -2029,14 +2046,18 @@ impl<'t, S: Sink> SimRun<'t, S> {
             return;
         };
         let current_rate = price * self.n_servers(lease.market);
-        let pon_current = self
-            .provider
-            .traces()
-            .catalog()
-            .on_demand_price(lease.market);
         // Stability-aware: the occupied market's own risk counts too, so a
-        // risky-but-cheap market can be left for a calm one.
-        let current_score = current_rate + self.stability_penalty(lease.market, pon_current);
+        // risky-but-cheap market can be left for a calm one. Spot leases
+        // are only ever placed on candidates.
+        let penalty = if self.windows.is_empty() {
+            0.0
+        } else {
+            self.candidates
+                .iter()
+                .position(|&m| m == lease.market)
+                .map_or(0.0, |i| self.stability_penalty(i))
+        };
+        let current_score = current_rate + penalty;
         let od = self.od_rate(lease.market.zone);
         let best = self.best_spot(Some(lease.market));
 

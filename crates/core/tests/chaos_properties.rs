@@ -1,7 +1,7 @@
 //! Chaos invariant harness: the scheduler must survive ANY storm.
 //!
 //! For randomized grids of storm configs x fault plans x policies x
-//! mechanisms x seeds, a run must:
+//! mechanisms x stability weights x seeds, a run must:
 //!
 //! (a) terminate with conserved accounting — downtime and degraded time
 //!     fit inside the measured span, cost stays finite, non-negative and
@@ -63,6 +63,11 @@ fn arb_storms() -> impl Strategy<Value = StormConfig> {
         };
         s
     })
+}
+
+/// A stability weight, zero (the greedy path) half the time.
+fn arb_stability() -> impl Strategy<Value = f64> {
+    (0usize..6).prop_map(|k| [0.0, 0.0, 0.0, 2.0, 8.0, 32.0][k])
 }
 
 fn arb_policy() -> impl Strategy<Value = BiddingPolicy> {
@@ -170,12 +175,15 @@ fn base_cfg(
     scope: MarketScope,
     policy: BiddingPolicy,
     mechanism: MechanismCombo,
+    stability: f64,
 ) -> SchedulerConfig {
     let cfg = match &scope {
         MarketScope::Single(m) => SchedulerConfig::single_market(*m),
         _ => SchedulerConfig::multi(scope),
     };
-    cfg.with_policy(policy).with_mechanism(mechanism)
+    cfg.with_policy(policy)
+        .with_mechanism(mechanism)
+        .with_stability_weight(stability)
 }
 
 const HORIZON_DAYS: u64 = 7;
@@ -201,8 +209,9 @@ proptest! {
         policy in arb_policy(),
         mechanism in arb_mechanism(),
         seed in 0u64..1_000,
+        stability in arb_stability(),
     ) {
-        let cfg = base_cfg(scope, policy, mechanism)
+        let cfg = base_cfg(scope, policy, mechanism, stability)
             .with_faults(faults)
             .with_storms(storms);
         cfg.validate().expect("chaos grid configs must validate");
@@ -231,6 +240,7 @@ proptest! {
         faults in arb_faults(),
         policy in arb_policy(),
         seed in 0u64..1_000,
+        stability in arb_stability(),
     ) {
         // Dirty a scratch with a violent, unrelated run (full-intensity
         // storms, a different scope, a different seed), then reuse it:
@@ -239,6 +249,7 @@ proptest! {
             MarketScope::MultiMarket(Zone::EuWest1a),
             BiddingPolicy::Reactive,
             MechanismCombo::ALL[0],
+            32.0,
         )
         .with_faults(FaultConfig::uniform(0.4))
         .with_storms(StormConfig::intensity(1.0));
@@ -255,6 +266,7 @@ proptest! {
             MarketScope::Single(MarketId::new(Zone::UsEast1a, InstanceType::Small)),
             policy,
             MechanismCombo::ALL[3],
+            stability,
         )
         .with_faults(faults)
         .with_storms(storms);
@@ -270,11 +282,13 @@ proptest! {
         faults in arb_faults(),
         policy in arb_policy(),
         seed in 0u64..1_000,
+        stability in arb_stability(),
     ) {
         let cfg = base_cfg(
             MarketScope::MultiMarket(Zone::UsEast1a),
             policy,
             MechanismCombo::ALL[2],
+            stability,
         )
         .with_faults(faults)
         .with_storms(storms);
@@ -321,9 +335,10 @@ proptest! {
         policy in arb_policy(),
         mechanism in arb_mechanism(),
         seed in 0u64..1_000,
+        stability in arb_stability(),
     ) {
         let horizon = SimDuration::days(HORIZON_DAYS);
-        let base = base_cfg(scope, policy, mechanism).with_faults(faults);
+        let base = base_cfg(scope, policy, mechanism, stability).with_faults(faults);
         let plain = run_one(&base, seed, horizon);
         // A zero-intensity config builds no schedule at all...
         let zero = run_one(
@@ -350,12 +365,13 @@ proptest! {
         mechanism in arb_mechanism(),
         start_min in prop_oneof![Just(0u64), 0u64..HORIZON_DAYS * 24 * 60],
         seed in 0u64..1_000,
+        stability in arb_stability(),
     ) {
         // (f) A fleet builds one schedule from its seed and hands it to
         // every run; a single-service run builds its own from its run
         // seed. With both seeds equal the two runs must not differ by a
         // bit, from any start (a mid-run spawn seeks the edge cursors).
-        let own = base_cfg(scope, policy, mechanism)
+        let own = base_cfg(scope, policy, mechanism, stability)
             .with_faults(faults)
             .with_storms(StormConfig::intensity(intensity));
         let traces = traces_for(&own, seed);

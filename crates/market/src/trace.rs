@@ -323,6 +323,20 @@ impl PriceTrace {
             idx: 0,
         }
     }
+
+    /// A [`TrailingWindow`] of length `len` measuring the time spent
+    /// strictly above `threshold`, before its first query.
+    pub fn trailing_window(&self, len: SimDuration, threshold: f64) -> TrailingWindow<'_> {
+        TrailingWindow {
+            head: self.cursor(),
+            tail: self.cursor(),
+            threshold,
+            len,
+            from: SimTime::ZERO,
+            to: SimTime::ZERO,
+            above_ms: 0,
+        }
+    }
 }
 
 /// Points a forward [`TraceCursor`] seek walks before it gallops.
@@ -522,6 +536,82 @@ impl<'a> TraceCursor<'a> {
             i += 1;
         }
         None
+    }
+}
+
+/// The share of a trailing window `[now - len, now)` spent strictly
+/// above a fixed threshold, kept as the window slides forward.
+///
+/// The window holds two [`TraceCursor`]s, one committed to each end, and
+/// the integer milliseconds of the window (clipped to the horizon) spent
+/// above the threshold. A later query moves the end forward, adding the
+/// above-threshold time it passes, and the start forward, subtracting
+/// the time it passes, so over a run of non-decreasing queries each
+/// trace point is passed at most twice. A query whose window does not
+/// overlap the previous one, the first query included, recounts its
+/// window from scratch; the cursors gallop to it rather than walk.
+///
+/// # API contract: monotonic advance
+///
+/// Queries with non-decreasing times are the designed use. A query
+/// behind the previous one is still answered exactly: it recounts its
+/// window like a first query.
+///
+/// [`fraction_at`](TrailingWindow::fraction_at)`(now)` is bit-identical
+/// to [`PriceTrace::fraction_above_in`]`(now.saturating_sub(len), now,
+/// threshold)`: both divide the same integer count of milliseconds by
+/// the same window length, once.
+#[derive(Debug, Clone)]
+pub struct TrailingWindow<'a> {
+    /// Committed to the segment of the window's end.
+    head: TraceCursor<'a>,
+    /// Committed to the segment of the window's start.
+    tail: TraceCursor<'a>,
+    threshold: f64,
+    len: SimDuration,
+    /// The previous query's window `[from, to)`.
+    from: SimTime,
+    to: SimTime,
+    /// Milliseconds of `[from, to)`, clipped to the horizon, during which
+    /// the price is strictly above `threshold`.
+    above_ms: u64,
+}
+
+impl TrailingWindow<'_> {
+    /// Fraction of `[now - len, now)` spent strictly above the threshold;
+    /// 0.0 for an empty window. The window starts at time zero until
+    /// `now` reaches `len`, and the part past the trace end counts as
+    /// not above.
+    pub fn fraction_at(&mut self, now: SimTime) -> f64 {
+        let from = now.saturating_sub(self.len);
+        let threshold = self.threshold;
+        let above = |s: Segment| {
+            if s.price > threshold {
+                s.duration().as_millis()
+            } else {
+                0
+            }
+        };
+        if now < self.to || from >= self.to {
+            // Behind the previous window, or clear past it: recount.
+            let mut ms = 0;
+            self.head.feed_segments(from, now, |s| ms += above(s));
+            self.above_ms = ms;
+        } else {
+            let (mut gained, mut lost) = (0, 0);
+            self.head
+                .feed_segments(self.to, now, |s| gained += above(s));
+            self.tail
+                .feed_segments(self.from, from, |s| lost += above(s));
+            self.above_ms = self.above_ms + gained - lost;
+        }
+        self.from = from;
+        self.to = now;
+        let total = (now - from).as_millis();
+        if total == 0 {
+            return 0.0;
+        }
+        self.above_ms as f64 / total as f64
     }
 }
 
@@ -774,6 +864,21 @@ mod tests {
             t.fraction_above_in(SimTime::secs(20), SimTime::secs(60), 1.0),
             0.0
         );
+    }
+
+    #[test]
+    fn trailing_window_matches_stateless_fraction() {
+        let t = trace();
+        let len = SimDuration::secs(15);
+        let mut w = t.trailing_window(len, 1.0);
+        // Before `len`, across the spike, past the end, a repeat, and a
+        // query behind the previous one.
+        for s in [0u64, 5, 12, 12, 26, 40, 58, 70, 90, 15, 16] {
+            let now = SimTime::secs(s);
+            let want = t.fraction_above_in(now.saturating_sub(len), now, 1.0);
+            assert_eq!(w.fraction_at(now).to_bits(), want.to_bits(), "at {now}");
+        }
+        assert_eq!(w.fraction_at(SimTime::ZERO), 0.0);
     }
 
     #[test]

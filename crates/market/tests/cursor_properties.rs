@@ -3,12 +3,13 @@
 //! next-point steps, long forward jumps that make the cursor gallop,
 //! repeats, backward moves and times past the horizon, and interleaves
 //! all six cursor methods, so each seek starts from wherever the previous
-//! query committed the cursor.
+//! query committed the cursor. A second property pins `TrailingWindow`
+//! to `PriceTrace::fraction_above_in` over the trailing window it keeps.
 
 use proptest::prelude::*;
 use spothost_market::time::{MILLIS_PER_HOUR, MILLIS_PER_MINUTE};
 use spothost_market::trace::{PricePoint, PriceTrace, Segment};
-use spothost_market::SimTime;
+use spothost_market::{SimDuration, SimTime};
 
 /// A random trace of up to about 2000 points. Dense traces change price
 /// up to 10 minutes apart, sparse ones up to 4 hours apart.
@@ -71,6 +72,44 @@ fn arb_move() -> impl Strategy<Value = Move> {
 /// offsets, thresholds and window lengths.
 fn arb_query() -> impl Strategy<Value = (Move, u8, f64)> {
     (arb_move(), 0u8..6, 0.0f64..1.0)
+}
+
+/// How one trailing-window query moves the query time forward.
+#[derive(Debug, Clone, Copy)]
+enum Slide {
+    /// Stay at the previous query time.
+    Repeat,
+    /// One millisecond, or to the next price change.
+    Step,
+    /// Less than the window length.
+    Within,
+    /// More than the window length, so the new window does not overlap
+    /// the previous one.
+    Beyond,
+    /// To the trace end, or past it.
+    End,
+}
+
+/// Mostly steps and slides within the window.
+fn arb_slide() -> impl Strategy<Value = Slide> {
+    (0u8..10).prop_map(|kind| match kind {
+        0 => Slide::Repeat,
+        1..=3 => Slide::Step,
+        4..=6 => Slide::Within,
+        7 | 8 => Slide::Beyond,
+        _ => Slide::End,
+    })
+}
+
+/// A window length from 1 ms to longer than a trace ending at `end_ms`:
+/// `kind` picks the scale, `frac` the length within it.
+fn window_len(kind: u8, frac: f64, end_ms: u64) -> SimDuration {
+    SimDuration::millis(match kind {
+        0 => 1,
+        1 => 1 + (frac * MILLIS_PER_HOUR as f64) as u64,
+        2 => 1 + (frac * end_ms as f64) as u64,
+        _ => end_ms + 1 + (frac * end_ms as f64) as u64,
+    })
 }
 
 /// The segment containing `t`, found in the full segment list: the
@@ -136,6 +175,57 @@ proptest! {
                     t = to;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn trailing_window_equals_stateless_fraction(
+        trace in arb_trace(),
+        threshold_at in 0.0f64..1.0,
+        len_kind in 0u8..4,
+        len_frac in 0.0f64..1.0,
+        first in 0.0f64..1.0,
+        slides in prop::collection::vec((arb_slide(), 0.0f64..1.0), 1..200),
+        back_at in 0usize..200,
+    ) {
+        let pts = trace.points();
+        let end_ms = trace.end().as_millis();
+        // One of the trace's own prices, so `price == threshold` ties occur.
+        let threshold = pts[(threshold_at * pts.len() as f64) as usize].price;
+        let len = window_len(len_kind, len_frac, end_ms);
+        let mut w = trace.trailing_window(len, threshold);
+        // The first query at zero or anywhere in the trace, deep in it too.
+        let mut t = if first < 0.1 {
+            SimTime::ZERO
+        } else {
+            SimTime::millis((first * end_ms as f64) as u64)
+        };
+        let len_ms = len.as_millis() as f64;
+        for (k, &(slide, frac)) in slides.iter().enumerate() {
+            if k > 0 {
+                t = SimTime::millis(t.as_millis() + match slide {
+                    Slide::Repeat => 0,
+                    Slide::Step => match trace.next_change_after(t) {
+                        Some(next) if frac < 0.5 => (next - t).as_millis(),
+                        _ => 1,
+                    },
+                    Slide::Within => (frac * len_ms) as u64,
+                    Slide::Beyond => len.as_millis() + 1 + (frac * len_ms) as u64,
+                    Slide::End => {
+                        end_ms.saturating_sub(t.as_millis()) + (frac * end_ms as f64) as u64
+                    }
+                });
+            }
+            // Once per sequence, a query behind the previous one.
+            if k == back_at {
+                t = SimTime::millis((frac * t.as_millis() as f64) as u64);
+            }
+            let want = trace.fraction_above_in(t.saturating_sub(len), t, threshold);
+            prop_assert_eq!(
+                w.fraction_at(t).to_bits(),
+                want.to_bits(),
+                "fraction_at {} (window {:?}, threshold {})", t, len, threshold
+            );
         }
     }
 }
