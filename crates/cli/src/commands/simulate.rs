@@ -2,13 +2,14 @@
 
 use crate::args::Args;
 use spothost_core::prelude::*;
-use spothost_core::SimRun;
+use spothost_core::{RunPlan, SimRun, SimScratch};
 use spothost_market::gen::TraceSet;
 use spothost_market::io::{parse_market, read_trace_set};
 use spothost_market::prelude::*;
 use spothost_workload::slo;
 use std::io::BufWriter;
 use std::path::Path;
+use std::sync::Arc;
 
 pub(crate) fn parse_policy(s: &str) -> Result<BiddingPolicy, String> {
     Ok(match s {
@@ -118,6 +119,18 @@ pub(crate) fn load_traces(
     }
 }
 
+/// A run of `cfg` over `set` with run seed `seed`. An imported trace set
+/// that lacks one of the config's candidate markets is an error, not a
+/// panic.
+pub(crate) fn plan_run<'t>(
+    set: &'t TraceSet,
+    cfg: &SchedulerConfig,
+    seed: u64,
+) -> Result<SimRun<'t>, String> {
+    let plan = RunPlan::new(set, cfg).map_err(|e| e.to_string())?;
+    Ok(SimRun::from_plan(Arc::new(plan), seed, SimScratch::new()))
+}
+
 pub fn run(args: &Args) -> Result<(), String> {
     let cfg = build_cfg(args)?;
     let policy = cfg.policy;
@@ -133,7 +146,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             // Imported history: single deterministic run against it.
             let catalog = Catalog::ec2_2015();
             let set = read_trace_set(&catalog, Path::new(dir)).map_err(|e| e.to_string())?;
-            let report = SimRun::new(&set, &cfg, seed0).run();
+            let report = plan_run(&set, &cfg, seed0)?.run();
             AggregateReport::of(vec![report])
         }
         None => run_many(&cfg, seed0, seeds, SimDuration::days(days)),
@@ -199,7 +212,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
         let file = std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
         let mut rec = Recorder::new().with_writer(Box::new(BufWriter::new(file)));
-        SimRun::new(&set, &cfg, seed0).with_sink(&mut rec).run();
+        plan_run(&set, &cfg, seed0)?.with_sink(&mut rec).run();
         rec.finish().map_err(|e| format!("--trace {path}: {e}"))?;
         println!(
             "\ntrace:             {} events -> {path} (seed {seed0}, JSONL)",
@@ -221,7 +234,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("--store {path}: {e}"))?;
         {
             let sink = store.sink();
-            SimRun::new(&set, &cfg, seed0).with_sink(sink).run();
+            plan_run(&set, &cfg, seed0)?.with_sink(sink).run();
         }
         store.finish().map_err(|e| format!("--store {path}: {e}"))?;
         println!(
@@ -234,7 +247,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     if args.has("metrics") {
         let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
         let mut metrics = Metrics::new();
-        SimRun::new(&set, &cfg, seed0).with_sink(&mut metrics).run();
+        plan_run(&set, &cfg, seed0)?.with_sink(&mut metrics).run();
         println!("\nevent histograms (seed {seed0}):");
         print!("{}", metrics.render());
     }

@@ -3,10 +3,9 @@
 //! market, outage/degraded windows, migration markers.
 
 use crate::args::Args;
-use crate::commands::simulate::{build_cfg, load_traces};
+use crate::commands::simulate::{build_cfg, load_traces, plan_run};
 use spothost_core::prelude::*;
 use spothost_core::telemetry::render_timeline;
-use spothost_core::SimRun;
 use spothost_market::prelude::*;
 use spothost_market::time::SimTime;
 
@@ -22,7 +21,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let horizon = SimDuration::days(days);
     let set = load_traces(args, &cfg, seed, horizon)?;
     let mut rec = Recorder::new();
-    let report = SimRun::new(&set, &cfg, seed).with_sink(&mut rec).run();
+    let report = plan_run(&set, &cfg, seed)?.with_sink(&mut rec).run();
     let dropped = rec.dropped();
 
     let end = SimTime::ZERO + horizon;

@@ -38,3 +38,42 @@ fn zero_days_is_rejected_by_every_command() {
 fn zero_seeds_is_rejected() {
     assert_rejected(&["simulate", "--seeds", "0", "--days", "1"], "seeds");
 }
+
+/// An imported trace directory that lacks a candidate market of the
+/// scope is a bad input: exit code 2 naming the market, never a panic.
+#[test]
+fn traces_missing_a_candidate_market_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("spothost-cli-partial-{}", std::process::id()));
+    let dir_s = dir.to_str().expect("utf-8 temp dir");
+    let generated = Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
+        .args(["gen-traces", "--days", "3", "--zone", "us-east-1a"])
+        .args(["--out", dir_s])
+        .output()
+        .expect("run spothost-cli");
+    assert!(generated.status.success(), "gen-traces failed");
+    // Keep only the large market: the zone scope's small, medium and
+    // xlarge candidates are missing.
+    for entry in std::fs::read_dir(&dir).expect("read trace dir") {
+        let path = entry.expect("dir entry").path();
+        if path
+            .file_name()
+            .is_some_and(|n| n != "us-east-1a_large.csv")
+        {
+            std::fs::remove_file(&path).expect("remove trace");
+        }
+    }
+    for cmd in ["simulate", "timeline"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
+            .args([cmd, "--scope", "zone:us-east-1a", "--traces", dir_s])
+            .output()
+            .expect("run spothost-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: stderr: {stderr}");
+        assert!(
+            stderr.contains("trace set missing candidate market us-east-1a/small"),
+            "{cmd}: stderr: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("remove trace dir");
+}

@@ -8,10 +8,8 @@
 //!   and **billed in full if the customer terminated** it voluntarily.
 //! * On-demand usage rounds up to started hours at the fixed price.
 
-use crate::instance::{InstanceId, InstanceKind, TerminationReason};
 use spothost_market::time::{SimDuration, SimTime, MILLIS_PER_HOUR};
 use spothost_market::trace::{PriceTrace, TraceCursor};
-use spothost_market::types::MarketId;
 
 /// Charge for a spot lease `[start, end)` under the given price history.
 ///
@@ -137,86 +135,10 @@ pub fn on_demand_lease_charge(pon: f64, start: SimTime, end: SimTime) -> f64 {
     (end - start).started_hours() as f64 * pon
 }
 
-/// One closed lease in the ledger.
-#[derive(Debug, Clone)]
-pub struct LedgerEntry {
-    pub instance: InstanceId,
-    pub market: MarketId,
-    pub kind: InstanceKind,
-    pub start: SimTime,
-    pub end: SimTime,
-    pub reason: TerminationReason,
-    pub amount: f64,
-}
-
-/// Append-only record of all charges in a simulation run.
-#[derive(Debug, Clone, Default)]
-pub struct BillingLedger {
-    entries: Vec<LedgerEntry>,
-    total: f64,
-}
-
-impl BillingLedger {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&mut self, entry: LedgerEntry) {
-        assert!(entry.amount >= 0.0, "charges cannot be negative");
-        self.total += entry.amount;
-        self.entries.push(entry);
-    }
-
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    pub fn entries(&self) -> &[LedgerEntry] {
-        &self.entries
-    }
-
-    /// Total spent on spot leases.
-    pub fn spot_total(&self) -> f64 {
-        self.entries
-            .iter()
-            .filter(|e| e.kind.is_spot())
-            .map(|e| e.amount)
-            .sum()
-    }
-
-    /// Total spent on on-demand leases.
-    pub fn on_demand_total(&self) -> f64 {
-        self.entries
-            .iter()
-            .filter(|e| !e.kind.is_spot())
-            .map(|e| e.amount)
-            .sum()
-    }
-
-    /// Total lease time on spot servers (for time-share accounting).
-    pub fn spot_lease_time(&self) -> SimDuration {
-        self.entries
-            .iter()
-            .filter(|e| e.kind.is_spot())
-            .map(|e| e.end - e.start)
-            .sum()
-    }
-
-    /// Total lease time on on-demand servers.
-    pub fn on_demand_lease_time(&self) -> SimDuration {
-        self.entries
-            .iter()
-            .filter(|e| !e.kind.is_spot())
-            .map(|e| e.end - e.start)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spothost_market::trace::PricePoint;
-    use spothost_market::types::{InstanceType, Zone};
 
     fn flat_trace(price: f64) -> PriceTrace {
         PriceTrace::constant(price, SimTime::days(10))
@@ -306,35 +228,5 @@ mod tests {
         assert!((c - 2.0 * pon).abs() < 1e-12);
         let c = on_demand_lease_charge(pon, SimTime::ZERO, SimTime::hours(1));
         assert!((c - pon).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ledger_accumulates_by_kind() {
-        let mut ledger = BillingLedger::new();
-        let market = MarketId::new(Zone::UsEast1a, InstanceType::Small);
-        ledger.record(LedgerEntry {
-            instance: InstanceId(1),
-            market,
-            kind: InstanceKind::Spot { bid: 0.06 },
-            start: SimTime::ZERO,
-            end: SimTime::hours(2),
-            reason: TerminationReason::Voluntary,
-            amount: 0.04,
-        });
-        ledger.record(LedgerEntry {
-            instance: InstanceId(2),
-            market,
-            kind: InstanceKind::OnDemand,
-            start: SimTime::hours(2),
-            end: SimTime::hours(3),
-            reason: TerminationReason::Voluntary,
-            amount: 0.06,
-        });
-        assert!((ledger.total() - 0.10).abs() < 1e-12);
-        assert!((ledger.spot_total() - 0.04).abs() < 1e-12);
-        assert!((ledger.on_demand_total() - 0.06).abs() < 1e-12);
-        assert_eq!(ledger.spot_lease_time(), SimDuration::hours(2));
-        assert_eq!(ledger.on_demand_lease_time(), SimDuration::hours(1));
-        assert_eq!(ledger.entries().len(), 2);
     }
 }

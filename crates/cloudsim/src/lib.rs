@@ -31,7 +31,7 @@ pub mod provider;
 pub mod startup;
 pub mod volume;
 
-pub use billing::{on_demand_lease_charge, spot_lease_charge, BillingLedger, LedgerEntry};
+pub use billing::{on_demand_lease_charge, spot_lease_charge};
 pub use event::EventQueue;
 pub use instance::{Instance, InstanceId, InstanceKind, InstanceState, TerminationReason};
 pub use provider::{CloudProvider, RequestError, RevocationSchedule};

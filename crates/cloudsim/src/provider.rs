@@ -9,11 +9,8 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 
-use crate::billing::{
-    on_demand_lease_charge, spot_lease_charge, BillingLedger, LedgerEntry, SpotLeaseMeter,
-};
+use crate::billing::{on_demand_lease_charge, spot_lease_charge, SpotLeaseMeter};
 use crate::instance::{Instance, InstanceId, InstanceKind, InstanceState, TerminationReason};
 use crate::startup::StartupModel;
 use crate::volume::VolumePool;
@@ -92,15 +89,19 @@ pub struct RevocationSchedule {
 /// (`&self` query methods keep their signatures).
 /// A cursor handed an out-of-order timestamp simply resyncs, so
 /// correctness never depends on monotonicity — only speed does.
+///
+/// Instance ids are handed out densely from 0 and never reused, so the
+/// provider's tables are plain vectors: the instance table is indexed by
+/// id, and the few running spot leases' meters and the doomed startups
+/// are short lists searched by id. Nothing is hashed.
 #[derive(Debug)]
 pub struct CloudProvider<'t> {
     traces: &'t TraceSet,
     startup: StartupModel,
     rng: ChaCha12Rng,
-    instances: HashMap<InstanceId, Instance>,
-    ledger: BillingLedger,
+    /// Every instance ever created, at the index of its id.
+    instances: Vec<Instance>,
     volumes: VolumePool,
-    next_id: u64,
     /// One forward cursor per market (dense-indexed, lazily created),
     /// shared by price lookups, revocation scans and reverse-migration
     /// scans. Interior mutability keeps the read-only query API
@@ -109,7 +110,7 @@ pub struct CloudProvider<'t> {
     /// Incremental billing meter for each *running* spot lease; created on
     /// activation, advanced as the simulation clock passes hour boundaries,
     /// consumed at termination.
-    meters: HashMap<InstanceId, SpotLeaseMeter<'t>>,
+    meters: Vec<(InstanceId, SpotLeaseMeter<'t>)>,
     /// Injected provider faults. `None` (the default) is the infallible
     /// provider: requests always granted, servers always come up, warnings
     /// always on time.
@@ -124,7 +125,8 @@ pub struct CloudProvider<'t> {
     od_active: u32,
     /// Instances whose startup was sabotaged by the fault plan: they reach
     /// their ready time but activation fails and they close unbilled.
-    doomed: HashSet<InstanceId>,
+    /// Empty without a fault plan.
+    doomed: Vec<InstanceId>,
 }
 
 impl<'t> CloudProvider<'t> {
@@ -135,16 +137,14 @@ impl<'t> CloudProvider<'t> {
             traces,
             startup: StartupModel::table1(),
             rng: ChaCha12Rng::seed_from_u64(derive_seed(seed, "provider-startup", 0)),
-            instances: HashMap::new(),
-            ledger: BillingLedger::new(),
+            instances: Vec::new(),
             volumes: VolumePool::new(),
-            next_id: 0,
             market_cursors: RefCell::new([const { None }; 16]),
-            meters: HashMap::new(),
+            meters: Vec::new(),
             faults: None,
             storms: None,
             od_active: 0,
-            doomed: HashSet::new(),
+            doomed: Vec::new(),
         }
     }
 
@@ -246,10 +246,36 @@ impl<'t> CloudProvider<'t> {
         self.with_cursor(market, |c| c.next_time_at_or_below(from, price))?
     }
 
-    fn fresh_id(&mut self) -> InstanceId {
-        let id = InstanceId(self.next_id);
-        self.next_id += 1;
+    /// Create a pending instance under the next dense id, drawing its
+    /// startup-failure fault.
+    fn admit(
+        &mut self,
+        market: MarketId,
+        kind: InstanceKind,
+        now: SimTime,
+        ready_at: SimTime,
+    ) -> InstanceId {
+        let id = InstanceId(self.instances.len() as u64);
+        self.maybe_doom(id);
+        self.instances.push(Instance {
+            id,
+            market,
+            kind,
+            requested_at: now,
+            ready_at,
+            state: InstanceState::Pending { ready_at },
+        });
         id
+    }
+
+    /// The instance with this id, if it exists.
+    fn slot_mut(&mut self, id: InstanceId) -> Option<&mut Instance> {
+        self.instances.get_mut(usize::try_from(id.0).ok()?)
+    }
+
+    /// Position of a running spot lease's meter in `meters`.
+    fn meter_index(&self, id: InstanceId) -> Option<usize> {
+        self.meters.iter().position(|(m, _)| *m == id)
     }
 
     /// Request a spot server. Granted only if the current price is at or
@@ -290,20 +316,8 @@ impl<'t> CloudProvider<'t> {
         let latency = self
             .startup
             .sample_spot(&mut self.rng, market.zone.region());
-        let id = self.fresh_id();
-        self.maybe_doom(id);
         let ready_at = now + latency;
-        self.instances.insert(
-            id,
-            Instance {
-                id,
-                market,
-                kind: InstanceKind::Spot { bid },
-                requested_at: now,
-                ready_at,
-                state: InstanceState::Pending { ready_at },
-            },
-        );
+        let id = self.admit(market, InstanceKind::Spot { bid }, now, ready_at);
         Ok((id, ready_at))
     }
 
@@ -342,20 +356,8 @@ impl<'t> CloudProvider<'t> {
         let latency = self
             .startup
             .sample_on_demand(&mut self.rng, market.zone.region());
-        let id = self.fresh_id();
-        self.maybe_doom(id);
         let ready_at = now + latency;
-        self.instances.insert(
-            id,
-            Instance {
-                id,
-                market,
-                kind: InstanceKind::OnDemand,
-                requested_at: now,
-                ready_at,
-                state: InstanceState::Pending { ready_at },
-            },
-        );
+        let id = self.admit(market, InstanceKind::OnDemand, now, ready_at);
         self.od_active += 1;
         Ok((id, ready_at))
     }
@@ -364,7 +366,7 @@ impl<'t> CloudProvider<'t> {
     fn maybe_doom(&mut self, id: InstanceId) {
         if let Some(f) = &mut self.faults {
             if f.startup_failure() {
-                self.doomed.insert(id);
+                self.doomed.push(id);
             }
         }
     }
@@ -392,7 +394,7 @@ impl<'t> CloudProvider<'t> {
     /// also return `false`; re-activating a running instance is a no-op
     /// returning `true`.
     pub fn activate(&mut self, id: InstanceId, now: SimTime) -> bool {
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.slot_mut(id) else {
             return false;
         };
         let InstanceState::Pending { ready_at } = inst.state else {
@@ -400,7 +402,13 @@ impl<'t> CloudProvider<'t> {
         };
         debug_assert_eq!(now, ready_at, "activation must happen at the ready time");
         let (market, kind) = (inst.market, inst.kind);
-        let doomed = self.doomed.remove(&id);
+        let doomed = match self.doomed.iter().position(|d| *d == id) {
+            Some(i) => {
+                self.doomed.swap_remove(i);
+                true
+            }
+            None => false,
+        };
         let fail = |inst: &mut Instance| {
             inst.state = InstanceState::Terminated {
                 at: now,
@@ -410,7 +418,7 @@ impl<'t> CloudProvider<'t> {
         if doomed {
             // Injected startup failure: the server never comes up, for
             // spot and on-demand alike. Closed unbilled.
-            if let Some(inst) = self.instances.get_mut(&id) {
+            if let Some(inst) = self.slot_mut(id) {
                 fail(inst);
             }
             self.release_od(kind);
@@ -420,13 +428,13 @@ impl<'t> CloudProvider<'t> {
             let Some(price) = self.with_cursor(market, |c| c.price_at(now)) else {
                 // Market has no trace (cannot happen for instances created
                 // through request_spot): treat as a failed allocation.
-                if let Some(inst) = self.instances.get_mut(&id) {
+                if let Some(inst) = self.slot_mut(id) {
                     fail(inst);
                 }
                 return false;
             };
             if price > bid {
-                if let Some(inst) = self.instances.get_mut(&id) {
+                if let Some(inst) = self.slot_mut(id) {
                     fail(inst);
                 }
                 return false;
@@ -434,10 +442,10 @@ impl<'t> CloudProvider<'t> {
             // Lease is live: start its incremental billing meter at the
             // moment billing starts (the ready time).
             if let Some(trace) = self.traces.trace(market) {
-                self.meters.insert(id, SpotLeaseMeter::new(trace, now));
+                self.meters.push((id, SpotLeaseMeter::new(trace, now)));
             }
         }
-        if let Some(inst) = self.instances.get_mut(&id) {
+        if let Some(inst) = self.slot_mut(id) {
             inst.state = InstanceState::Running;
             inst.ready_at = now;
         }
@@ -451,8 +459,8 @@ impl<'t> CloudProvider<'t> {
     /// it is purely an optimisation: skipped calls are caught up by the next
     /// one or by [`terminate`](Self::terminate).
     pub fn advance_billing(&mut self, id: InstanceId, now: SimTime) {
-        if let Some(meter) = self.meters.get_mut(&id) {
-            meter.advance_to(now);
+        if let Some(i) = self.meter_index(id) {
+            self.meters[i].1.advance_to(now);
         }
     }
 
@@ -470,7 +478,7 @@ impl<'t> CloudProvider<'t> {
         id: InstanceId,
         from: SimTime,
     ) -> Option<RevocationSchedule> {
-        let inst = self.instances.get(&id)?;
+        let inst = self.instance(id)?;
         let bid = inst.kind.bid()?;
         let market = inst.market;
         let price_cross = self.with_cursor(market, |c| c.next_time_above(from, bid))?;
@@ -503,7 +511,7 @@ impl<'t> CloudProvider<'t> {
     /// Mark a running spot instance as revocation-pending (the warning has
     /// been delivered). No-op for unknown or non-running instances.
     pub fn begin_revocation(&mut self, id: InstanceId, warning_at: SimTime) {
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.slot_mut(id) else {
             return;
         };
         if !matches!(inst.state, InstanceState::Running) {
@@ -514,12 +522,13 @@ impl<'t> CloudProvider<'t> {
         };
     }
 
-    /// Close a lease and bill it. Returns the charge. Idempotent: unknown
-    /// instances and repeat terminations charge nothing (the first
-    /// termination settled the lease; under injected faults the scheduler
-    /// may legitimately race its own cleanup events).
+    /// Close a lease and bill it. Returns the charge, which is never
+    /// negative. Idempotent: unknown instances and repeat terminations
+    /// charge nothing (the first termination settled the lease; under
+    /// injected faults the scheduler may legitimately race its own cleanup
+    /// events).
     pub fn terminate(&mut self, id: InstanceId, now: SimTime, reason: TerminationReason) -> f64 {
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.slot_mut(id) else {
             return 0.0;
         };
         if inst.is_terminated() {
@@ -531,15 +540,15 @@ impl<'t> CloudProvider<'t> {
         self.release_od(kind);
         self.volumes.detach_all_from(id);
 
+        let meter = self.meter_index(id).map(|i| self.meters.swap_remove(i).1);
         // A request cancelled before the server came up is free.
         if was_pending || reason == TerminationReason::FailedAllocation {
-            self.meters.remove(&id);
             return 0.0;
         }
         let amount = match kind {
             InstanceKind::Spot { .. } => {
                 let revoked = reason == TerminationReason::Revoked;
-                match self.meters.remove(&id) {
+                match meter {
                     // Hot path: settle the incremental meter — only the
                     // final partial hour (if owed) is left to charge.
                     Some(meter) => meter.close(now, revoked),
@@ -554,24 +563,12 @@ impl<'t> CloudProvider<'t> {
                 on_demand_lease_charge(self.on_demand_price(market), lease_start, now)
             }
         };
-        self.ledger.record(LedgerEntry {
-            instance: id,
-            market,
-            kind,
-            start: lease_start,
-            end: now,
-            reason,
-            amount,
-        });
+        assert!(amount >= 0.0, "charges cannot be negative");
         amount
     }
 
     pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
-        self.instances.get(&id)
-    }
-
-    pub fn ledger(&self) -> &BillingLedger {
-        &self.ledger
+        self.instances.get(usize::try_from(id.0).ok()?)
     }
 
     /// Number of instances ever created (for diagnostics).
@@ -657,7 +654,6 @@ mod tests {
         let charge = p.terminate(id, end, TerminationReason::Voluntary);
         let pon = p.on_demand_price(market());
         assert!((charge - 2.0 * pon).abs() < 1e-12);
-        assert!((p.ledger().total() - charge).abs() < 1e-12);
     }
 
     #[test]
@@ -679,7 +675,6 @@ mod tests {
         let (id, _ready) = p.request_spot(market(), pon, SimTime::ZERO).unwrap();
         let charge = p.terminate(id, SimTime::secs(10), TerminationReason::Voluntary);
         assert_eq!(charge, 0.0);
-        assert_eq!(p.ledger().entries().len(), 0);
     }
 
     #[test]
@@ -693,16 +688,14 @@ mod tests {
             ready + SimDuration::hours(1),
             TerminationReason::Voluntary,
         );
-        assert!(first > 0.0);
-        // A second termination (stale cleanup event) charges nothing and
-        // leaves the ledger untouched.
+        assert_eq!(first, p.on_demand_price(market()));
+        // A second termination (stale cleanup event) charges nothing.
         let second = p.terminate(
             id,
             ready + SimDuration::hours(2),
             TerminationReason::Voluntary,
         );
         assert_eq!(second, 0.0);
-        assert!((p.ledger().total() - first).abs() < 1e-12);
         // Unknown instances are a no-op too.
         assert_eq!(
             p.terminate(InstanceId(9999), ready, TerminationReason::Voluntary),
@@ -792,7 +785,6 @@ mod tests {
         assert!(inst.is_terminated());
         let charge = p.terminate(id, ready, TerminationReason::Voluntary);
         assert_eq!(charge, 0.0);
-        assert_eq!(p.ledger().entries().len(), 0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use accounting::Accounting;
 pub use config::SchedulerConfig;
 pub use policy::BiddingPolicy;
 pub use report::RunReport;
-pub use scheduler::{SimRun, SimScratch};
+pub use scheduler::{PlanError, RunPlan, SimRun, SimScratch};
 pub use sim::{run_grid, run_many, run_one, run_one_metrics, run_one_recorded, AggregateReport};
 pub use spothost_faults::{FaultConfig, StormConfig};
 pub use spothost_telemetry as telemetry;

@@ -48,6 +48,8 @@ use spothost_virt::{
     lazy_restore, plan_migration, plan_migration_live_aborted, standard_restore, MechanismCombo,
     MigrationContext, MigrationKind, MigrationTiming, RestoreOutcome, VirtParams, VmSpec,
 };
+use std::fmt;
+use std::sync::Arc;
 
 /// Cold-boot time of the hosted service from its disk volume under the
 /// naive (Figure 3) recovery: OS boot plus application start.
@@ -319,8 +321,9 @@ impl St {
 /// telemetry. Attach a real sink with [`SimRun::with_sink`].
 pub struct SimRun<'t, S: Sink = NullSink> {
     provider: CloudProvider<'t>,
-    cfg: SchedulerConfig,
-    vparams: VirtParams,
+    /// What every run of this configuration shares: the validated config,
+    /// its candidates and the values derived from them.
+    plan: Arc<RunPlan<'t>>,
     queue: EventQueue<Ev>,
     st: St,
     acc: Accounting,
@@ -328,10 +331,6 @@ pub struct SimRun<'t, S: Sink = NullSink> {
     now: SimTime,
     /// Set while the service is down (downtime interval open end).
     down_since: Option<SimTime>,
-    /// Decision lead before billing boundaries.
-    lead: SimDuration,
-    candidates: Vec<MarketId>,
-    baseline_rate: f64,
     /// Mechanism-side fault draws (checkpoint/live/lazy). `None` unless
     /// fault injection is enabled; the provider holds its own plan.
     faults: Option<FaultPlan>,
@@ -402,12 +401,82 @@ impl Default for SimScratch {
     }
 }
 
+/// Why a [`RunPlan`] cannot be built for a configuration and trace set.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlanError {
+    /// [`SchedulerConfig::validate`] rejected the configuration.
+    InvalidConfig(String),
+    /// A candidate market of the configuration has no trace in the set.
+    MissingTrace(MarketId),
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::InvalidConfig(e) => write!(f, "invalid scheduler config: {e}"),
+            PlanError::MissingTrace(m) => write!(f, "trace set missing candidate market {m}"),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+/// Everything a run derives from its configuration and trace set alone:
+/// the validated config, its candidate markets and scope zones, the
+/// virtualisation parameters, the baseline rate and the decision lead.
+///
+/// These are the same for every run of one configuration, whatever its
+/// seed, so runs share one plan through an `Arc` instead of re-deriving
+/// it: a fleet builds one plan and spawns every VM from it. Everything
+/// seeded (the provider, fault plans, the storm schedule's streams, edge
+/// cursors, forecasters and windows) stays per run.
+#[derive(Debug)]
+pub struct RunPlan<'t> {
+    traces: &'t TraceSet,
+    cfg: SchedulerConfig,
+    /// The markets the scheduler may bid in, in `MarketScope::candidates`
+    /// order; every one has a trace.
+    candidates: Vec<MarketId>,
+    /// The scope's zones, in `MarketScope::zones` order.
+    zones: Vec<Zone>,
+    vparams: VirtParams,
+    baseline_rate: f64,
+    /// Decision lead before billing boundaries.
+    lead: SimDuration,
+}
+
+impl<'t> RunPlan<'t> {
+    /// Validate `cfg` and check that `traces` covers each of its
+    /// candidate markets, then derive what its runs share.
+    pub fn new(traces: &'t TraceSet, cfg: &SchedulerConfig) -> Result<Self, PlanError> {
+        cfg.validate().map_err(PlanError::InvalidConfig)?;
+        let candidates = cfg.candidates();
+        if let Some(&m) = candidates.iter().find(|&&m| traces.trace(m).is_none()) {
+            return Err(PlanError::MissingTrace(m));
+        }
+        let vparams = cfg.virt_params();
+        let lead = compute_lead(&vparams, &candidates);
+        Ok(RunPlan {
+            traces,
+            baseline_rate: cfg
+                .scope
+                .baseline_rate(traces.catalog(), cfg.capacity_units),
+            zones: cfg.scope.zones(),
+            cfg: cfg.clone(),
+            candidates,
+            vparams,
+            lead,
+        })
+    }
+}
+
 // `new` is defined concretely on the `NullSink` instantiation: default
 // type parameters don't guide function-call inference, so this is what
 // keeps every existing `SimRun::new(..)` call site compiling unchanged.
 impl<'t> SimRun<'t, NullSink> {
-    /// Build a run over a trace set. Panics if the traces don't cover the
-    /// configured scope.
+    /// Build a run over a trace set. Panics on an invalid config or if the
+    /// traces don't cover the configured scope ([`RunPlan::new`] returns
+    /// both as errors instead).
     pub fn new(traces: &'t TraceSet, cfg: &SchedulerConfig, seed: u64) -> Self {
         Self::with_scratch(traces, cfg, seed, SimScratch::new())
     }
@@ -421,20 +490,18 @@ impl<'t> SimRun<'t, NullSink> {
         seed: u64,
         scratch: SimScratch,
     ) -> Self {
-        cfg.validate().expect("invalid scheduler config");
-        let candidates = cfg.candidates();
-        for m in &candidates {
-            assert!(
-                traces.trace(*m).is_some(),
-                "trace set missing candidate market {m}"
-            );
+        match RunPlan::new(traces, cfg) {
+            Ok(plan) => Self::from_plan(Arc::new(plan), seed, scratch),
+            Err(e) => panic!("{e}"),
         }
-        let vparams = cfg.virt_params();
+    }
+
+    /// A run of `plan`'s configuration with run seed `seed`. Bit-identical
+    /// to [`SimRun::with_scratch`] over the plan's traces and config.
+    pub fn from_plan(plan: Arc<RunPlan<'t>>, seed: u64, scratch: SimScratch) -> Self {
+        let traces = plan.traces;
+        let cfg = &plan.cfg;
         let horizon = SimTime::ZERO + traces.horizon();
-        let baseline_rate = cfg
-            .scope
-            .baseline_rate(traces.catalog(), cfg.capacity_units);
-        let lead = compute_lead(&vparams, &candidates);
         // Fault plans are split: the provider draws request/startup/warning
         // faults, the scheduler draws mechanism faults. Separate derived
         // seeds keep the two stream families independent. With faults
@@ -461,19 +528,21 @@ impl<'t> SimRun<'t, NullSink> {
         if let Some(s) = &storms {
             provider = provider.with_storms(s.clone());
         }
-        let edges = StormEdges::new(storms.as_ref(), &cfg.scope.zones(), horizon);
+        let edges = StormEdges::new(storms.as_ref(), &plan.zones, horizon);
         let SimScratch {
             mut queue,
             mut forecasters,
         } = scratch;
         queue.reset();
+        let covered = "the plan checked every candidate's trace";
         let forecast = match cfg.policy {
             BiddingPolicy::Adaptive { risk_budget } => Some(ForecastState {
                 risk_budget,
-                per_market: candidates
+                per_market: plan
+                    .candidates
                     .iter()
                     .map(|m| {
-                        let trace = traces.trace(*m).expect("asserted above");
+                        let trace = traces.trace(*m).expect(covered);
                         // Recycle a forecaster from the scratch pool when
                         // one is available; reset makes it bit-identical
                         // to a fresh one.
@@ -491,10 +560,10 @@ impl<'t> SimRun<'t, NullSink> {
             _ => None,
         };
         let windows = if cfg.stability_weight > 0.0 {
-            candidates
+            plan.candidates
                 .iter()
                 .map(|&m| {
-                    let trace = traces.trace(m).expect("asserted above");
+                    let trace = traces.trace(m).expect(covered);
                     trace.trailing_window(STABILITY_WINDOW, traces.catalog().on_demand_price(m))
                 })
                 .collect()
@@ -503,17 +572,13 @@ impl<'t> SimRun<'t, NullSink> {
         };
         SimRun {
             provider,
-            cfg: cfg.clone(),
-            vparams,
+            plan,
             queue,
             st: St::Boot { target: None },
             acc: Accounting::new(),
             horizon,
             now: SimTime::ZERO,
             down_since: None,
-            lead,
-            candidates,
-            baseline_rate,
             faults,
             storms,
             edges,
@@ -535,17 +600,13 @@ impl<'t, S: Sink> SimRun<'t, S> {
     pub fn with_sink<S2: Sink>(self, sink: S2) -> SimRun<'t, S2> {
         SimRun {
             provider: self.provider,
-            cfg: self.cfg,
-            vparams: self.vparams,
+            plan: self.plan,
             queue: self.queue,
             st: self.st,
             acc: self.acc,
             horizon: self.horizon,
             now: self.now,
             down_since: self.down_since,
-            lead: self.lead,
-            candidates: self.candidates,
-            baseline_rate: self.baseline_rate,
             faults: self.faults,
             storms: self.storms,
             edges: self.edges,
@@ -671,6 +732,28 @@ impl<'t, S: Sink> SimRun<'t, S> {
         }
     }
 
+    /// The earliest limit past which [`SimRun::step_until`] would act:
+    /// `step_until(limit)` dispatches or consumes something exactly when
+    /// this is `None` or lies before `limit`. A fleet steps only the VMs
+    /// for which that holds, and leaves the rest untouched.
+    ///
+    /// `None` when the next thing to happen is a queued event at or past
+    /// the horizon, because `step_until` consumes such an event at any
+    /// limit (see its doc comment), and which of them are consumed decides
+    /// which revoked leases the final sweep settles. `Some(SimTime::MAX)`
+    /// when nothing is pending at all.
+    pub fn next_due(&self) -> Option<SimTime> {
+        let queued = self.queue.peek_time();
+        match self.edges.next {
+            Some((t, _)) if queued.is_none_or(|q| t <= q) => Some(t),
+            _ => match queued {
+                Some(q) if q >= self.horizon => None,
+                Some(q) => Some(q),
+                None => Some(SimTime::MAX),
+            },
+        }
+    }
+
     /// Finish the run at `at` (clamped to the configured horizon),
     /// settling every open lease there and reporting as if the run's
     /// horizon had been `at` all along. This is how a fleet autoscaler
@@ -683,7 +766,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
         assert!(at >= self.now, "cannot finish in the past");
         self.horizon = self.horizon.min(at);
         self.finish();
-        let report = RunReport::from_accounting(&self.acc, self.horizon, self.baseline_rate);
+        let report = RunReport::from_accounting(&self.acc, self.horizon, self.plan.baseline_rate);
         let mut queue = self.queue;
         queue.reset();
         let forecasters = self
@@ -713,7 +796,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
 
     /// Expose the accounting (tests).
     pub fn into_parts(self) -> (Accounting, f64) {
-        (self.acc, self.baseline_rate)
+        (self.acc, self.plan.baseline_rate)
     }
 
     // --- telemetry ----------------------------------------------------------
@@ -908,7 +991,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     // --- helpers -----------------------------------------------------------
 
     fn n_servers(&self, market: MarketId) -> f64 {
-        servers_needed(self.cfg.capacity_units, market.itype) as f64
+        servers_needed(self.plan.cfg.capacity_units, market.itype) as f64
     }
 
     fn vm_for(&self, market: MarketId) -> VmSpec {
@@ -917,10 +1000,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
 
     fn restore_for(&self, market: MarketId) -> RestoreOutcome {
         let vm = self.vm_for(market);
-        if self.cfg.mechanism.lazy_restore {
-            lazy_restore(&vm, &self.vparams)
+        if self.plan.cfg.mechanism.lazy_restore {
+            lazy_restore(&vm, &self.plan.vparams)
         } else {
-            standard_restore(&vm, &self.vparams)
+            standard_restore(&vm, &self.plan.vparams)
         }
     }
 
@@ -929,7 +1012,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     fn restore_with_faults(&mut self, market: MarketId) -> RestoreOutcome {
         self.set_mech_storm_mult(market.zone);
         let base = self.restore_for(market);
-        if self.cfg.mechanism.lazy_restore {
+        if self.plan.cfg.mechanism.lazy_restore {
             if let Some(f) = &mut self.faults {
                 let k = f.lazy_degraded_factor();
                 if k != 1.0 {
@@ -956,7 +1039,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// an on-time warning leaves the full grace window, which every
     /// configured flush bound fits.
     fn ckpt_flush_fails(&mut self, terminate_at: SimTime) -> bool {
-        let flush = self.vparams.final_ckpt_write();
+        let flush = self.plan.vparams.final_ckpt_write();
         let fails = self.now + flush > terminate_at
             || self.faults.as_mut().is_some_and(|f| f.ckpt_write_fails());
         if fails {
@@ -1016,9 +1099,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// Aggregate on-demand rate of the fallback server in `zone`.
     fn od_rate(&self, zone: spothost_market::types::Zone) -> f64 {
         let m = self
+            .plan
             .cfg
             .scope
-            .on_demand_market(zone, self.cfg.capacity_units);
+            .on_demand_market(zone, self.plan.cfg.capacity_units);
         self.provider.on_demand_price(m) * self.n_servers(m)
     }
 
@@ -1048,8 +1132,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
         let catalog = self.provider.traces().catalog();
         let mut ranked = Vec::new();
         // By index: the stability penalty advances candidate `i`'s window.
-        for i in 0..self.candidates.len() {
-            let m = self.candidates[i];
+        for i in 0..self.plan.candidates.len() {
+            let m = self.plan.candidates[i];
             if Some(m) == exclude {
                 continue;
             }
@@ -1063,7 +1147,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
                         .decide_bid(pon, catalog.max_bid(m), fs.risk_budget);
                     (Some(d.bid), d.predicted_risk)
                 }
-                None => (self.cfg.policy.bid(pon, catalog.max_bid(m)), None),
+                None => (self.plan.cfg.policy.bid(pon, catalog.max_bid(m)), None),
             };
             let Some(bid) = bid else {
                 continue;
@@ -1087,8 +1171,9 @@ impl<'t, S: Sink> SimRun<'t, S> {
                 .storms
                 .as_ref()
                 .is_some_and(|s| s.is_storming(m.zone, self.now));
-            let score =
-                rate + self.stability_penalty(i) + if storm { self.baseline_rate } else { 0.0 };
+            let score = rate
+                + self.stability_penalty(i)
+                + if storm { self.plan.baseline_rate } else { 0.0 };
             ranked.push(Candidate {
                 market: m,
                 bid,
@@ -1118,13 +1203,13 @@ impl<'t, S: Sink> SimRun<'t, S> {
             max_measured.max(floor)
         };
         for c in &mut ranked {
-            c.score += c.risk.unwrap_or(prior) * self.baseline_rate;
+            c.score += c.risk.unwrap_or(prior) * self.plan.baseline_rate;
         }
         // Forecast-driven pre-ordering (no-op for single-market scopes
         // and whenever no forecaster is attached: every key is then 0).
         // A storming zone is charged a full unit of risk on top of any
         // forecast, so calm zones always pre-rank ahead of storming ones.
-        self.cfg.scope.rank_by_risk(&mut ranked, |c| {
+        self.plan.cfg.scope.rank_by_risk(&mut ranked, |c| {
             c.risk.unwrap_or(prior) + if c.storm { 1.0 } else { 0.0 }
         });
         ranked.sort_by(|a, b| a.score.total_cmp(&b.score));
@@ -1148,7 +1233,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             return 0.0; // zero weight: no windows
         };
         let risk = window.fraction_at(self.now);
-        self.cfg.stability_weight * self.baseline_rate * risk
+        self.plan.cfg.stability_weight * self.plan.baseline_rate * risk
     }
 
     /// Close a lease (idempotent), billing it and recording time shares.
@@ -1197,19 +1282,19 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// policy makes boundary decisions on this lease kind.
     fn schedule_boundary(&mut self, lease: &Lease) {
         let wanted = if lease.is_spot {
-            self.cfg.policy.plans_migrations()
+            self.plan.cfg.policy.plans_migrations()
         } else {
             // Reverse migrations happen from on-demand leases.
-            self.cfg.policy.uses_spot() && self.cfg.policy.uses_on_demand_fallback()
+            self.plan.cfg.policy.uses_spot() && self.plan.cfg.policy.uses_on_demand_fallback()
         };
         if !wanted {
             return;
         }
         // First boundary b = start + k*1h with b - lead strictly in the
         // future.
-        let elapsed = (self.now - lease.start).as_millis() + self.lead.as_millis();
+        let elapsed = (self.now - lease.start).as_millis() + self.plan.lead.as_millis();
         let k = elapsed / MILLIS_PER_HOUR + 1;
-        let at = lease.start + SimDuration::millis(k * MILLIS_PER_HOUR) - self.lead;
+        let at = lease.start + SimDuration::millis(k * MILLIS_PER_HOUR) - self.plan.lead;
         if at < self.horizon {
             self.queue.push(at, Ev::Boundary(lease.id));
         }
@@ -1274,7 +1359,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     // --- initial acquisition -----------------------------------------------
 
     fn initial_acquire(&mut self) {
-        match self.cfg.policy {
+        match self.plan.cfg.policy {
             BiddingPolicy::OnDemandOnly => self.request_initial_od(),
             BiddingPolicy::PureSpot => match self.try_request_initial_spot() {
                 SpotAttempt::Requested => {}
@@ -1298,7 +1383,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
     fn try_request_initial_spot(&mut self) -> SpotAttempt {
         let mut faulted = false;
         for c in self.ranked_spots(None) {
-            if self.cfg.policy.uses_on_demand_fallback() && c.score >= self.baseline_rate {
+            if self.plan.cfg.policy.uses_on_demand_fallback() && c.score >= self.plan.baseline_rate
+            {
                 break; // ranked: everything further is unattractive too
             }
             match self.request_spot(c.market, c.bid, c.risk) {
@@ -1329,11 +1415,12 @@ impl<'t, S: Sink> SimRun<'t, S> {
     }
 
     fn request_initial_od(&mut self) {
-        let zone = self.cfg.scope.zones()[0];
+        let zone = self.plan.zones[0];
         let m = self
+            .plan
             .cfg
             .scope
-            .on_demand_market(zone, self.cfg.capacity_units);
+            .on_demand_market(zone, self.plan.cfg.capacity_units);
         match self.request_on_demand(m, self.now) {
             Ok((id, ready)) => {
                 self.queue.push(ready, Ev::Ready(id));
@@ -1362,9 +1449,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
 
     /// Pure-spot: wake up when the single market becomes affordable.
     fn schedule_spot_retry(&mut self) {
-        let m = self.candidates[0];
+        let m = self.plan.candidates[0];
         let catalog = self.provider.traces().catalog();
         let Some(bid) = self
+            .plan
             .cfg
             .policy
             .bid(catalog.on_demand_price(m), catalog.max_bid(m))
@@ -1419,14 +1507,14 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// the lease stays put and takes its chances — recovery then rides
     /// the jittered backoff ladder like any other loss.
     fn storm_evacuation(&mut self, zone: Zone) {
-        if !self.cfg.policy.plans_migrations() {
+        if !self.plan.cfg.policy.plans_migrations() {
             return; // reactive/naive baselines keep their eyes closed
         }
         let lease = match &self.st {
             St::Active { lease } if lease.is_spot && lease.market.zone == zone => *lease,
             _ => return,
         };
-        let target = if self.cfg.policy.uses_on_demand_fallback() {
+        let target = if self.plan.cfg.policy.uses_on_demand_fallback() {
             // In-zone on-demand: the switchover is minutes, not the tens
             // of minutes a cross-region live migration needs, and a mass
             // revocation mid-migration *reuses* an on-demand pending
@@ -1471,7 +1559,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
                         self.acc.request_faults += 1;
                         self.note_boot_blocked();
                     }
-                    match self.cfg.policy {
+                    match self.plan.cfg.policy {
                         BiddingPolicy::PureSpot => {
                             self.enter(St::Boot { target: None });
                             self.schedule_spot_retry();
@@ -1494,8 +1582,9 @@ impl<'t, S: Sink> SimRun<'t, S> {
                         to_region: to.market.zone.region(),
                         disk_gib: DISK_GIB,
                     };
-                    let live = self.cfg.mechanism.live && kind.is_voluntary();
-                    let mut timing = plan_migration(self.cfg.mechanism, kind, &ctx, &self.vparams);
+                    let live = self.plan.cfg.mechanism.live && kind.is_voluntary();
+                    let mut timing =
+                        plan_migration(self.plan.cfg.mechanism, kind, &ctx, &self.plan.vparams);
                     let mut aborted = false;
                     self.set_mech_storm_mult(from.market.zone);
                     if live && self.fault_live_aborts() {
@@ -1507,10 +1596,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
                             kind: FaultKind::LiveAbort,
                         });
                         timing = plan_migration_live_aborted(
-                            self.cfg.mechanism,
+                            self.plan.cfg.mechanism,
                             kind,
                             &ctx,
-                            &self.vparams,
+                            &self.plan.vparams,
                         );
                     }
                     if S::ENABLED {
@@ -1558,9 +1647,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
                         self.schedule_boundary(&from);
                     } else {
                         let m = self
+                            .plan
                             .cfg
                             .scope
-                            .on_demand_market(from.market.zone, self.cfg.capacity_units);
+                            .on_demand_market(from.market.zone, self.plan.cfg.capacity_units);
                         match self.request_on_demand(m, self.now) {
                             Ok((od, ready)) => {
                                 self.queue.push(ready, Ev::Ready(od));
@@ -1708,7 +1798,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
                 self.down_since = Some(self.now);
                 if !to.is_spot {
                     // Reuse the already-requested on-demand target.
-                    let cold = self.cfg.naive_restart;
+                    let cold = self.plan.cfg.naive_restart;
                     self.schedule_recovery_resume(to, from.market, cold);
                 } else {
                     self.close_lease(to.id, TerminationReason::Voluntary);
@@ -1744,8 +1834,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// Pick a recovery path after an unwarned death while no replacement
     /// exists yet.
     fn unwarned_recover(&mut self, from_market: MarketId) {
-        let cold = self.cfg.naive_restart;
-        if !self.cfg.policy.uses_on_demand_fallback() {
+        let cold = self.plan.cfg.naive_restart;
+        if !self.plan.cfg.policy.uses_on_demand_fallback() {
             self.enter(St::DownWaiting { cold });
             self.schedule_spot_retry();
             return;
@@ -1757,9 +1847,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// request fault, back off and retry.
     fn try_reacquire(&mut self, zone: Zone, from_market: MarketId, cold: bool) {
         let m = self
+            .plan
             .cfg
             .scope
-            .on_demand_market(zone, self.cfg.capacity_units);
+            .on_demand_market(zone, self.plan.cfg.capacity_units);
         match self.request_on_demand(m, self.now) {
             Ok((id, ready)) => {
                 self.queue.push(ready, Ev::Ready(id));
@@ -1829,10 +1920,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
     fn forced_migration(&mut self, lease: Lease, reuse: Option<Pending>, terminate_at: SimTime) {
         self.queue.push(terminate_at, Ev::Terminate(lease.id));
 
-        if !self.cfg.policy.uses_on_demand_fallback() {
+        if !self.plan.cfg.policy.uses_on_demand_fallback() {
             // Pure-spot: no replacement. Downtime runs from the suspend
             // until the market comes back and the VM restores.
-            let flush = self.vparams.final_ckpt_write();
+            let flush = self.plan.vparams.final_ckpt_write();
             self.set_mech_storm_mult(lease.market.zone);
             let cold = self.ckpt_flush_fails(terminate_at);
             if !cold {
@@ -1853,6 +1944,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             let m = lease.market;
             let catalog = self.provider.traces().catalog();
             let Some(bid) = self
+                .plan
                 .cfg
                 .policy
                 .bid(catalog.on_demand_price(m), catalog.max_bid(m))
@@ -1868,14 +1960,15 @@ impl<'t, S: Sink> SimRun<'t, S> {
         }
 
         self.acc.forced_migrations += 1;
-        if self.cfg.naive_restart {
+        if self.plan.cfg.naive_restart {
             // Figure 3: no checkpoint, no warning handling. The service
             // dies with the server; only then is an on-demand replacement
             // requested, and the service cold-boots from its network disk.
             let m = self
+                .plan
                 .cfg
                 .scope
-                .on_demand_market(lease.market.zone, self.cfg.capacity_units);
+                .on_demand_market(lease.market.zone, self.plan.cfg.capacity_units);
             self.down_since = Some(terminate_at);
             match self.request_on_demand(m, terminate_at) {
                 Ok((od, ready)) => {
@@ -1919,7 +2012,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
         // final increment before termination — unless the flush fails (or
         // no longer fits a fault-shortened window), in which case the
         // instance runs to termination and recovery cold-boots.
-        let flush = self.vparams.final_ckpt_write();
+        let flush = self.plan.vparams.final_ckpt_write();
         self.set_mech_storm_mult(lease.market.zone);
         let cold = self.ckpt_flush_fails(terminate_at);
         if !cold {
@@ -1938,9 +2031,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
             Some(p) => Some(p),
             None => {
                 let m = self
+                    .plan
                     .cfg
                     .scope
-                    .on_demand_market(lease.market.zone, self.cfg.capacity_units);
+                    .on_demand_market(lease.market.zone, self.plan.cfg.capacity_units);
                 match self.request_on_demand(m, self.now) {
                     Ok((od, ready)) => {
                         self.queue.push(ready, Ev::Ready(od));
@@ -1961,7 +2055,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
                         // remains; ranking shuns the crunched zone, so calm
                         // markets come first. Ordinary fault blips keep the
                         // plain backoff ladder below.
-                        if self.zone_shunned(lease.market.zone) && self.cfg.policy.uses_spot() {
+                        if self.zone_shunned(lease.market.zone) && self.plan.cfg.policy.uses_spot()
+                        {
                             self.try_acquire_any_spot()
                         } else {
                             None
@@ -2038,7 +2133,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
 
     /// §3.1 planned migration, evaluated `lead` before the billing boundary.
     fn spot_boundary_decision(&mut self, lease: Lease) {
-        debug_assert!(self.cfg.policy.plans_migrations());
+        debug_assert!(self.plan.cfg.policy.plans_migrations());
         let Some(price) = self.provider.spot_price(lease.market, self.now) else {
             // Unreachable (the lease's market has a trace); keep the lease
             // running and re-decide next boundary rather than panic.
@@ -2052,7 +2147,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
         let penalty = if self.windows.is_empty() {
             0.0
         } else {
-            self.candidates
+            self.plan
+                .candidates
                 .iter()
                 .position(|&m| m == lease.market)
                 .map_or(0.0, |i| self.stability_penalty(i))
@@ -2068,7 +2164,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
                 None => self.start_voluntary(lease, MigrationKind::Planned, None),
             }
         } else if let Some(b) =
-            best.filter(|b| b.score < current_score * (1.0 - self.cfg.hop_margin))
+            best.filter(|b| b.score < current_score * (1.0 - self.plan.cfg.hop_margin))
         {
             // Hop to a clearly better market (multi-market/multi-region
             // greedy step; "better" includes the stability penalty).
@@ -2153,9 +2249,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
             },
             None => {
                 let m = self
+                    .plan
                     .cfg
                     .scope
-                    .on_demand_market(from.market.zone, self.cfg.capacity_units);
+                    .on_demand_market(from.market.zone, self.plan.cfg.capacity_units);
                 match self.request_on_demand(m, self.now) {
                     Ok((id, ready)) => {
                         self.queue.push(ready, Ev::Ready(id));
@@ -2329,7 +2426,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
                 cold,
             } => {
                 let (zone, from_market, cold) = (*zone, *from_market, *cold);
-                if self.cfg.policy.uses_spot() {
+                if self.plan.cfg.policy.uses_spot() {
                     if let Some(pending) = self.try_acquire_any_spot() {
                         self.schedule_recovery_resume(pending, from_market, cold);
                         return;
@@ -2522,6 +2619,40 @@ mod tests {
             ranked[0].market, a,
             "cold market must not beat the cheap low-measured-risk one"
         );
+    }
+
+    #[test]
+    fn next_due_is_never_before_the_last_step() {
+        // Storm edges, faults and a spiky market: after `step_until(t)`
+        // nothing is left before `t`.
+        let ts = stormy_traces(10, 4);
+        let c = cfg()
+            .with_faults(FaultConfig::uniform(0.2))
+            .with_storms(spothost_faults::StormConfig::intensity(1.0));
+        let mut run = SimRun::new(&ts, &c, 4);
+        run.begin();
+        let mut t = SimTime::ZERO;
+        while t < run.horizon() {
+            run.step_until(t);
+            let due = run.next_due();
+            assert!(due.is_none_or(|d| d >= t), "{due:?} is before {t:?}");
+            t += SimDuration::minutes(7);
+        }
+    }
+
+    #[test]
+    fn next_due_is_none_while_a_terminal_event_is_queued() {
+        // A run started a minute before its horizon requests a server that
+        // is ready only after it. That event is consumed at any limit, so
+        // a step must not be skipped for it.
+        let ts = quiet_traces(3);
+        let mut run = SimRun::new(&ts, &cfg(), 1)
+            .with_startup_model(StartupModel::deterministic())
+            .with_start(SimTime::ZERO + SimDuration::days(3) - SimDuration::minutes(1));
+        run.begin();
+        assert_eq!(run.next_due(), None);
+        assert!(!run.step_until(SimTime::ZERO), "consumed at any limit");
+        assert_eq!(run.next_due(), Some(SimTime::MAX), "nothing is left");
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!     bit-identical to a run with no storms configured at all;
 //! (f) not care where its storm schedule came from — a run handed a
 //!     shared schedule built from storm seed S is bitwise-identical to
-//!     the same run building its own from S, event stream included.
+//!     the same run building its own from S, event stream included;
+//! (g) not notice skipped steps — a run stepped only when
+//!     [`SimRun::next_due`] says a step would act is bitwise-identical to
+//!     one stepped at every tick, event stream included.
 
 use proptest::prelude::*;
 use spothost_core::prelude::*;
@@ -188,6 +191,46 @@ fn base_cfg(
 
 const HORIZON_DAYS: u64 = 7;
 
+/// Run `cfg` from `start` through `ticks` the way a fleet steps a VM,
+/// finishing right after tick `release`, or at the horizon when `release`
+/// is past the last tick. With `skip`, a tick calls `step_until` only
+/// when `next_due` is `None` or before the tick. Returns the report's
+/// bits and the event stream.
+fn run_ticked(
+    traces: &TraceSet,
+    cfg: &SchedulerConfig,
+    seed: u64,
+    start: SimTime,
+    ticks: &[SimTime],
+    release: usize,
+    skip: bool,
+) -> (Vec<u64>, Vec<String>) {
+    let mut rec = Recorder::new();
+    let mut run = SimRun::new(traces, cfg, seed)
+        .with_sink(&mut rec)
+        .with_start(start);
+    run.begin();
+    let mut finish = None;
+    for (k, &t) in ticks.iter().enumerate() {
+        if !skip || run.next_due().is_none_or(|due| due < t) {
+            run.step_until(t);
+        }
+        if k == release {
+            finish = Some(t);
+            break;
+        }
+    }
+    let finish = finish.unwrap_or_else(|| {
+        run.step_until(SimTime::MAX);
+        run.horizon()
+    });
+    let (report, _) = run.finish_at(finish);
+    // `{:?}` prints every float in its shortest round-trip form, so equal
+    // renderings are equal bits.
+    let stream = rec.events().map(|e| format!("{e:?}")).collect();
+    (report_bits(&report), stream)
+}
+
 fn traces_for(cfg: &SchedulerConfig, seed: u64) -> TraceSet {
     let catalog = Catalog::ec2_2015();
     TraceSet::generate(
@@ -196,6 +239,45 @@ fn traces_for(cfg: &SchedulerConfig, seed: u64) -> TraceSet {
         seed,
         SimDuration::days(HORIZON_DAYS),
     )
+}
+
+/// A revocation 70 s before the horizon: the forced migration queues the
+/// replacement's `Ready` and the old lease's `Terminate`, both past the
+/// horizon. The first is consumed in the step that dispatched the
+/// warning; a VM stepped every second consumes the second one tick later,
+/// and the run released after that never settles the revoked lease. A
+/// VM that skipped that step would settle it in the final sweep.
+#[test]
+fn a_skipped_step_keeps_the_terminal_event_rule() {
+    use spothost_market::trace::{PricePoint, PriceTrace};
+    let market = MarketId::new(Zone::UsEast1a, InstanceType::Small);
+    let days = SimDuration::days(2);
+    let horizon = SimTime::ZERO + days;
+    let spike = horizon - SimDuration::secs(70);
+    let trace = PriceTrace::new(
+        vec![
+            PricePoint {
+                at: SimTime::ZERO,
+                price: 0.01,
+            },
+            PricePoint {
+                at: spike,
+                price: 1.0,
+            },
+        ],
+        horizon,
+    );
+    let traces = TraceSet::from_traces(&Catalog::ec2_2015(), vec![(market, trace)], days);
+    let cfg = SchedulerConfig::single_market(market).with_policy(BiddingPolicy::Reactive);
+    let start = horizon - SimDuration::hours(1);
+    let ticks: Vec<SimTime> =
+        std::iter::successors(Some(start), |&t| Some(t + SimDuration::secs(1)))
+            .take_while(|&t| t < horizon)
+            .collect();
+    let release = ticks.len() - 1;
+    let every = run_ticked(&traces, &cfg, 3, start, &ticks, release, false);
+    let skipping = run_ticked(&traces, &cfg, 3, start, &ticks, release, true);
+    assert_eq!(every, skipping);
 }
 
 proptest! {
@@ -399,5 +481,43 @@ proptest! {
         let (again_bits, again_stream) = run(&shared);
         prop_assert_eq!(own_bits, again_bits);
         prop_assert_eq!(own_stream, again_stream);
+    }
+
+    #[test]
+    fn steps_skipped_by_next_due_change_nothing(
+        storms in arb_storms(),
+        faults in arb_faults(),
+        scope in arb_scope(),
+        policy in arb_policy(),
+        mechanism in arb_mechanism(),
+        start_min in prop_oneof![
+            Just(0u64),
+            0u64..HORIZON_DAYS * 24 * 60,
+            HORIZON_DAYS * 24 * 60 - 180..HORIZON_DAYS * 24 * 60,
+        ],
+        tick_s in prop_oneof![1u64..60, 60u64..900],
+        release_frac in prop_oneof![Just(1.0f64), 0.0f64..1.0, 0.99f64..1.0],
+        seed in 0u64..1_000,
+        stability in arb_stability(),
+    ) {
+        // (g) Two twins tick every few seconds or minutes from the same
+        // start, sometimes in the run's last three hours; one steps at
+        // every tick, the other only when something is due. Both finish
+        // at the same release tick, or at the horizon.
+        let cfg = base_cfg(scope, policy, mechanism, stability)
+            .with_faults(faults)
+            .with_storms(storms);
+        let traces = traces_for(&cfg, seed);
+        let horizon = SimTime::ZERO + SimDuration::days(HORIZON_DAYS);
+        let start = SimTime::ZERO + SimDuration::minutes(start_min);
+        let ticks: Vec<SimTime> =
+            std::iter::successors(Some(start), |&t| Some(t + SimDuration::secs(tick_s)))
+                .take_while(|&t| t < horizon)
+                .collect();
+        let release = (release_frac * ticks.len() as f64) as usize;
+        let every = run_ticked(&traces, &cfg, seed, start, &ticks, release, false);
+        let skipping = run_ticked(&traces, &cfg, seed, start, &ticks, release, true);
+        prop_assert_eq!(every.0, skipping.0);
+        prop_assert_eq!(every.1, skipping.1);
     }
 }

@@ -9,11 +9,14 @@
 //! * control ticks every `control_interval` advance every live VM's
 //!   [`SimRun`] in lockstep (`step_until(tick)`), so the whole fleet
 //!   observes the same arena-backed market history on one shared
-//!   simulated clock;
+//!   simulated clock. A VM with nothing due before the tick
+//!   ([`SimRun::next_due`]) is not called at all: a step that would
+//!   dispatch nothing is skipped;
 //! * at each tick, the least-loaded balancer's even user split lets
 //!   [`spothost_workload::mva::fleet_response`] close the loop — offered
 //!   load → per-VM utilisation → response time → SLO violations — with
-//!   at most **two** MVA solves however large the fleet is;
+//!   at most **two** populations to solve however large the fleet is,
+//!   each looked up in (or added to) the fleet's [`MvaTable`];
 //! * a target-tracking autoscaler compares demand against the per-VM
 //!   capacity at the target utilisation and acquires or releases VMs
 //!   through the ordinary bidding/fault/storm machinery: spawned VMs
@@ -23,17 +26,18 @@
 //! # Determinism
 //!
 //! The fleet report is a pure function of `(config, seed, horizon)`:
-//! per-VM provider streams derive from `derive_seed(fleet_seed,
-//! "fleet-vm", spawn_index)`, one storm schedule built from the fleet
-//! seed is shared by every VM (one storm hits everyone at once), the
-//! flash schedule derives from its own named stream, and every tick
-//! iterates VMs in stable spawn order. Same seed → byte-identical
-//! [`FleetSimReport`] (proptest-guarded in `tests/fleet_sim_properties.rs`).
+//! every VM runs from one [`RunPlan`], per-VM provider streams derive
+//! from `derive_seed(fleet_seed, "fleet-vm", spawn_index)`, one storm
+//! schedule built from the fleet seed is shared by every VM (one storm
+//! hits everyone at once), the flash schedule derives from its own
+//! named stream, and every tick iterates VMs in stable spawn order. Same
+//! seed → byte-identical [`FleetSimReport`] (proptest-guarded in
+//! `tests/fleet_sim_properties.rs`).
 
 use spothost_core::config::SchedulerConfig;
 use spothost_core::policy::BiddingPolicy;
 use spothost_core::report::RunReport;
-use spothost_core::scheduler::{SimRun, SimScratch};
+use spothost_core::scheduler::{RunPlan, SimRun, SimScratch};
 use spothost_core::strategy::MarketScope;
 use spothost_core::telemetry::{NullSinkFactory, Sink, SinkFactory};
 use spothost_faults::StormConfig;
@@ -42,10 +46,11 @@ use spothost_market::gen::{derive_seed, TraceSet};
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::types::Zone;
 use spothost_virt::MechanismCombo;
-use spothost_workload::mva::{capacity_at_utilization, fleet_response};
+use spothost_workload::mva::{capacity_at_utilization, MvaTable};
 use spothost_workload::tpcw::{tpcw_network, NestedPenalties, Platform, TpcwConfig};
 use spothost_workload::traffic::{TrafficConfig, TrafficModel};
 use spothost_workload::ClosedNetwork;
+use std::sync::Arc;
 
 /// Capacity units of each VM: one small server.
 const VM_UNITS: u32 = 1;
@@ -319,11 +324,25 @@ impl FleetSimReport {
     }
 }
 
-/// One live VM: its stepping scheduler run plus fleet bookkeeping.
+/// One live VM: its stepping scheduler run plus fleet bookkeeping. The
+/// run sits behind a `Box` so the tick loop walks a compact array, and
+/// `due` and `serving` cache what the run reported after its last step.
 struct VmSlot<'t, S: Sink> {
-    run: SimRun<'t, S>,
+    run: Box<SimRun<'t, S>>,
+    /// [`SimRun::next_due`] after the last step.
+    due: Option<SimTime>,
+    /// [`SimRun::is_serving`] after the last step.
+    serving: bool,
     started: SimTime,
     spawn_idx: u32,
+}
+
+impl<S: Sink> VmSlot<'_, S> {
+    /// Refresh the cached `due` and `serving` from the run.
+    fn observe(&mut self) {
+        self.due = self.run.next_due();
+        self.serving = self.run.is_serving();
+    }
 }
 
 /// The fleet simulator. Borrows a caller-owned [`TraceSet`] so every VM
@@ -338,9 +357,11 @@ struct VmSlot<'t, S: Sink> {
 /// real factory is attached via [`FleetSim::with_sinks`].
 pub struct FleetSim<'t, F: SinkFactory = NullSinkFactory> {
     cfg: FleetSimConfig,
-    traces: &'t TraceSet,
     sinks: F,
-    sched_cfg: SchedulerConfig,
+    /// The run plan every VM is spawned from.
+    plan: Arc<RunPlan<'t>>,
+    /// The per-VM network's MVA solutions, shared by every tick.
+    mva: MvaTable,
     traffic: TrafficModel,
     seed: u64,
     horizon: SimTime,
@@ -372,7 +393,8 @@ pub struct FleetSim<'t, F: SinkFactory = NullSinkFactory> {
 // unchanged (mirroring `SimRun::new`).
 impl<'t> FleetSim<'t> {
     /// Build the fleet over a trace set covering every market in scope.
-    /// Panics on an invalid config (validate first for a soft error).
+    /// Panics on an invalid config (validate first for a soft error) or
+    /// on a trace set that misses a market in scope.
     pub fn new(cfg: FleetSimConfig, traces: &'t TraceSet, seed: u64) -> Self {
         FleetSim::with_sinks(cfg, traces, seed, NullSinkFactory)
     }
@@ -382,7 +404,7 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
     /// [`FleetSim::new`] with a telemetry [`SinkFactory`]: every spawned
     /// VM's scheduler run is instrumented with `factory.make(spawn_idx)`,
     /// so the factory can tag each stream with the VM it came from.
-    /// Panics on an invalid config (validate first for a soft error).
+    /// Panics like [`FleetSim::new`].
     pub fn with_sinks(cfg: FleetSimConfig, traces: &'t TraceSet, seed: u64, sinks: F) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid fleet sim config: {e}");
@@ -390,13 +412,17 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         let horizon = SimTime::ZERO + traces.horizon();
         let traffic = TrafficModel::new(cfg.traffic.clone(), seed, traces.horizon());
         let per_vm_cap = capacity_at_utilization(&cfg.per_vm_network, cfg.target_utilization);
-        let sched_cfg = cfg.scheduler_config(traces, seed);
+        let plan = match RunPlan::new(traces, &cfg.scheduler_config(traces, seed)) {
+            Ok(plan) => Arc::new(plan),
+            Err(e) => panic!("{e}"),
+        };
+        let mva = MvaTable::new(&cfg.per_vm_network);
         let baseline_rate = cfg.scope().baseline_rate(traces.catalog(), VM_UNITS);
         FleetSim {
             cfg,
-            traces,
             sinks,
-            sched_cfg,
+            plan,
+            mva,
             traffic,
             seed,
             horizon,
@@ -450,23 +476,27 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         self.into_report()
     }
 
-    /// Spawn one VM starting at `at`, drawing a fresh derived seed and
-    /// recycling scratch when available. The sink factory is consulted
-    /// with the VM's stable spawn index before the run begins, so its
-    /// very first emissions are already tagged.
+    /// Spawn one VM starting at `at` from the fleet's run plan, drawing a
+    /// fresh derived seed and recycling scratch when available. The sink
+    /// factory is consulted with the VM's stable spawn index before the
+    /// run begins, so its very first emissions are already tagged.
     fn spawn(&mut self, at: SimTime) {
         let vm_seed = derive_seed(self.seed, "fleet-vm", self.spawn_counter as u64);
         let scratch = self.scratch_pool.pop().unwrap_or_default();
         let sink = self.sinks.make(self.spawn_counter);
-        let mut run = SimRun::with_scratch(self.traces, &self.sched_cfg, vm_seed, scratch)
+        let run = SimRun::from_plan(Arc::clone(&self.plan), vm_seed, scratch)
             .with_sink(sink)
             .with_start(at);
-        run.begin();
-        self.vms.push(VmSlot {
-            run,
+        let mut slot = VmSlot {
+            run: Box::new(run),
+            due: None,
+            serving: false,
             started: at,
             spawn_idx: self.spawn_counter,
-        });
+        };
+        slot.run.begin();
+        slot.observe();
+        self.vms.push(slot);
         self.spawn_counter += 1;
     }
 
@@ -478,7 +508,7 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         order.sort_by_key(|&i| {
             let slot = &self.vms[i];
             (
-                slot.run.is_serving(),
+                slot.serving,
                 std::cmp::Reverse(slot.started),
                 std::cmp::Reverse(slot.spawn_idx),
             )
@@ -496,26 +526,28 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
     }
 
     fn control_tick(&mut self, t: SimTime) {
-        // 1. Advance every VM to the tick, in spawn order.
+        // 1. Advance every VM to the tick, in spawn order. A VM with
+        // nothing due before the tick would dispatch nothing, so it is not
+        // called.
         for slot in &mut self.vms {
-            slot.run.step_until(t);
+            if slot.due.is_none_or(|due| due < t) {
+                slot.run.step_until(t);
+                slot.observe();
+            }
         }
         // 2. Observe load and solve the balanced queueing model.
         let users_f = self.traffic.users_at(t);
         let users = users_f.round().max(0.0) as u64;
-        let serving = self.vms.iter().filter(|s| s.run.is_serving()).count() as u32;
+        let serving = self.vms.iter().filter(|s| s.serving).count() as u32;
         let dt = self
             .cfg
             .control_interval
             .min(SimDuration(self.horizon.0 - t.0));
         let dt_s = dt.0 as f64 / 1_000.0;
         let (utilization, mean_r, p99) = if serving > 0 {
-            let load = fleet_response(
-                &self.cfg.per_vm_network,
-                users,
-                serving as u64,
-                self.cfg.slo_response_s,
-            );
+            let load = self
+                .mva
+                .fleet_response(users, serving as u64, self.cfg.slo_response_s);
             self.violation_user_seconds += load.slo_violation_frac * users_f * dt_s;
             self.worst_p99_s = self.worst_p99_s.max(load.p99_response_s);
             (load.utilization, load.mean_response_s, load.p99_response_s)

@@ -31,7 +31,8 @@ pub mod traffic;
 
 pub use iobench::{simulate_iobench, IoBenchRow};
 pub use mva::{
-    capacity_at_utilization, fleet_response, ClosedNetwork, FleetLoad, MvaResult, Station,
+    capacity_at_utilization, fleet_response, ClosedNetwork, FleetLoad, MvaPoint, MvaResult,
+    MvaTable, Station,
 };
 pub use response::{response_curve, ResponsePoint};
 pub use slo::{downtime_per_month, max_unavailability_for_nines, meets_nines};

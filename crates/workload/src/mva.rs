@@ -84,15 +84,7 @@ impl ClosedNetwork {
         let mut r = vec![0.0f64; k];
         let mut x = 0.0f64;
         for pop in 1..=n {
-            let mut r_total = 0.0;
-            for i in 0..k {
-                r[i] = self.stations[i].demand_s * (1.0 + q[i]);
-                r_total += r[i];
-            }
-            x = pop as f64 / (self.think_time_s + r_total);
-            for i in 0..k {
-                q[i] = x * r[i];
-            }
+            x = self.step(pop, &mut q, &mut r);
         }
         let response_s = if n == 0 {
             0.0
@@ -110,6 +102,22 @@ impl ClosedNetwork {
             queue_lengths: q,
             utilizations,
         }
+    }
+
+    /// One step of the recurrence: from the mean queue lengths `q` at
+    /// population `pop - 1`, the response time per station into `r`, and
+    /// the throughput at `pop`, which is returned. Leaves `q` at `pop`.
+    fn step(&self, pop: u32, q: &mut [f64], r: &mut [f64]) -> f64 {
+        let mut r_total = 0.0;
+        for ((r, s), q) in r.iter_mut().zip(&self.stations).zip(q.iter()) {
+            *r = s.demand_s * (1.0 + q);
+            r_total += *r;
+        }
+        let x = pop as f64 / (self.think_time_s + r_total);
+        for (q, r) in q.iter_mut().zip(r.iter()) {
+            *q = x * r;
+        }
+        x
     }
 }
 
@@ -134,6 +142,92 @@ pub struct FleetLoad {
     pub slo_violation_frac: f64,
 }
 
+/// The values of one [`ClosedNetwork::solve`] that [`fleet_response`]
+/// reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MvaPoint {
+    /// [`MvaResult::response_s`].
+    pub response_s: f64,
+    /// [`MvaResult::throughput`].
+    pub throughput: f64,
+    /// The largest of [`MvaResult::utilizations`].
+    pub bottleneck_utilization: f64,
+}
+
+impl MvaPoint {
+    fn of(sol: &MvaResult) -> Self {
+        MvaPoint {
+            response_s: sol.response_s,
+            throughput: sol.throughput,
+            bottleneck_utilization: sol.utilizations.iter().copied().fold(0.0, f64::max),
+        }
+    }
+}
+
+/// One network's [`MvaPoint`]s by population, filled on first use.
+///
+/// [`ClosedNetwork::solve`] runs the recurrence from population 1 on
+/// every call, although a fleet asks for the same few populations tick
+/// after tick. The table keeps the recurrence's queue lengths at the
+/// largest population solved so far: asking for a larger one continues
+/// the recurrence from there, and a smaller one is a lookup. Entry `n`
+/// is bit-identical to `solve(n)`, because both take the same steps of
+/// the recurrence up to `n`. Memory grows with the largest population
+/// asked for, three `f64`s per population.
+#[derive(Debug, Clone)]
+pub struct MvaTable {
+    net: ClosedNetwork,
+    /// Mean queue length per station at population `points.len() - 1`.
+    queues: Vec<f64>,
+    /// Entry `n` is the solution at population `n`.
+    points: Vec<MvaPoint>,
+}
+
+impl MvaTable {
+    /// An empty table of `net`'s solutions.
+    pub fn new(net: &ClosedNetwork) -> Self {
+        let zero = MvaPoint {
+            response_s: 0.0,
+            throughput: 0.0,
+            bottleneck_utilization: 0.0,
+        };
+        MvaTable {
+            net: net.clone(),
+            queues: vec![0.0; net.stations.len()],
+            points: vec![zero],
+        }
+    }
+
+    /// The solution at population `n`: `solve(n)`'s values, bit for bit.
+    pub fn at(&mut self, n: u32) -> MvaPoint {
+        if let Some(&point) = self.points.get(n as usize) {
+            return point;
+        }
+        let mut r = vec![0.0f64; self.queues.len()];
+        for pop in self.points.len() as u32..=n {
+            let x = self.net.step(pop, &mut self.queues, &mut r);
+            let response_s = pop as f64 / x - self.net.think_time_s;
+            self.points.push(MvaPoint {
+                response_s: response_s.max(0.0),
+                throughput: x,
+                bottleneck_utilization: self
+                    .net
+                    .stations
+                    .iter()
+                    .map(|s| (x * s.demand_s).min(1.0))
+                    .fold(0.0, f64::max),
+            });
+        }
+        self.points[n as usize]
+    }
+
+    /// [`fleet_response`] over this table's network, solving each
+    /// population through the table: bit-identical to the stateless call.
+    pub fn fleet_response(&mut self, users: u64, servers: u64, slo_s: f64) -> FleetLoad {
+        aggregate(users, servers, slo_s, |n| self.at(n))
+    }
+}
+
 /// Solve the fleet: `users` concurrent users least-loaded-balanced over
 /// `servers` identical VMs, each modelled by `per_vm`.
 ///
@@ -143,17 +237,30 @@ pub struct FleetLoad {
 /// those **two** populations ever need an MVA solve, so fleet-level
 /// aggregation is O(users/servers) regardless of fleet size — this is
 /// what lets a 2000-VM fleet re-solve its latency model at every
-/// autoscaler control tick.
+/// autoscaler control tick. A caller that asks again and again keeps an
+/// [`MvaTable`] and calls [`MvaTable::fleet_response`] instead.
 ///
 /// Panics if `servers == 0` (the caller decides what a total outage
 /// means; this function only models a serving fleet).
 pub fn fleet_response(per_vm: &ClosedNetwork, users: u64, servers: u64, slo_s: f64) -> FleetLoad {
+    aggregate(users, servers, slo_s, |n| MvaPoint::of(&per_vm.solve(n)))
+}
+
+/// The fleet aggregation behind both [`fleet_response`] and
+/// [`MvaTable::fleet_response`]; `solve(n)` is the per-VM solution at
+/// population `n`.
+fn aggregate(
+    users: u64,
+    servers: u64,
+    slo_s: f64,
+    mut solve: impl FnMut(u32) -> MvaPoint,
+) -> FleetLoad {
     assert!(servers > 0, "fleet_response needs at least one serving VM");
     assert!(slo_s > 0.0 && slo_s.is_finite());
     if users == 0 {
         // No demand: an idle fleet serves a hypothetical request at the
         // raw (contention-free) demand.
-        let r = per_vm.solve(1);
+        let r = solve(1);
         return FleetLoad {
             mean_response_s: r.response_s,
             p99_response_s: r.response_s * 100f64.ln(),
@@ -166,26 +273,17 @@ pub fn fleet_response(per_vm: &ClosedNetwork, users: u64, servers: u64, slo_s: f
     let hi_pop = lo_pop + 1;
     let hi_vms = users % servers;
     let lo_vms = servers - hi_vms;
-    let hi = if hi_vms > 0 {
-        Some(per_vm.solve(hi_pop.min(u32::MAX as u64) as u32))
-    } else {
-        None
-    };
-    let lo = if lo_vms > 0 && lo_pop > 0 {
-        Some(per_vm.solve(lo_pop.min(u32::MAX as u64) as u32))
-    } else {
-        None
-    };
+    let hi = (hi_vms > 0).then(|| solve(hi_pop.min(u32::MAX as u64) as u32));
+    let lo = (lo_vms > 0 && lo_pop > 0).then(|| solve(lo_pop.min(u32::MAX as u64) as u32));
     let mut weighted_r = 0.0;
     let mut weighted_u = 0.0;
     let mut weighted_v = 0.0;
     let mut throughput = 0.0;
     let mut worst_r = 0.0f64;
-    let mut add = |sol: &MvaResult, vms: u64, pop: u64| {
+    let mut add = |sol: &MvaPoint, vms: u64, pop: u64| {
         let w = (vms * pop) as f64 / users as f64;
-        let u_bottleneck = sol.utilizations.iter().copied().fold(0.0, f64::max);
         weighted_r += w * sol.response_s;
-        weighted_u += w * u_bottleneck;
+        weighted_u += w * sol.bottleneck_utilization;
         weighted_v += w * violation(sol.response_s, slo_s);
         throughput += vms as f64 * sol.throughput;
         worst_r = worst_r.max(sol.response_s);

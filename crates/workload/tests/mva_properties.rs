@@ -1,8 +1,9 @@
 //! Property-based tests of the MVA solver against the classical bounds of
-//! closed queueing networks (asymptotic bound analysis).
+//! closed queueing networks (asymptotic bound analysis), and of the MVA
+//! table against the solver it caches.
 
 use proptest::prelude::*;
-use spothost_workload::mva::{ClosedNetwork, Station};
+use spothost_workload::mva::{fleet_response, ClosedNetwork, FleetLoad, MvaTable, Station};
 
 fn arb_network() -> impl Strategy<Value = ClosedNetwork> {
     (prop::collection::vec(0.001f64..0.2, 1..5), 0.0f64..20.0).prop_map(|(demands, think)| {
@@ -15,8 +16,72 @@ fn arb_network() -> impl Strategy<Value = ClosedNetwork> {
     })
 }
 
+/// Populations that rise and fall: 0 and 1 first, then a random walk
+/// of jumps in both directions.
+fn arb_populations() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(-150i64..300, 1..40).prop_map(|steps| {
+        let mut pops = vec![0u32, 1];
+        let mut n = 1i64;
+        for step in steps {
+            n = (n + step).clamp(0, 600);
+            pops.push(n as u32);
+        }
+        pops
+    })
+}
+
+fn load_bits(l: &FleetLoad) -> [u64; 5] {
+    [
+        l.mean_response_s.to_bits(),
+        l.p99_response_s.to_bits(),
+        l.utilization.to_bits(),
+        l.throughput.to_bits(),
+        l.slo_violation_frac.to_bits(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn table_entries_equal_solve_bitwise(net in arb_network(), pops in arb_populations()) {
+        let mut table = MvaTable::new(&net);
+        for n in pops {
+            let got = table.at(n);
+            let want = net.solve(n);
+            let bottleneck = want.utilizations.iter().copied().fold(0.0, f64::max);
+            prop_assert_eq!(got.response_s.to_bits(), want.response_s.to_bits(), "n = {}", n);
+            prop_assert_eq!(got.throughput.to_bits(), want.throughput.to_bits(), "n = {}", n);
+            prop_assert_eq!(
+                got.bottleneck_utilization.to_bits(),
+                bottleneck.to_bits(),
+                "n = {}", n
+            );
+        }
+    }
+
+    #[test]
+    fn table_fleet_response_equals_the_stateless_one(
+        net in arb_network(),
+        queries in prop::collection::vec((0u64..4, 1u64..40, 0u64..4_000), 1..40),
+        slo in 0.05f64..5.0,
+    ) {
+        // Kind 0: no users; kind 1: fewer users than servers; kind 2: an
+        // exact split; otherwise any split.
+        let mut table = MvaTable::new(&net);
+        for (kind, servers, users) in queries {
+            let users = match kind {
+                0 => 0,
+                1 => users % servers,
+                2 => servers * (users % 100),
+                _ => users,
+            };
+            let want = fleet_response(&net, users, servers, slo);
+            let got = table.fleet_response(users, servers, slo);
+            prop_assert_eq!(load_bits(&got), load_bits(&want),
+                "users {} servers {}", users, servers);
+        }
+    }
 
     #[test]
     fn throughput_respects_bounds(net in arb_network(), n in 1u32..500) {

@@ -40,8 +40,8 @@ fn headline_claim_four_nines_with_best_mechanism() {
 
 #[test]
 fn scheduler_cost_matches_provider_ledger() {
-    // The scheduler's accounted cost must equal the provider ledger's
-    // charges scaled by the service's server count (1x for single-market).
+    // The scheduler's accounted cost must equal the provider's charges
+    // scaled by the service's server count (1x for single-market).
     let catalog = Catalog::ec2_2015();
     let traces = TraceSet::generate(&catalog, &[small_east()], 3, SimDuration::days(30));
     let cfg = SchedulerConfig::single_market(small_east());
