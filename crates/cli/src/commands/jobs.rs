@@ -13,7 +13,7 @@
 use crate::args::Args;
 use spothost_core::telemetry::NullSink;
 use spothost_faults::{FaultConfig, StormConfig};
-use spothost_jobs::{run_jobs_on, JobPolicy, JobsConfig, JobsRunResult, JobsScratch};
+use spothost_jobs::{try_run_jobs_on, JobPolicy, JobsConfig, JobsRunResult, JobsScratch};
 use spothost_market::catalog::Catalog;
 use spothost_market::gen::TraceSet;
 use spothost_market::io::parse_market;
@@ -120,10 +120,11 @@ pub fn run(args: &Args) -> Result<(), String> {
             // stream (the sink drops, and seals, per policy).
             Some((store, _)) => {
                 let mut sink = store.sink();
-                run_jobs_on(&cfg, &traces, seed, &mut sink, &mut scratch)
+                try_run_jobs_on(&cfg, &traces, seed, &mut sink, &mut scratch)
             }
-            None => run_jobs_on(&cfg, &traces, seed, &mut NullSink, &mut scratch),
-        };
+            None => try_run_jobs_on(&cfg, &traces, seed, &mut NullSink, &mut scratch),
+        }
+        .map_err(|e| e.to_string())?;
         println!("{}", run.report);
         if outcomes {
             print_worst_outcomes(&run, 5);

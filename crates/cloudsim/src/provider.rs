@@ -113,8 +113,9 @@ pub struct CloudProvider<'t> {
     meters: Vec<(InstanceId, SpotLeaseMeter<'t>)>,
     /// Injected provider faults. `None` (the default) is the infallible
     /// provider: requests always granted, servers always come up, warnings
-    /// always on time.
-    faults: Option<FaultPlan>,
+    /// always on time. Boxed, so a provider without faults does not carry
+    /// an empty plan's space through every move.
+    faults: Option<Box<FaultPlan>>,
     /// Correlated-failure storms: episode-modulated fault rates, capacity
     /// crunches, mass revocations and the global on-demand quota. `None`
     /// (the default) is the storm-free provider. Only the crunch stream is
@@ -151,7 +152,7 @@ impl<'t> CloudProvider<'t> {
     /// Attach a fault plan: requests, startups and warnings now fail with
     /// the plan's probabilities, on the plan's own random streams.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.faults = Some(Box::new(plan));
         self
     }
 
@@ -178,7 +179,7 @@ impl<'t> CloudProvider<'t> {
     /// deterministic either way, and those draws belong to the recovery
     /// the storm just forced.
     fn apply_storm_rates(&mut self, zone: Zone, at: SimTime) {
-        if let (Some(s), Some(f)) = (&self.storms, &mut self.faults) {
+        if let (Some(s), Some(f)) = (&mut self.storms, &mut self.faults) {
             f.set_storm_multiplier(s.fault_multiplier(zone, at));
         }
     }
@@ -484,7 +485,7 @@ impl<'t> CloudProvider<'t> {
         let price_cross = self.with_cursor(market, |c| c.next_time_above(from, bid))?;
         let mass = self
             .storms
-            .as_ref()
+            .as_mut()
             .and_then(|s| s.next_mass_revocation(market.zone, from));
         let crossing_at = match (price_cross, mass) {
             (Some(p), Some(m)) => p.min(m),
@@ -861,7 +862,7 @@ mod tests {
         cfg.mean_episode = SimDuration::hours(6);
         cfg.mass_revocations_per_day = 48.0;
         let spans = [const { Vec::new() }; 4];
-        let storms = StormSchedule::new(cfg, 21, SimDuration::days(7), &spans);
+        let mut storms = StormSchedule::new(cfg, 21, SimDuration::days(7), &spans);
         let sweep = storms
             .next_mass_revocation(market().zone, SimTime::ZERO)
             .expect("heavy storm config must schedule sweeps");

@@ -332,8 +332,10 @@ pub struct SimRun<'t, S: Sink = NullSink> {
     /// Set while the service is down (downtime interval open end).
     down_since: Option<SimTime>,
     /// Mechanism-side fault draws (checkpoint/live/lazy). `None` unless
-    /// fault injection is enabled; the provider holds its own plan.
-    faults: Option<FaultPlan>,
+    /// fault injection is enabled; the provider holds its own plan. Boxed,
+    /// so a run without faults does not carry an empty plan's space
+    /// through every move.
+    faults: Option<Box<FaultPlan>>,
     /// Correlated-failure storm schedule (a clone of the provider's: both
     /// share one episode timeline, the scheduler uses only the jitter
     /// stream and the provider only the crunch stream, so the clones never
@@ -514,7 +516,7 @@ impl<'t> SimRun<'t, NullSink> {
                 FaultPlan::new(cfg.faults.clone(), derive_seed(seed, "faults-mechanism", 0));
             (
                 CloudProvider::new(traces, seed).with_faults(provider_plan),
-                Some(mech_plan),
+                Some(Box::new(mech_plan)),
             )
         } else {
             (CloudProvider::new(traces, seed), None)
@@ -931,7 +933,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// with storms disabled) leave ranking untouched — ordinary capacity
     /// blips are handled by the backoff ladder, not by fleeing the zone.
     fn note_capacity_fault(&mut self, zone: Zone, at: SimTime) {
-        if let Some(end) = self.storms.as_ref().and_then(|s| s.episode_end(zone, at)) {
+        if let Some(end) = self.storms.as_mut().and_then(|s| s.episode_end(zone, at)) {
             let until = &mut self.zone_shunned_until[zone.index()];
             *until = (*until).max(end);
         }
@@ -1070,7 +1072,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// Point the mechanism fault plan's storm multiplier at this zone at
     /// the current moment (no-op without storms or without faults).
     fn set_mech_storm_mult(&mut self, zone: Zone) {
-        if let (Some(s), Some(f)) = (&self.storms, &mut self.faults) {
+        if let (Some(s), Some(f)) = (&mut self.storms, &mut self.faults) {
             f.set_storm_multiplier(s.fault_multiplier(zone, self.now));
         }
     }
@@ -1169,7 +1171,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             // service already is.
             let storm = self
                 .storms
-                .as_ref()
+                .as_mut()
                 .is_some_and(|s| s.is_storming(m.zone, self.now));
             let score = rate
                 + self.stability_penalty(i)
@@ -1531,7 +1533,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
                 c.market.zone != zone
                     && self
                         .storms
-                        .as_ref()
+                        .as_mut()
                         .is_none_or(|s| !s.is_storming(c.market.zone, now))
             });
             match calm {

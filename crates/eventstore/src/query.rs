@@ -118,6 +118,20 @@ impl Predicate {
         true
     }
 
+    /// Does every event in a block with this header match? True when the
+    /// header lies wholly inside the predicate: its time window inside
+    /// the range, its kinds among the predicate's, no market or zone
+    /// constraint, and the VM unconstrained or the block's own. Such a
+    /// block needs no [`Self::matches_event`] pass.
+    pub(crate) fn covers_meta(&self, meta: &BlockMeta) -> bool {
+        self.from_ms <= meta.min_t_ms
+            && meta.max_t_ms <= self.to_ms
+            && self.kinds.is_none_or(|k| meta.kinds & !k == 0)
+            && self.markets.is_none()
+            && self.zones.is_none()
+            && self.vm.is_none_or(|vm| meta.vm == Some(vm))
+    }
+
     /// Exact per-event filter, applied after a block is decoded.
     pub fn matches_event(&self, se: &StoredEvent) -> bool {
         let t = se.at.as_millis();

@@ -158,7 +158,11 @@ impl ColReader {
                 at,
                 event,
             });
-            events.extend(stream.filter(|se| pred.matches_event(se)));
+            if pred.covers_meta(&meta) {
+                events.extend(stream);
+            } else {
+                events.extend(stream.filter(|se| pred.matches_event(se)));
+            }
         }
         Ok(Selection {
             events,

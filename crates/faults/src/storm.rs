@@ -163,15 +163,15 @@ pub struct StormEpisode {
     pub end: SimTime,
 }
 
-/// A [`StormConfig`] bound to one episode timeline and one pair of
-/// query-time random streams.
+/// A [`StormConfig`] bound to one episode timeline, one pair of
+/// query-time random streams and one set of per-zone cursors.
 ///
 /// Construction pre-computes, per zone, the merged episode list and the
-/// mass-revocation instants inside it; queries against those are pure
-/// lookups. That timeline is immutable and shared behind an [`Arc`], so a
-/// clone costs a reference-count bump plus the two stream states: a fleet
-/// builds one schedule and hands a clone to every service it spawns,
-/// which then all see the same storms.
+/// mass-revocation instants inside it. That timeline is immutable and
+/// shared behind an [`Arc`], so a clone costs a reference-count bump plus
+/// the two stream states and the cursors: a fleet builds one schedule and
+/// hands a clone to every service it spawns, which then all see the same
+/// storms.
 ///
 /// The two query-time streams (capacity crunch, backoff jitter) are
 /// independent, so the provider and the scheduler can each hold a clone
@@ -179,11 +179,34 @@ pub struct StormEpisode {
 /// clone carries its own copy of the stream states as they were when it
 /// was cloned: clones of a schedule nobody has drawn from all start from
 /// the state the seed gave.
+///
+/// # Cursors: monotonic queries
+///
+/// A simulation asks about one zone at non-decreasing times: once per
+/// acquisition retry, per billing hour, per lease grant. So the timeline
+/// queries ([`is_storming`](Self::is_storming),
+/// [`episode_end`](Self::episode_end),
+/// [`fault_multiplier`](Self::fault_multiplier),
+/// [`crunch_fault`](Self::crunch_fault),
+/// [`next_mass_revocation`](Self::next_mass_revocation)) take `&mut self`
+/// and keep, per zone, a cursor into the episode list and one into the
+/// mass-revocation list. A query at or after the last one in its zone
+/// steps the cursor forward, **O(1)** for the next item and a binary
+/// search over the rest for a longer jump; a query behind it
+/// re-synchronises with a binary search, as `TraceCursor` does. Answers
+/// never depend on where a cursor stands, so clones with different
+/// histories answer alike.
 #[derive(Debug, Clone)]
 pub struct StormSchedule {
     timeline: Arc<StormTimeline>,
     crunch: ChaCha12Rng,
     jitter: ChaCha12Rng,
+    /// Per [`Zone::index`]: the number of that zone's episodes that start
+    /// at or before its last query.
+    episode_at: [u32; 4],
+    /// Per [`Zone::index`]: the number of that zone's mass revocations at
+    /// or before its last query.
+    mass_at: [u32; 4],
 }
 
 /// The immutable part of a [`StormSchedule`]: its configuration and, per
@@ -286,6 +309,8 @@ impl StormSchedule {
             }),
             crunch: stream("storm-crunch", 0),
             jitter: stream("storm-jitter", 0),
+            episode_at: [0; 4],
+            mass_at: [0; 4],
         }
     }
 
@@ -301,21 +326,21 @@ impl StormSchedule {
     }
 
     /// Is the zone inside a storm episode at `t`?
-    pub fn is_storming(&self, zone: Zone, t: SimTime) -> bool {
+    pub fn is_storming(&mut self, zone: Zone, t: SimTime) -> bool {
         self.episode_end(zone, t).is_some()
     }
 
     /// End of the episode containing `t` in `zone`, if one is in
-    /// progress at `t` — a pure lookup, like [`Self::is_storming`].
-    pub fn episode_end(&self, zone: Zone, t: SimTime) -> Option<SimTime> {
-        let eps = self.episodes(zone);
-        let i = eps.partition_point(|e| e.start <= t);
+    /// progress at `t`.
+    pub fn episode_end(&mut self, zone: Zone, t: SimTime) -> Option<SimTime> {
+        let eps = &self.timeline.episodes[zone.index()];
+        let i = seek(eps, &mut self.episode_at[zone.index()], t, |e| e.start);
         (i > 0 && eps[i - 1].end > t).then(|| eps[i - 1].end)
     }
 
     /// Multiplier on `FaultConfig` rates at `(zone, t)`: the configured
     /// multiplier while storming, 1 otherwise.
-    pub fn fault_multiplier(&self, zone: Zone, t: SimTime) -> f64 {
+    pub fn fault_multiplier(&mut self, zone: Zone, t: SimTime) -> f64 {
         if self.is_storming(zone, t) {
             self.timeline.cfg.fault_multiplier
         } else {
@@ -325,9 +350,9 @@ impl StormSchedule {
 
     /// The first mass-revocation instant strictly after `after` in this
     /// zone, if any.
-    pub fn next_mass_revocation(&self, zone: Zone, after: SimTime) -> Option<SimTime> {
+    pub fn next_mass_revocation(&mut self, zone: Zone, after: SimTime) -> Option<SimTime> {
         let times = &self.timeline.mass_revocations[zone.index()];
-        let i = times.partition_point(|&t| t <= after);
+        let i = seek(times, &mut self.mass_at[zone.index()], after, |&t| t);
         times.get(i).copied()
     }
 
@@ -362,6 +387,26 @@ impl StormSchedule {
     pub fn od_quota(&self) -> u32 {
         self.timeline.cfg.od_quota
     }
+}
+
+/// Move a cursor into `items`, sorted by `key`, to the number of items
+/// keyed at or before `t`, and return that count. `pos` holds the count
+/// for the previous query. The next item is a step; a longer jump forward
+/// searches the items past `pos`, and a query behind `pos` searches the
+/// items before it.
+#[inline]
+fn seek<T>(items: &[T], pos: &mut u32, t: SimTime, key: impl Fn(&T) -> SimTime) -> usize {
+    let mut i = *pos as usize;
+    if i > 0 && key(&items[i - 1]) > t {
+        i = items[..i].partition_point(|x| key(x) <= t);
+    } else if items.get(i).is_some_and(|x| key(x) <= t) {
+        i += 1;
+        if items.get(i).is_some_and(|x| key(x) <= t) {
+            i += items[i..].partition_point(|x| key(x) <= t);
+        }
+    }
+    *pos = i as u32;
+    i
 }
 
 /// Exponential draw with the given mean, in seconds, as a duration.
@@ -505,11 +550,11 @@ mod tests {
 
     #[test]
     fn is_storming_matches_episode_intervals() {
-        let s = StormSchedule::new(StormConfig::intensity(0.8), 3, horizon(), &no_spans());
+        let mut s = StormSchedule::new(StormConfig::intensity(0.8), 3, horizon(), &no_spans());
         let z = Zone::UsEast1a;
-        let eps = s.episodes(z);
+        let eps = s.episodes(z).to_vec();
         assert!(!eps.is_empty());
-        for e in eps {
+        for e in &eps {
             assert!(s.is_storming(z, e.start));
             assert!(s.is_storming(z, e.start + (e.end - e.start).mul_f64(0.5)));
             assert!(!s.is_storming(z, e.end));
@@ -524,7 +569,7 @@ mod tests {
     fn mass_revocations_land_inside_episodes() {
         let mut cfg = StormConfig::intensity(1.0);
         cfg.mass_revocations_per_day = 24.0; // one an hour of storm time
-        let s = StormSchedule::new(cfg, 5, horizon(), &no_spans());
+        let mut s = StormSchedule::new(cfg, 5, horizon(), &no_spans());
         let mut total = 0;
         for &z in &Zone::ALL {
             let mut after = SimTime::ZERO;
@@ -547,7 +592,7 @@ mod tests {
             (SimTime::hours(4), SimTime::hours(5)),
             (SimTime::hours(10), SimTime::hours(11)),
         ];
-        let s = StormSchedule::new(cfg, 1, horizon(), &spans);
+        let mut s = StormSchedule::new(cfg, 1, horizon(), &spans);
         let z = Zone::UsWest1a;
         assert_eq!(s.episodes(z).len(), 2);
         assert!(s.is_storming(z, SimTime::hours(4)));

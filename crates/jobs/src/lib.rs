@@ -36,6 +36,7 @@ pub mod workload;
 pub use config::{JobPolicy, JobsConfig};
 pub use report::JobsReport;
 pub use sim::{
-    run_jobs, run_jobs_on, run_jobs_with, JobOutcome, JobsRunResult, JobsScratch, DEFAULT_HORIZON,
+    run_jobs, run_jobs_on, run_jobs_with, try_run_jobs_on, JobOutcome, JobsError, JobsRunResult,
+    JobsScratch, DEFAULT_HORIZON,
 };
 pub use workload::{generate_jobs, JobSpec};

@@ -25,10 +25,11 @@ use spothost_market::time::{
     SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR, MILLIS_PER_MINUTE, MILLIS_PER_SECOND,
 };
 use spothost_market::trace::TraceCursor;
-use spothost_market::types::Zone;
+use spothost_market::types::{MarketId, Zone};
 use spothost_market::{Catalog, TraceSet};
 use spothost_telemetry::{NullSink, Sink, TelemetryEvent};
 use spothost_virt::{BoundedCheckpointer, VirtParams, VmSpec};
+use std::fmt;
 
 use crate::config::{JobPolicy, JobsConfig};
 use crate::report::JobsReport;
@@ -141,9 +142,30 @@ pub fn run_jobs_with<S: Sink>(
     run_jobs_on(cfg, &traces, master_seed, sink, scratch)
 }
 
+/// Why [`try_run_jobs_on`] cannot run a configuration on a trace set.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobsError {
+    /// [`JobsConfig::validate`] rejected the configuration.
+    InvalidConfig(String),
+    /// The trace set has no trace for the configured market.
+    MissingTrace(MarketId),
+}
+
+impl fmt::Display for JobsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobsError::InvalidConfig(e) => write!(f, "invalid jobs config: {e}"),
+            JobsError::MissingTrace(m) => write!(f, "trace set has no trace for {m}"),
+        }
+    }
+}
+
+impl std::error::Error for JobsError {}
+
 /// Run the job simulation against explicit price traces. Panics on an
 /// invalid configuration or a trace set missing the configured market,
-/// like `SimRun::new`.
+/// like `SimRun::new`; [`try_run_jobs_on`] returns those as a
+/// [`JobsError`] instead.
 pub fn run_jobs_on<S: Sink>(
     cfg: &JobsConfig,
     traces: &TraceSet,
@@ -151,12 +173,23 @@ pub fn run_jobs_on<S: Sink>(
     sink: &mut S,
     scratch: &mut JobsScratch,
 ) -> JobsRunResult {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid jobs config: {e}");
-    }
+    try_run_jobs_on(cfg, traces, master_seed, sink, scratch).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_jobs_on`], returning a [`JobsError`] for an invalid
+/// configuration or a trace set missing the configured market. Nothing
+/// is simulated, and nothing emitted, when it fails.
+pub fn try_run_jobs_on<S: Sink>(
+    cfg: &JobsConfig,
+    traces: &TraceSet,
+    master_seed: u64,
+    sink: &mut S,
+    scratch: &mut JobsScratch,
+) -> Result<JobsRunResult, JobsError> {
+    cfg.validate().map_err(JobsError::InvalidConfig)?;
     let trace = traces
         .trace(cfg.market)
-        .unwrap_or_else(|| panic!("trace set has no trace for {}", cfg.market));
+        .ok_or(JobsError::MissingTrace(cfg.market))?;
     let horizon = SimTime::ZERO + traces.horizon();
     let jobs = generate_jobs(cfg, master_seed, horizon);
 
@@ -187,6 +220,7 @@ pub fn run_jobs_on<S: Sink>(
         events: &mut scratch.events,
         obs_revocations: 0,
         obs_busy: SimDuration::ZERO,
+        crossing: None,
     };
 
     let mut free_at = vec![SimTime::ZERO; cfg.workers as usize];
@@ -222,10 +256,10 @@ pub fn run_jobs_on<S: Sink>(
     }
     scratch.events.clear();
 
-    JobsRunResult {
+    Ok(JobsRunResult {
         report: JobsReport::from_outcomes(cfg.policy, &outcomes),
         outcomes,
-    }
+    })
 }
 
 /// Why a lease ended before its planned completion.
@@ -261,6 +295,19 @@ struct Ctx<'a> {
     obs_revocations: u32,
     /// Fleet-wide leased spot time so far, the hazard denominator.
     obs_busy: SimDuration,
+    /// The last price crossing a spot lease looked up, kept across leases
+    /// and jobs (see [`Ctx::next_crossing`]).
+    crossing: Option<Crossing>,
+}
+
+/// One answer of `TraceCursor::next_time_above(from, bid)`: `at` is the
+/// first instant at or after `from` with the price above `bid`, `None`
+/// if there is none before the horizon.
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    bid: f64,
+    from: SimTime,
+    at: Option<SimTime>,
 }
 
 impl Ctx<'_> {
@@ -290,6 +337,32 @@ impl Ctx<'_> {
 
     fn emit(&mut self, at: SimTime, ev: TelemetryEvent) {
         self.events.push((at, ev));
+    }
+
+    /// The first instant at or after `grant` with the price above `bid`,
+    /// exactly as `self.prices.next_time_above(grant, bid)` answers it.
+    /// The price stays at or below `bid` from the remembered lookup's
+    /// `from` until its answer, so a lease with the same bid granted in
+    /// that window (up to the horizon if there was no crossing) has the
+    /// same answer, and the points up to it are not walked again. Leases
+    /// re-granted after an unwarned revocation, a failed boot, or by the
+    /// next job mostly land there.
+    ///
+    /// The memo lives here rather than in `TraceCursor`, whose every
+    /// other user would carry its space without a hit.
+    fn next_crossing(&mut self, grant: SimTime, bid: f64) -> Option<SimTime> {
+        if let Some(c) = self.crossing {
+            if c.bid == bid && c.from <= grant && c.at.is_none_or(|at| grant <= at) {
+                return c.at;
+            }
+        }
+        let at = self.prices.next_time_above(grant, bid);
+        self.crossing = Some(Crossing {
+            bid,
+            from: grant,
+            at,
+        });
+        at
     }
 
     /// Simulate one job from `start` to completion (or the horizon).
@@ -560,7 +633,7 @@ impl Ctx<'_> {
         } else {
             Some(LeaseEnd::Horizon)
         };
-        if let Some(t) = self.prices.next_time_above(grant, bid) {
+        if let Some(t) = self.next_crossing(grant, bid) {
             if t < stop_t {
                 stop_t = t;
                 end_kind = Some(LeaseEnd::Warned);
@@ -691,4 +764,53 @@ enum SpotLeaseOutcome {
     Revoked { at: SimTime, lost: SimDuration },
     /// The horizon ended the run mid-lease.
     HorizonCut,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spothost_market::types::InstanceType;
+
+    fn one_day(market: MarketId) -> TraceSet {
+        TraceSet::generate(&Catalog::ec2_2015(), &[market], 1, SimDuration::days(1))
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error() {
+        let cfg = JobsConfig::new(JobPolicy::GreedySpot).with_workers(0);
+        let traces = one_day(cfg.market);
+        let err = try_run_jobs_on(&cfg, &traces, 1, &mut NullSink, &mut JobsScratch::new())
+            .expect_err("zero workers must be rejected");
+        assert_eq!(
+            err,
+            JobsError::InvalidConfig("at least one worker slot required".into())
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid jobs config: at least one worker slot required"
+        );
+    }
+
+    #[test]
+    fn missing_trace_is_a_typed_error() {
+        let cfg = JobsConfig::new(JobPolicy::CheckpointSpot);
+        let other = MarketId::new(Zone::EuWest1a, InstanceType::Small);
+        assert_ne!(other, cfg.market);
+        let traces = one_day(other);
+        let err = try_run_jobs_on(&cfg, &traces, 1, &mut NullSink, &mut JobsScratch::new())
+            .expect_err("a trace set without the market must be rejected");
+        assert_eq!(err, JobsError::MissingTrace(cfg.market));
+        assert_eq!(
+            err.to_string(),
+            format!("trace set has no trace for {}", cfg.market)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid jobs config: at least one worker slot required")]
+    fn run_jobs_on_still_panics_with_the_message() {
+        let cfg = JobsConfig::new(JobPolicy::GreedySpot).with_workers(0);
+        let traces = one_day(cfg.market);
+        run_jobs_on(&cfg, &traces, 1, &mut NullSink, &mut JobsScratch::new());
+    }
 }

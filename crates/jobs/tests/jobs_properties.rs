@@ -9,7 +9,13 @@
 //!     useful time is exactly its runtime;
 //! (c) the zero-fault floor — on a constant price below the bid with no
 //!     injected faults or storms, GreedySpot never revokes, and never
-//!     misses a deadline whose slack covers its queue wait and boot.
+//!     misses a deadline whose slack covers its queue wait and boot;
+//! (d) replay — the `JobFinished` costs of the event stream, folded in
+//!     job order, equal the report's `total_cost` bit for bit, and
+//!     recording the stream does not change the report;
+//! (e) zero-intensity neutrality — `StormConfig::intensity(0.0)`, and
+//!     any storm config whose episodes never start, run byte-identically
+//!     to no storms: the same report, outcomes and event stream.
 
 use proptest::prelude::*;
 use spothost_faults::{FaultConfig, StormConfig};
@@ -20,7 +26,7 @@ use spothost_market::gen::TraceSet;
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::trace::PriceTrace;
 use spothost_market::types::{InstanceType, MarketId, Zone};
-use spothost_telemetry::NullSink;
+use spothost_telemetry::{NullSink, Sink, TelemetryEvent};
 
 fn market() -> MarketId {
     MarketId::new(Zone::UsEast1a, InstanceType::Large)
@@ -77,6 +83,32 @@ fn arb_seed() -> impl Strategy<Value = u64> {
 
 fn traces(seed: u64) -> TraceSet {
     TraceSet::generate(&Catalog::ec2_2015(), &[market()], seed, DEFAULT_HORIZON)
+}
+
+/// A storm config that can never fire: no spontaneous episodes, no
+/// spike coupling and no jitter, with every knob that acts only inside
+/// an episode set at random.
+fn arb_dormant_storms() -> impl Strategy<Value = StormConfig> {
+    (1.0f64..10.0, 0.0f64..48.0, 0.0f64..1.0, 1u64..12).prop_map(|(mult, mass, crunch, h)| {
+        let mut s = StormConfig::none();
+        s.fault_multiplier = mult;
+        s.mass_revocations_per_day = mass;
+        s.capacity_crunch_rate = crunch;
+        s.mean_episode = SimDuration::hours(h);
+        s
+    })
+}
+
+/// Keeps a run's whole event stream.
+#[derive(Default)]
+struct Events(Vec<(SimTime, TelemetryEvent)>);
+
+impl Sink for Events {
+    const ENABLED: bool = true;
+
+    fn emit(&mut self, at: SimTime, event: TelemetryEvent) {
+        self.0.push((at, event));
+    }
 }
 
 /// Bitwise comparison: `JobsReport`'s derived `PartialEq` compares the
@@ -191,6 +223,80 @@ proptest! {
                 // No revocations: exactly one lease, all of it useful + boot.
                 prop_assert!(o.compute == o.spec.runtime + BOOT, "lease shape wrong: {o:?}");
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn job_finished_costs_fold_to_total_cost(cfg in arb_cfg(), seed in arb_seed()) {
+        let ts = traces(seed);
+        let mut events = Events::default();
+        let run = run_jobs_on(&cfg, &ts, seed, &mut events, &mut JobsScratch::new());
+        // The stream is in time order; the report folds in job order.
+        let mut finished: Vec<(u32, f64)> = events
+            .0
+            .iter()
+            .filter_map(|(_, ev)| match *ev {
+                TelemetryEvent::JobFinished { job, cost, .. } => Some((job, cost)),
+                _ => None,
+            })
+            .collect();
+        finished.sort_by_key(|&(job, _)| job);
+        prop_assert!(
+            finished.windows(2).all(|w| w[0].0 < w[1].0),
+            "a job finished twice"
+        );
+        for &(job, cost) in &finished {
+            prop_assert_eq!(cost.to_bits(), run.outcomes[job as usize].cost.to_bits());
+        }
+        // Jobs without a `JobFinished` never started and cost nothing.
+        let silent = run
+            .outcomes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| finished.binary_search_by_key(&(i as u32), |&(j, _)| j).is_err());
+        for (_, o) in silent {
+            prop_assert!(o.started.is_none() && o.cost == 0.0, "unreported job: {o:?}");
+        }
+        let folded = finished.iter().fold(0.0, |sum, &(_, cost)| sum + cost);
+        prop_assert_eq!(folded.to_bits(), run.report.total_cost.to_bits());
+
+        let quiet = run_jobs_on(&cfg, &ts, seed, &mut NullSink, &mut JobsScratch::new());
+        prop_assert!(
+            reports_bits_equal(&run.report, &quiet.report),
+            "recording changed the report:\nrecorded: {:?}\n   quiet: {:?}",
+            run.report,
+            quiet.report
+        );
+    }
+
+    #[test]
+    fn zero_intensity_storms_are_byte_identical_to_none(
+        cfg in arb_cfg(),
+        dormant in arb_dormant_storms(),
+        seed in arb_seed(),
+    ) {
+        let ts = traces(seed);
+        let run = |storms: StormConfig| {
+            let mut events = Events::default();
+            let cfg = cfg.clone().with_storms(storms);
+            let r = run_jobs_on(&cfg, &ts, seed, &mut events, &mut JobsScratch::new());
+            (r, events.0)
+        };
+        let (none, none_events) = run(StormConfig::none());
+        for storms in [StormConfig::intensity(0.0), dormant] {
+            let (r, events) = run(storms.clone());
+            prop_assert!(
+                reports_bits_equal(&none.report, &r.report),
+                "{storms:?} changed the report:\n none: {:?}\nstorm: {:?}",
+                none.report,
+                r.report
+            );
+            prop_assert_eq!(format!("{:?}", none.outcomes), format!("{:?}", r.outcomes));
+            prop_assert_eq!(format!("{none_events:?}"), format!("{events:?}"));
         }
     }
 }
