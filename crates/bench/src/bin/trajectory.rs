@@ -351,3 +351,79 @@ fn main() {
     println!("{entry}");
     println!("[appended to {out}]");
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Entries shaped like the committed history: `pr6`–`pr9` predate
+    /// `jobs_wall_s`, and `pr6` predates `fleet_wall_s` too.
+    const OLD: [&str; 4] = [
+        r#"{"label":"pr6","mode":"quick","repro_all_wall_s":0.290,"peak_rss_kb":9148}"#,
+        r#"{"label":"pr6","mode":"full","repro_all_wall_s":2.143,"peak_rss_kb":43476}"#,
+        r#"{"label":"pr9","mode":"quick","repro_all_wall_s":0.692,"fleet_wall_s":0.206}"#,
+        r#"{"label":"pr9","mode":"full","repro_all_wall_s":8.541,"fleet_wall_s":3.276}"#,
+    ];
+
+    /// A trajectory file in the temp dir holding `entries` in the
+    /// committed one-entry-per-line shape; unique per test and process.
+    fn history(name: &str, entries: &[&str]) -> String {
+        let path = std::env::temp_dir()
+            .join(format!("trajectory-{}-{name}.json", std::process::id()))
+            .to_str()
+            .expect("utf-8 temp dir")
+            .to_string();
+        let _ = std::fs::remove_file(&path);
+        for entry in entries {
+            append_entry(&path, entry);
+        }
+        path
+    }
+
+    #[test]
+    fn last_entry_of_the_requested_mode_wins() {
+        let newer =
+            r#"{"label":"pr10","mode":"full","repro_all_wall_s":12.209,"jobs_wall_s":2.089}"#;
+        let path = history("last", &[&OLD[..], &[newer]].concat());
+        assert_eq!(last_field(&path, "quick", "repro_all_wall_s"), Some(0.692));
+        assert_eq!(last_field(&path, "full", "repro_all_wall_s"), Some(12.209));
+        assert_eq!(last_field(&path, "full", "jobs_wall_s"), Some(2.089));
+        std::fs::remove_file(path).expect("remove temp history");
+    }
+
+    #[test]
+    fn a_field_the_last_entry_lacks_is_none() {
+        let path = history("lacks", &OLD);
+        assert_eq!(last_field(&path, "quick", "fleet_wall_s"), Some(0.206));
+        assert_eq!(last_field(&path, "quick", "jobs_wall_s"), None);
+        assert_eq!(last_field(&path, "full", "jobs_wall_s"), None);
+        std::fs::remove_file(path).expect("remove temp history");
+    }
+
+    #[test]
+    fn an_absent_mode_or_file_is_none() {
+        let path = history("absent", &OLD[1..2]);
+        assert_eq!(last_field(&path, "quick", "repro_all_wall_s"), None);
+        std::fs::remove_file(&path).expect("remove temp history");
+        assert_eq!(last_field(&path, "full", "repro_all_wall_s"), None);
+    }
+
+    #[test]
+    fn append_keeps_every_line_in_the_array_shape() {
+        let path = history("append", &OLD[..2]);
+        let created = std::fs::read_to_string(&path).expect("read history");
+        assert_eq!(created, format!("[\n{},\n{}\n]\n", OLD[0], OLD[1]));
+
+        // The committed history gains one line and keeps the rest.
+        let committed = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_trajectory.json"
+        ));
+        std::fs::write(&path, committed).expect("write temp history");
+        append_entry(&path, OLD[2]);
+        let appended = std::fs::read_to_string(&path).expect("read history");
+        let body = committed.strip_suffix("\n]\n").expect("committed shape");
+        assert_eq!(appended, format!("{body},\n{}\n]\n", OLD[2]));
+        std::fs::remove_file(path).expect("remove temp history");
+    }
+}

@@ -69,6 +69,13 @@ impl Args {
         }
     }
 
+    /// A `--key` held in a `u32`, such as a worker or VM count: a value
+    /// above `u32::MAX` is an argument error, not a wrapped-around count.
+    pub fn get_u32(&self, key: &str, default: u32) -> Result<u32, String> {
+        let v = self.get_u64(key, u64::from(default))?;
+        u32::try_from(v).map_err(|_| format!("--{key} must be <= {}, got {v}", u32::MAX))
+    }
+
     /// A `--key` that must be a positive integer, such as a day or seed
     /// count: zero is an argument error, not an empty run.
     pub fn get_positive(&self, key: &str, default: u64) -> Result<u64, String> {
@@ -135,6 +142,12 @@ mod tests {
         assert_eq!(
             a.get_positive("days", 7).unwrap_err(),
             "--days must be >= 1"
+        );
+        let a = parse(&argv(&["--vms", "4294967295", "--units", "4294967296"])).unwrap();
+        assert_eq!(a.get_u32("vms", 1).unwrap(), u32::MAX);
+        assert_eq!(
+            a.get_u32("units", 8).unwrap_err(),
+            "--units must be <= 4294967295, got 4294967296"
         );
     }
 }

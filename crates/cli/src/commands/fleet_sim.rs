@@ -86,8 +86,8 @@ fn day_axis(cols: usize, days: f64) -> String {
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
-    let max_vms = args.get_u64("vms", 200)? as u32;
-    let min_vms = args.get_u64("min-vms", 2)? as u32;
+    let max_vms = args.get_u32("vms", 200)?;
+    let min_vms = args.get_u32("min-vms", 2)?;
     let interval_s = args.get_positive("seconds", 300)?;
     let days = args.get_positive("days", 7)?;
     let seed = args.get_u64("seed", 0)?;

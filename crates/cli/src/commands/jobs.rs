@@ -32,7 +32,7 @@ fn config_from(args: &Args) -> Result<JobsConfig, String> {
     let mut cfg = JobsConfig::new(JobPolicy::GreedySpot);
     cfg.market =
         parse_market(args.get_or("market", "us-east-1a/large")).map_err(|e| e.to_string())?;
-    cfg.workers = args.get_u64("workers", u64::from(cfg.workers))? as u32;
+    cfg.workers = args.get_u32("workers", cfg.workers)?;
     cfg.slack_factor = args.get_f64("slack", cfg.slack_factor)?;
     let runtime_h = args.get_f64("mean-runtime-h", cfg.mean_runtime.as_hours_f64())?;
     let arrival_h = args.get_f64("mean-arrival-h", cfg.mean_interarrival.as_hours_f64())?;

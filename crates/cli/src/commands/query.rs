@@ -65,11 +65,7 @@ fn build_predicate(args: &Args) -> Result<Predicate, String> {
         pred = pred.with_zone(parse_zone(z)?);
     }
     if args.get("vm").is_some() {
-        let vm = args.get_u64("vm", 0)?;
-        if vm > u32::MAX as u64 {
-            return Err(format!("--vm {vm} is not a valid spawn index"));
-        }
-        pred = pred.with_vm(vm as u32);
+        pred = pred.with_vm(args.get_u32("vm", 0)?);
     }
     Ok(pred)
 }

@@ -55,12 +55,12 @@ fn parse_scope(args: &Args) -> Result<(MarketScope, u32), String> {
             }
             other => return Err(format!("unknown scope kind '{other}'")),
         };
-        let units = args.get_u64("units", 8)? as u32;
+        let units = args.get_u32("units", 8)?;
         return Ok((scope, units));
     }
     let market =
         parse_market(args.get_or("market", "us-east-1a/small")).map_err(|e| e.to_string())?;
-    let units = args.get_u64("units", market.itype.capacity_units() as u64)? as u32;
+    let units = args.get_u32("units", market.itype.capacity_units())?;
     Ok((MarketScope::Single(market), units))
 }
 

@@ -2,9 +2,9 @@
 
 use std::process::Command;
 
-/// A zero count is a bad flag: exit code 2 with the flag named on
-/// stderr, never a panic and never a vacuous run.
-fn assert_rejected(args: &[&str], flag: &str) {
+/// A bad flag exits with code 2 and `message` on stderr, never a panic
+/// and never a vacuous or wrapped-around run.
+fn assert_rejected(args: &[&str], message: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
         .args(args)
         .output()
@@ -12,10 +12,7 @@ fn assert_rejected(args: &[&str], flag: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
-    assert!(
-        stderr.contains(&format!("--{flag} must be >= 1")),
-        "{args:?}: stderr: {stderr}"
-    );
+    assert!(stderr.contains(message), "{args:?}: stderr: {stderr}");
 }
 
 #[test]
@@ -30,13 +27,37 @@ fn zero_days_is_rejected_by_every_command() {
         &["chaos", "--days", "0", "--seconds", "1"],
         &["jobs", "--days", "0"],
     ] {
-        assert_rejected(args, "days");
+        assert_rejected(args, "--days must be >= 1");
     }
 }
 
 #[test]
 fn zero_seeds_is_rejected() {
-    assert_rejected(&["simulate", "--seeds", "0", "--days", "1"], "seeds");
+    assert_rejected(
+        &["simulate", "--seeds", "0", "--days", "1"],
+        "--seeds must be >= 1",
+    );
+}
+
+/// A count held in a `u32` must not wrap: 2^32 + 1 workers is an
+/// argument error, not a run with one worker.
+#[test]
+fn u32_counts_above_u32_max_are_rejected() {
+    for case in [
+        "jobs --workers 4294967297",
+        "simulate --units 4294967296",
+        "simulate --scope zone:us-east-1a --units 4294967304",
+        "timeline --scope zone:us-east-1a --units 4294967304",
+        "fleet-sim --vms 4294967300",
+        "fleet-sim --min-vms 4294967298",
+    ] {
+        let args: Vec<&str> = case.split(' ').collect();
+        let [.., flag, value] = args[..] else {
+            unreachable!("each case ends with a flag and its value")
+        };
+        let message = format!("{flag} must be <= 4294967295, got {value}");
+        assert_rejected(&[&args[..], &["--days", "1"]].concat(), &message);
+    }
 }
 
 /// An imported trace directory that lacks a candidate market of the

@@ -58,7 +58,7 @@ pub use config::SchedulerConfig;
 pub use policy::BiddingPolicy;
 pub use report::RunReport;
 pub use scheduler::{PlanError, RunPlan, SimRun, SimScratch};
-pub use sim::{run_grid, run_many, run_one, run_one_metrics, run_one_recorded, AggregateReport};
+pub use sim::{run_grid, run_many, run_one, run_one_recorded, AggregateReport};
 pub use spothost_faults::{FaultConfig, StormConfig};
 pub use spothost_telemetry as telemetry;
 pub use strategy::MarketScope;
@@ -69,9 +69,7 @@ pub mod prelude {
     pub use crate::config::SchedulerConfig;
     pub use crate::policy::BiddingPolicy;
     pub use crate::report::RunReport;
-    pub use crate::sim::{
-        run_grid, run_many, run_one, run_one_metrics, run_one_recorded, AggregateReport,
-    };
+    pub use crate::sim::{run_grid, run_many, run_one, run_one_recorded, AggregateReport};
     pub use crate::strategy::MarketScope;
     pub use spothost_faults::{FaultConfig, StormConfig};
     pub use spothost_telemetry::{Metrics, Recorder, TelemetryEvent};

@@ -10,7 +10,7 @@ use spothost_market::catalog::Catalog;
 use spothost_market::gen::TraceSet;
 use spothost_market::time::SimDuration;
 use spothost_market::types::MarketId;
-use spothost_telemetry::{Metrics, Recorder};
+use spothost_telemetry::Recorder;
 
 /// Run one configuration against freshly generated calibrated traces.
 pub fn run_one(cfg: &SchedulerConfig, seed: u64, horizon: SimDuration) -> RunReport {
@@ -36,23 +36,6 @@ pub fn run_one_recorded(
     let mut rec = Recorder::new();
     let report = SimRun::new(&traces, cfg, seed).with_sink(&mut rec).run();
     (report, rec)
-}
-
-/// [`run_one`], aggregating telemetry histograms instead of raw events
-/// (O(1) memory regardless of run length).
-pub fn run_one_metrics(
-    cfg: &SchedulerConfig,
-    seed: u64,
-    horizon: SimDuration,
-) -> (RunReport, Metrics) {
-    let catalog = Catalog::ec2_2015();
-    let markets = cfg.candidates();
-    let traces = TraceSet::generate(&catalog, &markets, seed, horizon);
-    let mut metrics = Metrics::new();
-    let report = SimRun::new(&traces, cfg, seed)
-        .with_sink(&mut metrics)
-        .run();
-    (report, metrics)
 }
 
 /// Monte-Carlo aggregate over seeds.

@@ -53,7 +53,7 @@ fn us(ms: u64) -> u64 {
     ms.saturating_mul(1_000)
 }
 
-/// Same strings `telemetry::export` uses for the JSONL/CSV exporters.
+/// Same strings `telemetry::export` uses for the JSONL exporter.
 fn termination_name(r: spothost_cloudsim::TerminationReason) -> &'static str {
     use spothost_cloudsim::TerminationReason as TR;
     match r {

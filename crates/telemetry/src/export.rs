@@ -1,10 +1,9 @@
-//! Hand-rolled JSONL and CSV serialization of the event stream (the
-//! workspace is offline and carries no serde).
+//! Hand-rolled JSONL serialization of the event stream (the workspace is
+//! offline and carries no serde).
 //!
-//! JSONL is the canonical format: one object per line, a `t_ms` emission
-//! timestamp and a `kind` discriminator, then the variant's fields with
-//! times as `*_ms` integers. CSV flattens every event onto one fixed set
-//! of columns for spreadsheet use; fields that don't apply stay empty.
+//! One object per line: a `t_ms` emission timestamp and a `kind`
+//! discriminator, then the variant's fields with times as `*_ms`
+//! integers.
 
 use crate::event::TelemetryEvent;
 use spothost_market::time::{SimDuration, SimTime};
@@ -249,10 +248,6 @@ pub fn event_to_json(at: SimTime, ev: &TelemetryEvent) -> String {
     o.finish()
 }
 
-/// Header row matching [`event_to_csv_row`].
-pub const CSV_HEADER: &str =
-    "t_ms,kind,instance,market,to_market,start_ms,end_ms,duration_ms,value,detail";
-
 fn termination_name(r: spothost_cloudsim::TerminationReason) -> &'static str {
     use spothost_cloudsim::TerminationReason as TR;
     match r {
@@ -260,210 +255,6 @@ fn termination_name(r: spothost_cloudsim::TerminationReason) -> &'static str {
         TR::Voluntary => "voluntary",
         TR::FailedAllocation => "failed-allocation",
     }
-}
-
-/// Serialize one timed event as a flat CSV row (no trailing newline).
-/// Columns that don't apply to the event kind are left empty.
-pub fn event_to_csv_row(at: SimTime, ev: &TelemetryEvent) -> String {
-    // (instance, market, to_market, start, end, duration, value, detail)
-    let mut instance = String::new();
-    let mut market = String::new();
-    let mut to_market = String::new();
-    let mut start = String::new();
-    let mut end = String::new();
-    let mut duration = String::new();
-    let mut value = String::new();
-    let mut detail = String::new();
-    let ms = |t: SimTime| t.as_millis().to_string();
-    match ev {
-        TelemetryEvent::BidPlaced {
-            market: m,
-            bid,
-            predicted_risk,
-        } => {
-            market = m.to_string();
-            match bid {
-                Some(b) => value = b.to_string(),
-                None => detail = "on-demand".to_string(),
-            }
-            if let Some(r) = predicted_risk {
-                detail = format!("risk={r}");
-            }
-        }
-        TelemetryEvent::LeaseGranted {
-            id,
-            market: m,
-            spot,
-            ready_at,
-        } => {
-            instance = id.to_string();
-            market = m.to_string();
-            start = ms(*ready_at);
-            detail = if *spot { "spot" } else { "on-demand" }.to_string();
-        }
-        TelemetryEvent::LeaseDenied {
-            market: m, reason, ..
-        } => {
-            market = m.to_string();
-            detail = reason.name().to_string();
-        }
-        TelemetryEvent::LeaseActivated { id, market: m } => {
-            instance = id.to_string();
-            market = m.to_string();
-        }
-        TelemetryEvent::ActivationFailed {
-            id,
-            market: m,
-            doomed,
-        } => {
-            instance = id.to_string();
-            market = m.to_string();
-            detail = if *doomed { "doomed" } else { "price-rose" }.to_string();
-        }
-        TelemetryEvent::LeaseClosed {
-            id,
-            market: m,
-            reason,
-            start: s,
-            end: e,
-            cost,
-            ..
-        } => {
-            instance = id.to_string();
-            market = m.to_string();
-            start = ms(*s);
-            end = ms(*e);
-            duration = (*e - *s).as_millis().to_string();
-            value = cost.to_string();
-            detail = termination_name(*reason).to_string();
-        }
-        TelemetryEvent::PriceCrossing {
-            id,
-            market: m,
-            at: t,
-        } => {
-            instance = id.to_string();
-            market = m.to_string();
-            start = ms(*t);
-        }
-        TelemetryEvent::RevocationWarning {
-            id,
-            market: m,
-            terminate_at,
-        } => {
-            instance = id.to_string();
-            market = m.to_string();
-            end = ms(*terminate_at);
-        }
-        TelemetryEvent::UnwarnedDeath { id, market: m } => {
-            instance = id.to_string();
-            market = m.to_string();
-        }
-        TelemetryEvent::MigrationStarted { kind, from, to } => {
-            market = from.to_string();
-            to_market = to.to_string();
-            detail = kind.name().to_string();
-        }
-        TelemetryEvent::MigrationPhase { phase, duration: d } => {
-            duration = d.as_millis().to_string();
-            detail = phase.name().to_string();
-        }
-        TelemetryEvent::MigrationCompleted {
-            kind,
-            from,
-            to,
-            downtime,
-            degraded,
-        } => {
-            market = from.to_string();
-            to_market = to.to_string();
-            duration = downtime.as_millis().to_string();
-            value = degraded.as_millis().to_string();
-            detail = kind.name().to_string();
-        }
-        TelemetryEvent::MigrationAborted { kind, from } => {
-            market = from.to_string();
-            detail = kind.name().to_string();
-        }
-        TelemetryEvent::Outage { start: s, end: e }
-        | TelemetryEvent::Degraded { start: s, end: e } => {
-            start = ms(*s);
-            end = ms(*e);
-            duration = (*e - *s).as_millis().to_string();
-        }
-        TelemetryEvent::ServiceUp {
-            id,
-            market: m,
-            spot,
-            first,
-        } => {
-            instance = id.to_string();
-            market = m.to_string();
-            // ';' separator: a comma here would break the fixed column
-            // arity of the row.
-            detail = format!(
-                "{}{}",
-                if *spot { "spot" } else { "on-demand" },
-                if *first { ";first" } else { "" }
-            );
-        }
-        TelemetryEvent::FaultInjected { kind } => {
-            detail = kind.name().to_string();
-        }
-        TelemetryEvent::BackoffScheduled { attempt, until } => {
-            end = ms(*until);
-            value = attempt.to_string();
-        }
-        TelemetryEvent::StateChange { state } => {
-            detail = state.name().to_string();
-        }
-        TelemetryEvent::StormStarted { zone } | TelemetryEvent::StormEnded { zone } => {
-            detail = zone.name().to_string();
-        }
-        TelemetryEvent::QuotaExhausted { market: m } => {
-            market = m.to_string();
-        }
-        TelemetryEvent::JobStarted {
-            job,
-            market: m,
-            spot,
-        } => {
-            market = m.to_string();
-            value = job.to_string();
-            detail = if *spot { "spot" } else { "on-demand" }.to_string();
-        }
-        TelemetryEvent::JobCheckpointed { job, duration: d } => {
-            duration = d.as_millis().to_string();
-            value = job.to_string();
-        }
-        TelemetryEvent::JobRestarted {
-            job,
-            market: m,
-            lost,
-        } => {
-            market = m.to_string();
-            duration = lost.as_millis().to_string();
-            value = job.to_string();
-        }
-        TelemetryEvent::JobFinished { job, missed, cost } => {
-            value = cost.to_string();
-            // ';' separator: a comma would break the fixed column arity.
-            detail = format!("job={job};{}", if *missed { "missed" } else { "met" });
-        }
-    }
-    format!(
-        "{},{},{},{},{},{},{},{},{},{}",
-        at.as_millis(),
-        ev.name(),
-        instance,
-        market,
-        to_market,
-        start,
-        end,
-        duration,
-        value,
-        detail
-    )
 }
 
 #[cfg(test)]
@@ -506,26 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_row_matches_header_arity() {
-        let cols = CSV_HEADER.split(',').count();
-        let ev = TelemetryEvent::Outage {
-            start: SimTime::hours(1),
-            end: SimTime::hours(2),
-        };
-        let row = event_to_csv_row(SimTime::hours(2), &ev);
-        assert_eq!(row.split(',').count(), cols, "{row}");
-        let ev2 = TelemetryEvent::BidPlaced {
-            market: market(),
-            bid: Some(0.24),
-            predicted_risk: None,
-        };
-        assert_eq!(
-            event_to_csv_row(SimTime::ZERO, &ev2).split(',').count(),
-            cols
-        );
-    }
-
-    #[test]
     fn storm_events_export_cleanly() {
         let ev = TelemetryEvent::StormStarted {
             zone: Zone::UsWest1a,
@@ -536,19 +307,6 @@ mod tests {
         let q = TelemetryEvent::QuotaExhausted { market: market() };
         let json = event_to_json(SimTime::ZERO, &q);
         assert!(json.contains("\"kind\":\"quota_exhausted\""), "{json}");
-        let cols = CSV_HEADER.split(',').count();
-        for ev in [
-            ev,
-            TelemetryEvent::StormEnded {
-                zone: Zone::UsWest1a,
-            },
-            q,
-        ] {
-            assert_eq!(
-                event_to_csv_row(SimTime::ZERO, &ev).split(',').count(),
-                cols
-            );
-        }
     }
 
     #[test]
@@ -566,8 +324,5 @@ mod tests {
         };
         let json = event_to_json(SimTime::ZERO, &risky);
         assert!(json.contains("\"risk\":0.004"), "{json}");
-        let row = event_to_csv_row(SimTime::ZERO, &risky);
-        assert!(row.contains("risk=0.004"), "{row}");
-        assert_eq!(row.split(',').count(), CSV_HEADER.split(',').count());
     }
 }

@@ -17,7 +17,7 @@
 //!   uninstrumented run is bit-identical to (and as fast as) a build
 //!   without telemetry at all.
 //! * [`Recorder`] — a bounded ring buffer of timestamped events with
-//!   JSONL/CSV export ([`export`]) and an optional streaming writer for
+//!   JSONL export ([`export`]) and an optional streaming writer for
 //!   timelines longer than the buffer.
 //! * [`Metrics`] — fixed-bucket histograms
 //!   ([`spothost_analysis::FixedHistogram`]) over the event stream:
@@ -46,7 +46,7 @@ pub mod sink;
 pub mod timeline;
 
 pub use event::{DenialReason, MigrationPhase, SchedulerState, TelemetryEvent};
-pub use export::{event_to_csv_row, event_to_json, CSV_HEADER};
+pub use export::event_to_json;
 pub use metrics::Metrics;
 pub use recorder::Recorder;
 pub use sink::{NullSink, NullSinkFactory, Sink, SinkFactory};

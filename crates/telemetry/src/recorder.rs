@@ -3,7 +3,7 @@
 //! the buffer.
 
 use crate::event::TelemetryEvent;
-use crate::export::{event_to_csv_row, event_to_json, CSV_HEADER};
+use crate::export::event_to_json;
 use crate::sink::Sink;
 use crate::TimedEvent;
 use spothost_market::time::SimTime;
@@ -117,15 +117,6 @@ impl Recorder {
         }
         Ok(())
     }
-
-    /// Write the buffered events as CSV (with header).
-    pub fn write_csv(&self, w: &mut dyn Write) -> io::Result<()> {
-        writeln!(w, "{CSV_HEADER}")?;
-        for (at, ev) in &self.events {
-            writeln!(w, "{}", event_to_csv_row(*at, ev))?;
-        }
-        Ok(())
-    }
 }
 
 impl Sink for Recorder {
@@ -191,17 +182,5 @@ mod tests {
         for line in text.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
-    }
-
-    #[test]
-    fn csv_export_has_header() {
-        let mut r = Recorder::new();
-        let (at, e) = ev(7);
-        r.emit(at, e);
-        let mut out = Vec::new();
-        r.write_csv(&mut out).expect("write to Vec");
-        let text = String::from_utf8(out).expect("utf8");
-        assert!(text.starts_with("t_ms,kind,"));
-        assert_eq!(text.lines().count(), 2);
     }
 }

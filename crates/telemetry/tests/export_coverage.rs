@@ -1,6 +1,6 @@
-//! Exhaustive export coverage: every `TelemetryEvent` variant round-trips
-//! through `event_to_json` / `event_to_csv_row` with golden assertions on
-//! field names, values, and escaping. A new enum variant fails the
+//! Exhaustive export coverage: every `TelemetryEvent` variant goes
+//! through `event_to_json` with golden assertions on field names, values,
+//! and escaping. A new enum variant fails the
 //! `exhaustive` match below at compile time, forcing this table to grow
 //! with the schema.
 
@@ -9,8 +9,7 @@ use spothost_faults::FaultKind;
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::types::{InstanceType, MarketId, Zone};
 use spothost_telemetry::{
-    event_to_csv_row, event_to_json, DenialReason, MigrationPhase, SchedulerState, TelemetryEvent,
-    CSV_HEADER,
+    event_to_json, DenialReason, MigrationPhase, SchedulerState, TelemetryEvent,
 };
 use spothost_virt::MigrationKind;
 
@@ -59,8 +58,8 @@ fn exhaustive(ev: &TelemetryEvent) {
     }
 }
 
-/// One golden row per variant shape: (event, expected JSON, expected CSV).
-fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
+/// One golden row per variant shape: (event, expected JSON).
+fn goldens() -> Vec<(TelemetryEvent, &'static str)> {
     vec![
         (
             TelemetryEvent::BidPlaced {
@@ -69,7 +68,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 predicted_risk: Some(0.02),
             },
             r#"{"t_ms":1000,"kind":"bid_placed","market":"us-west-1a/large","bid":0.125,"risk":0.02}"#,
-            "1000,bid_placed,,us-west-1a/large,,,,,0.125,risk=0.02",
         ),
         (
             TelemetryEvent::BidPlaced {
@@ -78,7 +76,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 predicted_risk: None,
             },
             r#"{"t_ms":1000,"kind":"bid_placed","market":"us-west-1a/large","on_demand":true}"#,
-            "1000,bid_placed,,us-west-1a/large,,,,,,on-demand",
         ),
         (
             TelemetryEvent::LeaseGranted {
@@ -88,7 +85,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 ready_at: SimTime::millis(61_000),
             },
             r#"{"t_ms":1000,"kind":"lease_granted","id":"i-000042","market":"us-west-1a/large","spot":true,"ready_ms":61000}"#,
-            "1000,lease_granted,i-000042,us-west-1a/large,,61000,,,,spot",
         ),
         (
             TelemetryEvent::LeaseDenied {
@@ -97,7 +93,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 reason: DenialReason::BidBelowPrice,
             },
             r#"{"t_ms":1000,"kind":"lease_denied","market":"us-west-1a/large","spot":true,"reason":"bid-below-price"}"#,
-            "1000,lease_denied,,us-west-1a/large,,,,,,bid-below-price",
         ),
         (
             TelemetryEvent::LeaseActivated {
@@ -105,7 +100,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 market: m(),
             },
             r#"{"t_ms":1000,"kind":"lease_activated","id":"i-000042","market":"us-west-1a/large"}"#,
-            "1000,lease_activated,i-000042,us-west-1a/large,,,,,,",
         ),
         (
             TelemetryEvent::ActivationFailed {
@@ -114,7 +108,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 doomed: true,
             },
             r#"{"t_ms":1000,"kind":"activation_failed","id":"i-000042","market":"us-west-1a/large","doomed":true}"#,
-            "1000,activation_failed,i-000042,us-west-1a/large,,,,,,doomed",
         ),
         (
             TelemetryEvent::LeaseClosed {
@@ -127,7 +120,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 cost: 0.75,
             },
             r#"{"t_ms":1000,"kind":"lease_closed","id":"i-000042","market":"us-west-1a/large","spot":true,"reason":"revoked","start_ms":500,"end_ms":3500,"cost":0.75}"#,
-            "1000,lease_closed,i-000042,us-west-1a/large,,500,3500,3000,0.75,revoked",
         ),
         (
             TelemetryEvent::PriceCrossing {
@@ -136,7 +128,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 at: SimTime::millis(2_000),
             },
             r#"{"t_ms":1000,"kind":"price_crossing","id":"i-000042","market":"us-west-1a/large","crossing_ms":2000}"#,
-            "1000,price_crossing,i-000042,us-west-1a/large,,2000,,,,",
         ),
         (
             TelemetryEvent::RevocationWarning {
@@ -145,7 +136,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 terminate_at: SimTime::millis(121_000),
             },
             r#"{"t_ms":1000,"kind":"revocation_warning","id":"i-000042","market":"us-west-1a/large","terminate_ms":121000}"#,
-            "1000,revocation_warning,i-000042,us-west-1a/large,,,121000,,,",
         ),
         (
             TelemetryEvent::UnwarnedDeath {
@@ -153,7 +143,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 market: m(),
             },
             r#"{"t_ms":1000,"kind":"unwarned_death","id":"i-000042","market":"us-west-1a/large"}"#,
-            "1000,unwarned_death,i-000042,us-west-1a/large,,,,,,",
         ),
         (
             TelemetryEvent::MigrationStarted {
@@ -162,7 +151,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 to: m2(),
             },
             r#"{"t_ms":1000,"kind":"migration_started","migration":"forced","from":"us-west-1a/large","to":"us-east-1b/small"}"#,
-            "1000,migration_started,,us-west-1a/large,us-east-1b/small,,,,,forced",
         ),
         (
             TelemetryEvent::MigrationPhase {
@@ -170,7 +158,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 duration: SimDuration::millis(1_500),
             },
             r#"{"t_ms":1000,"kind":"migration_phase","phase":"ckpt-flush","duration_ms":1500}"#,
-            "1000,migration_phase,,,,,,1500,,ckpt-flush",
         ),
         (
             TelemetryEvent::MigrationCompleted {
@@ -181,7 +168,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 degraded: SimDuration::millis(500),
             },
             r#"{"t_ms":1000,"kind":"migration_completed","migration":"planned","from":"us-west-1a/large","to":"us-east-1b/small","downtime_ms":2000,"degraded_ms":500}"#,
-            "1000,migration_completed,,us-west-1a/large,us-east-1b/small,,,2000,500,planned",
         ),
         (
             TelemetryEvent::MigrationAborted {
@@ -189,7 +175,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 from: m(),
             },
             r#"{"t_ms":1000,"kind":"migration_aborted","migration":"reverse","from":"us-west-1a/large"}"#,
-            "1000,migration_aborted,,us-west-1a/large,,,,,,reverse",
         ),
         (
             TelemetryEvent::Outage {
@@ -197,7 +182,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 end: SimTime::millis(400),
             },
             r#"{"t_ms":1000,"kind":"outage","start_ms":100,"end_ms":400,"duration_ms":300}"#,
-            "1000,outage,,,,100,400,300,,",
         ),
         (
             TelemetryEvent::Degraded {
@@ -205,7 +189,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 end: SimTime::millis(400),
             },
             r#"{"t_ms":1000,"kind":"degraded","start_ms":100,"end_ms":400,"duration_ms":300}"#,
-            "1000,degraded,,,,100,400,300,,",
         ),
         (
             TelemetryEvent::ServiceUp {
@@ -215,7 +198,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 first: true,
             },
             r#"{"t_ms":1000,"kind":"service_up","id":"i-000042","market":"us-west-1a/large","spot":true,"first":true}"#,
-            "1000,service_up,i-000042,us-west-1a/large,,,,,,spot;first",
         ),
         (
             TelemetryEvent::ServiceUp {
@@ -225,14 +207,12 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 first: false,
             },
             r#"{"t_ms":1000,"kind":"service_up","id":"i-000042","market":"us-west-1a/large","spot":false,"first":false}"#,
-            "1000,service_up,i-000042,us-west-1a/large,,,,,,on-demand",
         ),
         (
             TelemetryEvent::FaultInjected {
                 kind: FaultKind::CkptWriteFail,
             },
             r#"{"t_ms":1000,"kind":"fault_injected","fault":"ckpt-write-fail"}"#,
-            "1000,fault_injected,,,,,,,,ckpt-write-fail",
         ),
         (
             TelemetryEvent::BackoffScheduled {
@@ -240,33 +220,28 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 until: SimTime::millis(9_000),
             },
             r#"{"t_ms":1000,"kind":"backoff_scheduled","attempt":3,"until_ms":9000}"#,
-            "1000,backoff_scheduled,,,,,9000,,3,",
         ),
         (
             TelemetryEvent::StateChange {
                 state: SchedulerState::Reacquiring,
             },
             r#"{"t_ms":1000,"kind":"state_change","state":"reacquiring"}"#,
-            "1000,state_change,,,,,,,,reacquiring",
         ),
         (
             TelemetryEvent::StormStarted {
                 zone: Zone::EuWest1a,
             },
             r#"{"t_ms":1000,"kind":"storm_started","zone":"eu-west-1a"}"#,
-            "1000,storm_started,,,,,,,,eu-west-1a",
         ),
         (
             TelemetryEvent::StormEnded {
                 zone: Zone::EuWest1a,
             },
             r#"{"t_ms":1000,"kind":"storm_ended","zone":"eu-west-1a"}"#,
-            "1000,storm_ended,,,,,,,,eu-west-1a",
         ),
         (
             TelemetryEvent::QuotaExhausted { market: m() },
             r#"{"t_ms":1000,"kind":"quota_exhausted","market":"us-west-1a/large"}"#,
-            "1000,quota_exhausted,,us-west-1a/large,,,,,,",
         ),
         (
             TelemetryEvent::JobStarted {
@@ -275,7 +250,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 spot: true,
             },
             r#"{"t_ms":1000,"kind":"job_started","job":17,"market":"us-west-1a/large","spot":true}"#,
-            "1000,job_started,,us-west-1a/large,,,,,17,spot",
         ),
         (
             TelemetryEvent::JobCheckpointed {
@@ -283,7 +257,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 duration: SimDuration::millis(4_000),
             },
             r#"{"t_ms":1000,"kind":"job_checkpointed","job":17,"duration_ms":4000}"#,
-            "1000,job_checkpointed,,,,,,4000,17,",
         ),
         (
             TelemetryEvent::JobRestarted {
@@ -292,7 +265,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 lost: SimDuration::millis(90_000),
             },
             r#"{"t_ms":1000,"kind":"job_restarted","job":17,"market":"us-west-1a/large","lost_ms":90000}"#,
-            "1000,job_restarted,,us-west-1a/large,,,,90000,17,",
         ),
         (
             TelemetryEvent::JobFinished {
@@ -301,7 +273,6 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
                 cost: 0.375,
             },
             r#"{"t_ms":1000,"kind":"job_finished","job":17,"missed":true,"cost":0.375}"#,
-            "1000,job_finished,,,,,,,0.375,job=17;missed",
         ),
     ]
 }
@@ -309,7 +280,7 @@ fn goldens() -> Vec<(TelemetryEvent, &'static str, &'static str)> {
 #[test]
 fn every_variant_has_a_golden_json_line() {
     let mut kinds_seen = std::collections::BTreeSet::new();
-    for (ev, json, _) in goldens() {
+    for (ev, json) in goldens() {
         exhaustive(&ev);
         kinds_seen.insert(ev.name());
         let line = event_to_json(SimTime::millis(1_000), &ev);
@@ -320,31 +291,4 @@ fn every_variant_has_a_golden_json_line() {
     }
     // All 26 kinds covered (Bid/ServiceUp appear twice for both shapes).
     assert_eq!(kinds_seen.len(), 26, "kinds covered: {kinds_seen:?}");
-}
-
-#[test]
-fn every_variant_has_a_golden_csv_row_with_fixed_arity() {
-    let cols = CSV_HEADER.split(',').count();
-    for (ev, _, csv) in goldens() {
-        let row = event_to_csv_row(SimTime::millis(1_000), &ev);
-        assert_eq!(row, csv, "CSV golden mismatch for {}", ev.name());
-        assert_eq!(
-            row.split(',').count(),
-            cols,
-            "CSV arity broken for {}: {row}",
-            ev.name()
-        );
-    }
-}
-
-#[test]
-fn json_and_csv_agree_on_kind_and_timestamp() {
-    for (ev, _, _) in goldens() {
-        let json = event_to_json(SimTime::millis(1_000), &ev);
-        let row = event_to_csv_row(SimTime::millis(1_000), &ev);
-        assert!(json.contains(&format!("\"kind\":\"{}\"", ev.name())));
-        let mut fields = row.split(',');
-        assert_eq!(fields.next(), Some("1000"));
-        assert_eq!(fields.next(), Some(ev.name()));
-    }
 }
