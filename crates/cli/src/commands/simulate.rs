@@ -83,9 +83,10 @@ pub(crate) fn build_cfg(args: &Args) -> Result<SchedulerConfig, String> {
 
     let mut cfg = match &scope {
         MarketScope::Single(m) => SchedulerConfig::single_market(*m),
-        other => SchedulerConfig::multi(other.clone()).with_capacity_units(units),
+        other => SchedulerConfig::multi(other.clone()),
     };
     cfg = cfg
+        .with_capacity_units(units)
         .with_policy(policy)
         .with_mechanism(mechanism)
         .with_stability_weight(stability)

@@ -98,3 +98,20 @@ fn traces_missing_a_candidate_market_are_rejected() {
     }
     std::fs::remove_dir_all(&dir).expect("remove trace dir");
 }
+
+/// `--units` reaches a single market's configuration too: a count no
+/// scope supports, or one the market's servers cannot pack, is rejected
+/// by validation, never run as the market's default or a panic.
+#[test]
+fn units_a_single_market_cannot_host_are_rejected() {
+    for cmd in ["simulate", "timeline"] {
+        assert_rejected(
+            &[cmd, "--units", "64", "--days", "1"],
+            "capacity_units must be one of [1, 2, 4, 8], got 64",
+        );
+        assert_rejected(
+            &[cmd, "--market", "us-east-1a/large", "--units", "2"],
+            "scope has no candidate markets for this capacity",
+        );
+    }
+}

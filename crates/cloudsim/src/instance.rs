@@ -49,6 +49,17 @@ pub enum TerminationReason {
     FailedAllocation,
 }
 
+impl TerminationReason {
+    /// Short lowercase label used in telemetry exports.
+    pub fn name(self) -> &'static str {
+        match self {
+            TerminationReason::Revoked => "revoked",
+            TerminationReason::Voluntary => "voluntary",
+            TerminationReason::FailedAllocation => "failed-allocation",
+        }
+    }
+}
+
 /// Lifecycle state machine:
 /// `Pending -> Running -> Terminated`, with `Running -> RevocationPending ->
 /// Terminated` for provider-initiated revocation.

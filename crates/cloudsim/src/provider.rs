@@ -15,7 +15,7 @@ use crate::instance::{Instance, InstanceId, InstanceKind, InstanceState, Termina
 use crate::startup::StartupModel;
 use crate::volume::VolumePool;
 use crate::REVOCATION_GRACE;
-use spothost_faults::{FaultPlan, StormSchedule, WarningFault};
+use spothost_faults::{FaultConfig, FaultPlan, StormSchedule, WarningFault};
 use spothost_market::gen::{derive_seed, TraceSet};
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::trace::TraceCursor;
@@ -149,23 +149,38 @@ impl<'t> CloudProvider<'t> {
         }
     }
 
-    /// Attach a fault plan: requests, startups and warnings now fail with
-    /// the plan's probabilities, on the plan's own random streams.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Box::new(plan));
-        self
-    }
-
-    /// Attach a storm schedule: fault rates are elevated during episodes,
-    /// spot requests can hit capacity crunches, running leases are swept
-    /// by mass revocations, and on-demand requests are bounded by the
-    /// global quota. A schedule built from [`StormConfig::none`] is
-    /// behaviourally identical to no schedule at all.
+    /// The provider of one simulation run with seed `seed`, and the
+    /// mechanism-side fault plan its caller draws from.
     ///
-    /// [`StormConfig::none`]: spothost_faults::StormConfig::none
-    pub fn with_storms(mut self, schedule: StormSchedule) -> Self {
-        self.storms = Some(schedule);
-        self
+    /// Fault plans are split: the provider draws request, startup and
+    /// warning faults, the caller draws the rest (checkpoint writes, live
+    /// aborts, lazy-restore storms). Separate derived seeds keep the two
+    /// stream families independent. With faults disabled neither side
+    /// holds a plan, and without a storm schedule the provider holds
+    /// none, so a run without either is bit-identical to a provider that
+    /// never heard of them.
+    ///
+    /// Under a storm schedule fault rates rise during episodes, requests
+    /// can hit capacity crunches, running spot leases are swept by mass
+    /// revocations, and on-demand requests are bounded by the global
+    /// quota. The provider keeps its own clone of `storms`: it draws only
+    /// the crunch stream, the caller only the jitter stream.
+    pub fn for_run(
+        traces: &'t TraceSet,
+        seed: u64,
+        faults: &FaultConfig,
+        storms: Option<&StormSchedule>,
+    ) -> (Self, Option<Box<FaultPlan>>) {
+        let plan = |role| {
+            let seed = derive_seed(seed, role, 0);
+            faults
+                .enabled()
+                .then(|| Box::new(FaultPlan::new(faults.clone(), seed)))
+        };
+        let mut provider = CloudProvider::new(traces, seed);
+        provider.faults = plan("faults-provider");
+        provider.storms = storms.cloned();
+        (provider, plan("faults-mechanism"))
     }
 
     /// On-demand servers currently counted against the storm quota.
@@ -590,6 +605,18 @@ mod tests {
         MarketId::new(Zone::UsEast1a, InstanceType::Small)
     }
 
+    /// A deterministic-startup provider over `ts` with these faults and
+    /// storms.
+    fn provider<'t>(
+        ts: &'t TraceSet,
+        faults: &FaultConfig,
+        storms: Option<&StormSchedule>,
+    ) -> CloudProvider<'t> {
+        CloudProvider::for_run(ts, 7, faults, storms)
+            .0
+            .with_startup_model(StartupModel::deterministic())
+    }
+
     /// A trace set with a hand-built price pattern: cheap, then a spike at
     /// day 1 lasting 30 minutes, then cheap again.
     fn traces() -> TraceSet {
@@ -751,14 +778,11 @@ mod tests {
 
     #[test]
     fn full_capacity_fault_rate_rejects_every_request() {
-        use spothost_faults::{FaultConfig, FaultPlan};
         let ts = traces();
         let mut cfg = FaultConfig::none();
         cfg.spot_capacity_rate = 1.0;
         cfg.od_capacity_rate = 1.0;
-        let mut p = CloudProvider::new(&ts, 7)
-            .with_startup_model(StartupModel::deterministic())
-            .with_faults(FaultPlan::new(cfg, 7));
+        let mut p = provider(&ts, &cfg, None);
         let pon = p.on_demand_price(market());
         assert!(matches!(
             p.request_spot(market(), pon, SimTime::ZERO),
@@ -773,13 +797,10 @@ mod tests {
 
     #[test]
     fn doomed_startup_fails_activation_unbilled() {
-        use spothost_faults::{FaultConfig, FaultPlan};
         let ts = traces();
         let mut cfg = FaultConfig::none();
         cfg.startup_failure_rate = 1.0;
-        let mut p = CloudProvider::new(&ts, 7)
-            .with_startup_model(StartupModel::deterministic())
-            .with_faults(FaultPlan::new(cfg, 7));
+        let mut p = provider(&ts, &cfg, None);
         let (id, ready) = p.request_on_demand(market(), SimTime::ZERO).unwrap();
         assert!(!p.activate(id, ready));
         let inst = p.instance(id).unwrap();
@@ -790,7 +811,6 @@ mod tests {
 
     #[test]
     fn warning_faults_shape_revocation_schedule() {
-        use spothost_faults::{FaultConfig, FaultPlan};
         let catalog = Catalog::ec2_2015();
         // Stormy enough that a low bid is crossed within the horizon.
         let mut params = SpotModelParams::default_market();
@@ -799,9 +819,7 @@ mod tests {
         let pon = catalog.on_demand_price(market());
 
         let schedule_with = |cfg: FaultConfig| {
-            let mut p = CloudProvider::new(&ts, 7)
-                .with_startup_model(StartupModel::deterministic())
-                .with_faults(FaultPlan::new(cfg, 7));
+            let mut p = provider(&ts, &cfg, None);
             let (id, ready) = p.request_spot(market(), pon, SimTime::ZERO).unwrap();
             assert!(p.activate(id, ready));
             p.revocation_schedule(id, ready)
@@ -826,15 +844,13 @@ mod tests {
 
     #[test]
     fn od_quota_rejects_then_releases() {
-        use spothost_faults::{StormConfig, StormSchedule};
+        use spothost_faults::StormConfig;
         let ts = traces();
         let mut cfg = StormConfig::none();
         cfg.od_quota = 1;
         let spans = [const { Vec::new() }; 4];
         let storms = StormSchedule::new(cfg, 7, SimDuration::days(7), &spans);
-        let mut p = CloudProvider::new(&ts, 7)
-            .with_startup_model(StartupModel::deterministic())
-            .with_storms(storms);
+        let mut p = provider(&ts, &FaultConfig::none(), Some(&storms));
         let (first, ready) = p.request_on_demand(market(), SimTime::ZERO).unwrap();
         assert_eq!(p.on_demand_in_use(), 1);
         assert!(matches!(
@@ -855,7 +871,7 @@ mod tests {
 
     #[test]
     fn mass_revocation_revokes_even_below_bid() {
-        use spothost_faults::{StormConfig, StormSchedule};
+        use spothost_faults::StormConfig;
         let ts = traces();
         let mut cfg = StormConfig::none();
         cfg.episodes_per_day = 12.0;
@@ -866,9 +882,7 @@ mod tests {
         let sweep = storms
             .next_mass_revocation(market().zone, SimTime::ZERO)
             .expect("heavy storm config must schedule sweeps");
-        let mut p = CloudProvider::new(&ts, 7)
-            .with_startup_model(StartupModel::deterministic())
-            .with_storms(storms);
+        let mut p = provider(&ts, &FaultConfig::none(), Some(&storms));
         let pon = p.on_demand_price(market());
         // Quiet trace never crosses 4x on-demand, so any revocation the
         // schedule reports comes from the mass sweep.
@@ -883,7 +897,7 @@ mod tests {
 
     #[test]
     fn capacity_crunch_rejects_spot_during_episode() {
-        use spothost_faults::{StormConfig, StormSchedule};
+        use spothost_faults::StormConfig;
         let ts = traces();
         let mut cfg = StormConfig::none();
         cfg.episodes_per_day = 12.0;
@@ -893,9 +907,7 @@ mod tests {
         let storms = StormSchedule::new(cfg, 21, SimDuration::days(7), &spans);
         let zone = market().zone;
         let episode = storms.episodes(zone).first().copied().expect("episodes");
-        let mut p = CloudProvider::new(&ts, 7)
-            .with_startup_model(StartupModel::deterministic())
-            .with_storms(storms);
+        let mut p = provider(&ts, &FaultConfig::none(), Some(&storms));
         let pon = p.on_demand_price(market());
         // Outside any episode the request sails through; inside, the
         // certain crunch drains it.

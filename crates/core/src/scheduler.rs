@@ -35,9 +35,9 @@ use spothost_cloudsim::{
     CloudProvider, EventQueue, InstanceId, InstanceState, RequestError, StartupModel,
     TerminationReason,
 };
-use spothost_faults::{FaultKind, FaultPlan, StormSchedule};
+use spothost_faults::{acquire_backoff, FaultKind, FaultPlan, StormSchedule};
 use spothost_forecast::{ForecastParams, MarketForecaster};
-use spothost_market::gen::{derive_seed, TraceSet};
+use spothost_market::gen::TraceSet;
 use spothost_market::time::{SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR};
 use spothost_market::trace::{TraceCursor, TrailingWindow};
 use spothost_market::types::{MarketId, Zone};
@@ -504,32 +504,13 @@ impl<'t> SimRun<'t, NullSink> {
         let traces = plan.traces;
         let cfg = &plan.cfg;
         let horizon = SimTime::ZERO + traces.horizon();
-        // Fault plans are split: the provider draws request/startup/warning
-        // faults, the scheduler draws mechanism faults. Separate derived
-        // seeds keep the two stream families independent. With faults
-        // disabled neither side holds a plan, so the zero-fault run is
-        // bit-identical to a build without any of this.
-        let (mut provider, faults) = if cfg.faults.enabled() {
-            let provider_plan =
-                FaultPlan::new(cfg.faults.clone(), derive_seed(seed, "faults-provider", 0));
-            let mech_plan =
-                FaultPlan::new(cfg.faults.clone(), derive_seed(seed, "faults-mechanism", 0));
-            (
-                CloudProvider::new(traces, seed).with_faults(provider_plan),
-                Some(Box::new(mech_plan)),
-            )
-        } else {
-            (CloudProvider::new(traces, seed), None)
-        };
         // Storms ride their own seed-derived streams, independent of the
-        // fault streams above; a fleet pins one schedule in the config so
-        // every service in it shares the same episode timeline. An
-        // effect-free storm config builds no schedule at all —
-        // bit-identical to a build without any of this.
+        // fault streams; a fleet pins one schedule in the config so every
+        // service in it shares the same episode timeline. An effect-free
+        // storm config builds no schedule at all — bit-identical to a
+        // build without any of this.
         let storms = cfg.run_storms(traces, seed);
-        if let Some(s) = &storms {
-            provider = provider.with_storms(s.clone());
-        }
+        let (provider, faults) = CloudProvider::for_run(traces, seed, &cfg.faults, storms.as_ref());
         let edges = StormEdges::new(storms.as_ref(), &plan.zones, horizon);
         let SimScratch {
             mut queue,
@@ -679,22 +660,17 @@ impl<'t, S: Sink> SimRun<'t, S> {
 
     /// Advance the run, dispatching every queued event and storm edge
     /// strictly before `limit`. Returns `true` when the run stopped *at*
-    /// `limit` (or ran out of events) and is still live; `false` once it
-    /// consumed an event at or past its own horizon — the run is over and
-    /// the only valid next call is [`SimRun::finish_at`].
+    /// `limit` (or ran out of events) and is still live; `false` once the
+    /// next event lies at or past its own horizon — the run is over and
+    /// the only valid next call is [`SimRun::finish_at`]. That event stays
+    /// queued, so the final sweep settles a revoked lease whose
+    /// termination lies there.
     ///
     /// Storm edges are not queued: they come from cursors into the shared
     /// storm timeline and are merged with the queue here. An edge goes
     /// before a queued event of the same time, and same-time edges go in
     /// scope-zone order; edges change behaviour (an episode start can
     /// evacuate the active lease), so this tie rule is part of the output.
-    ///
-    /// `step_until(SimTime::MAX)` reproduces the legacy single-VM event
-    /// loop exactly, including its terminal quirk: the first event at or
-    /// past the horizon is *consumed* (popped, not dispatched) rather
-    /// than left queued for the final sweep. The byte-identity of the
-    /// whole experiment suite rides on preserving that order, so do not
-    /// "fix" it.
     pub fn step_until(&mut self, limit: SimTime) -> bool {
         loop {
             let queued = self.queue.peek_time();
@@ -716,18 +692,16 @@ impl<'t, S: Sink> SimRun<'t, S> {
             let Some(t) = queued else {
                 return true;
             };
-            if t >= limit && t < self.horizon {
+            if t >= self.horizon {
+                return false;
+            }
+            if t >= limit {
                 // The next event belongs to a later step window.
                 return true;
             }
             let Some((t, ev)) = self.queue.pop() else {
                 unreachable!("peek_time saw an event");
             };
-            if t >= self.horizon {
-                // Run over; the event is consumed, not dispatched (see
-                // the doc comment).
-                return false;
-            }
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.dispatch(ev);
@@ -735,24 +709,15 @@ impl<'t, S: Sink> SimRun<'t, S> {
     }
 
     /// The earliest limit past which [`SimRun::step_until`] would act:
-    /// `step_until(limit)` dispatches or consumes something exactly when
-    /// this is `None` or lies before `limit`. A fleet steps only the VMs
+    /// `step_until(limit)` dispatches something exactly when this lies
+    /// before `limit` and before the horizon. A fleet steps only the VMs
     /// for which that holds, and leaves the rest untouched.
-    ///
-    /// `None` when the next thing to happen is a queued event at or past
-    /// the horizon, because `step_until` consumes such an event at any
-    /// limit (see its doc comment), and which of them are consumed decides
-    /// which revoked leases the final sweep settles. `Some(SimTime::MAX)`
-    /// when nothing is pending at all.
-    pub fn next_due(&self) -> Option<SimTime> {
+    /// `SimTime::MAX` when nothing is pending at all.
+    pub fn next_due(&self) -> SimTime {
         let queued = self.queue.peek_time();
         match self.edges.next {
-            Some((t, _)) if queued.is_none_or(|q| t <= q) => Some(t),
-            _ => match queued {
-                Some(q) if q >= self.horizon => None,
-                Some(q) => Some(q),
-                None => Some(SimTime::MAX),
-            },
+            Some((t, _)) if queued.is_none_or(|q| t <= q) => t,
+            _ => queued.unwrap_or(SimTime::MAX),
         }
     }
 
@@ -1053,22 +1018,6 @@ impl<'t, S: Sink> SimRun<'t, S> {
         fails
     }
 
-    /// Bounded exponential backoff between faulted acquisition attempts:
-    /// 60 s doubling to a one-hour cap. Guarantees every retry loop makes
-    /// real progress toward the horizon even at a 100% fault rate. Under
-    /// a storm schedule the delay gains seeded multiplicative jitter so
-    /// correlated victims de-synchronise instead of stampeding the
-    /// market in lockstep.
-    fn retry_after_backoff(&mut self) -> SimDuration {
-        let delay = SimDuration::secs(60u64 << self.acquire_attempts.min(6));
-        self.acquire_attempts = self.acquire_attempts.saturating_add(1);
-        let delay = delay.min(SimDuration::hours(1));
-        match &mut self.storms {
-            Some(s) => s.jittered_backoff(delay),
-            None => delay,
-        }
-    }
-
     /// Point the mechanism fault plan's storm multiplier at this zone at
     /// the current moment (no-op without storms or without faults).
     fn set_mech_storm_mult(&mut self, zone: Zone) {
@@ -1078,12 +1027,13 @@ impl<'t, S: Sink> SimRun<'t, S> {
     }
 
     /// Shared backoff scheduling for faulted acquisitions: one `Reacquire`
-    /// wakeup after the bounded backoff, clamped to the horizon. `from` is
+    /// wakeup after the ladder's next delay ([`acquire_backoff`]), clamped
+    /// to the horizon. `from` is
     /// where the backoff starts — now, or a pending termination time when
     /// the failed request was made ahead of the server's death.
     fn schedule_reacquire(&mut self, from: SimTime) {
         let attempt = self.acquire_attempts;
-        let at = from + self.retry_after_backoff();
+        let at = from + acquire_backoff(&mut self.acquire_attempts, self.storms.as_mut());
         self.emit(TelemetryEvent::BackoffScheduled { attempt, until: at });
         if at < self.horizon {
             self.queue.push(at, Ev::Reacquire);
@@ -2406,7 +2356,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
                     self.note_boot_blocked();
                 }
                 let attempt = self.acquire_attempts;
-                let at = self.now + self.retry_after_backoff();
+                let at =
+                    self.now + acquire_backoff(&mut self.acquire_attempts, self.storms.as_mut());
                 self.emit(TelemetryEvent::BackoffScheduled { attempt, until: at });
                 if at < self.horizon {
                     self.queue.push(at, Ev::SpotRetry);
@@ -2637,24 +2588,28 @@ mod tests {
         while t < run.horizon() {
             run.step_until(t);
             let due = run.next_due();
-            assert!(due.is_none_or(|d| d >= t), "{due:?} is before {t:?}");
+            assert!(due >= t, "{due:?} is before {t:?}");
             t += SimDuration::minutes(7);
         }
     }
 
     #[test]
-    fn next_due_is_none_while_a_terminal_event_is_queued() {
+    fn next_due_is_a_terminal_event_left_queued() {
         // A run started a minute before its horizon requests a server that
-        // is ready only after it. That event is consumed at any limit, so
-        // a step must not be skipped for it.
+        // is ready only after it. No step dispatches that event: each one
+        // reports the run over and leaves it queued for the final sweep.
         let ts = quiet_traces(3);
+        let horizon = SimTime::ZERO + SimDuration::days(3);
         let mut run = SimRun::new(&ts, &cfg(), 1)
             .with_startup_model(StartupModel::deterministic())
-            .with_start(SimTime::ZERO + SimDuration::days(3) - SimDuration::minutes(1));
+            .with_start(horizon - SimDuration::minutes(1));
         run.begin();
-        assert_eq!(run.next_due(), None);
-        assert!(!run.step_until(SimTime::ZERO), "consumed at any limit");
-        assert_eq!(run.next_due(), Some(SimTime::MAX), "nothing is left");
+        let due = run.next_due();
+        assert!(due > horizon, "the server is ready after the horizon");
+        for limit in [SimTime::ZERO, due, SimTime::MAX] {
+            assert!(!run.step_until(limit), "the run is over at {limit:?}");
+            assert_eq!(run.next_due(), due, "the event stays queued");
+        }
     }
 
     #[test]

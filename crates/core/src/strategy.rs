@@ -53,14 +53,8 @@ impl MarketScope {
     /// forecaster state is aligned index-for-index, so a permuted list
     /// would silently change simulation results.
     pub fn candidates(&self, units: u32) -> Vec<MarketId> {
-        let mut out = match self {
-            MarketScope::Single(m) => {
-                assert!(
-                    fits(units, m.itype),
-                    "single-market scope must fit the service"
-                );
-                vec![*m]
-            }
+        let mut out: Vec<MarketId> = match self {
+            MarketScope::Single(m) => [*m].into_iter().filter(|m| fits(units, m.itype)).collect(),
             MarketScope::MultiMarket(zone) => MarketId::all_in_zone(*zone)
                 .into_iter()
                 .filter(|m| fits(units, m.itype))
@@ -135,6 +129,7 @@ mod tests {
         let m = MarketId::new(Zone::UsEast1a, InstanceType::Large);
         let s = MarketScope::Single(m);
         assert_eq!(s.candidates(4), vec![m]);
+        assert_eq!(s.candidates(2), vec![], "a large server overfills 2 units");
         assert_eq!(s.zones(), vec![Zone::UsEast1a]);
         assert_eq!(s.on_demand_market(Zone::UsEast1a, 4), m);
     }

@@ -27,6 +27,7 @@
 use proptest::prelude::*;
 use spothost_core::prelude::*;
 use spothost_core::scheduler::{SimRun, SimScratch};
+use spothost_core::telemetry::TimedEvent;
 use spothost_market::catalog::Catalog;
 use spothost_market::gen::TraceSet;
 use spothost_market::time::{SimDuration, SimTime};
@@ -194,8 +195,8 @@ const HORIZON_DAYS: u64 = 7;
 /// Run `cfg` from `start` through `ticks` the way a fleet steps a VM,
 /// finishing right after tick `release`, or at the horizon when `release`
 /// is past the last tick. With `skip`, a tick calls `step_until` only
-/// when `next_due` is `None` or before the tick. Returns the report's
-/// bits and the event stream.
+/// when `next_due` is before the tick. Returns the report's bits and the
+/// event stream.
 fn run_ticked(
     traces: &TraceSet,
     cfg: &SchedulerConfig,
@@ -204,7 +205,7 @@ fn run_ticked(
     ticks: &[SimTime],
     release: usize,
     skip: bool,
-) -> (Vec<u64>, Vec<String>) {
+) -> (Vec<u64>, Vec<TimedEvent>) {
     let mut rec = Recorder::new();
     let mut run = SimRun::new(traces, cfg, seed)
         .with_sink(&mut rec)
@@ -212,7 +213,7 @@ fn run_ticked(
     run.begin();
     let mut finish = None;
     for (k, &t) in ticks.iter().enumerate() {
-        if !skip || run.next_due().is_none_or(|due| due < t) {
+        if !skip || run.next_due() < t {
             run.step_until(t);
         }
         if k == release {
@@ -225,10 +226,14 @@ fn run_ticked(
         run.horizon()
     });
     let (report, _) = run.finish_at(finish);
-    // `{:?}` prints every float in its shortest round-trip form, so equal
-    // renderings are equal bits.
-    let stream = rec.events().map(|e| format!("{e:?}")).collect();
-    (report_bits(&report), stream)
+    (report_bits(&report), rec.into_events())
+}
+
+/// An event stream rendered for bitwise comparison: `{:?}` prints every
+/// float in its shortest round-trip form, so equal renderings are equal
+/// bits.
+fn rendered(stream: &[TimedEvent]) -> Vec<String> {
+    stream.iter().map(|e| format!("{e:?}")).collect()
 }
 
 fn traces_for(cfg: &SchedulerConfig, seed: u64) -> TraceSet {
@@ -243,12 +248,14 @@ fn traces_for(cfg: &SchedulerConfig, seed: u64) -> TraceSet {
 
 /// A revocation 70 s before the horizon: the forced migration queues the
 /// replacement's `Ready` and the old lease's `Terminate`, both past the
-/// horizon. The first is consumed in the step that dispatched the
-/// warning; a VM stepped every second consumes the second one tick later,
-/// and the run released after that never settles the revoked lease. A
-/// VM that skipped that step would settle it in the final sweep.
+/// horizon. Neither is dispatched, by a VM stepped every second or by one
+/// that skips the steps with nothing due, and the run released just
+/// before the horizon settles the revoked lease in its final sweep. A
+/// lease granted an hour before the horizon owes nothing for its revoked
+/// partial hour; one granted three hours before owes its full hours.
 #[test]
 fn a_skipped_step_keeps_the_terminal_event_rule() {
+    use spothost_cloudsim::TerminationReason;
     use spothost_market::trace::{PricePoint, PriceTrace};
     let market = MarketId::new(Zone::UsEast1a, InstanceType::Small);
     let days = SimDuration::days(2);
@@ -269,15 +276,32 @@ fn a_skipped_step_keeps_the_terminal_event_rule() {
     );
     let traces = TraceSet::from_traces(&Catalog::ec2_2015(), vec![(market, trace)], days);
     let cfg = SchedulerConfig::single_market(market).with_policy(BiddingPolicy::Reactive);
-    let start = horizon - SimDuration::hours(1);
-    let ticks: Vec<SimTime> =
-        std::iter::successors(Some(start), |&t| Some(t + SimDuration::secs(1)))
-            .take_while(|&t| t < horizon)
+    for lead_h in [1, 3] {
+        let start = horizon - SimDuration::hours(lead_h);
+        let ticks: Vec<SimTime> =
+            std::iter::successors(Some(start), |&t| Some(t + SimDuration::secs(1)))
+                .take_while(|&t| t < horizon)
+                .collect();
+        let release = ticks.len() - 1;
+        let every = run_ticked(&traces, &cfg, 3, start, &ticks, release, false);
+        let skipping = run_ticked(&traces, &cfg, 3, start, &ticks, release, true);
+        assert_eq!(every.0, skipping.0);
+        assert_eq!(rendered(&every.1), rendered(&skipping.1));
+        let revoked: Vec<f64> = every
+            .1
+            .iter()
+            .filter_map(|&(_, e)| match e {
+                TelemetryEvent::LeaseClosed {
+                    reason: TerminationReason::Revoked,
+                    cost,
+                    ..
+                } => Some(cost),
+                _ => None,
+            })
             .collect();
-    let release = ticks.len() - 1;
-    let every = run_ticked(&traces, &cfg, 3, start, &ticks, release, false);
-    let skipping = run_ticked(&traces, &cfg, 3, start, &ticks, release, true);
-    assert_eq!(every, skipping);
+        assert_eq!(revoked.len(), 1, "lead {lead_h} h: {revoked:?}");
+        assert_eq!(revoked[0] > 0.0, lead_h > 1, "lead {lead_h} h: {revoked:?}");
+    }
 }
 
 proptest! {
@@ -518,6 +542,6 @@ proptest! {
         let every = run_ticked(&traces, &cfg, seed, start, &ticks, release, false);
         let skipping = run_ticked(&traces, &cfg, seed, start, &ticks, release, true);
         prop_assert_eq!(every.0, skipping.0);
-        prop_assert_eq!(every.1, skipping.1);
+        prop_assert_eq!(rendered(&every.1), rendered(&skipping.1));
     }
 }

@@ -53,16 +53,6 @@ fn us(ms: u64) -> u64 {
     ms.saturating_mul(1_000)
 }
 
-/// Same strings `telemetry::export` uses for the JSONL exporter.
-fn termination_name(r: spothost_cloudsim::TerminationReason) -> &'static str {
-    use spothost_cloudsim::TerminationReason as TR;
-    match r {
-        TR::Revoked => "revoked",
-        TR::Voluntary => "voluntary",
-        TR::FailedAllocation => "failed-allocation",
-    }
-}
-
 struct TraceWriter {
     out: String,
     first: bool,
@@ -166,7 +156,7 @@ pub fn to_perfetto_json(events: &[StoredEvent]) -> String {
                         us(dur),
                         &format!(
                             "\"instance\":\"{id}\",\"spot\":{spot},\"reason\":\"{}\",\"cost\":{cost:.6}",
-                            termination_name(*reason)
+                            reason.name()
                         ),
                     );
                 }

@@ -330,7 +330,7 @@ impl FleetSimReport {
 struct VmSlot<'t, S: Sink> {
     run: Box<SimRun<'t, S>>,
     /// [`SimRun::next_due`] after the last step.
-    due: Option<SimTime>,
+    due: SimTime,
     /// [`SimRun::is_serving`] after the last step.
     serving: bool,
     started: SimTime,
@@ -489,7 +489,7 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             .with_start(at);
         let mut slot = VmSlot {
             run: Box::new(run),
-            due: None,
+            due: SimTime::ZERO,
             serving: false,
             started: at,
             spawn_idx: self.spawn_counter,
@@ -530,7 +530,7 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         // nothing due before the tick would dispatch nothing, so it is not
         // called.
         for slot in &mut self.vms {
-            if slot.due.is_none_or(|due| due < t) {
+            if slot.due < t {
                 slot.run.step_until(t);
                 slot.observe();
             }

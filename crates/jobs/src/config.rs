@@ -98,8 +98,8 @@ pub struct JobsConfig {
     /// Injected fault rates (capacity denials, boot failures, warning
     /// and checkpoint-write faults).
     pub faults: FaultConfig,
-    /// Correlated-failure storm model (fault-rate modulation and
-    /// mass revocations).
+    /// Correlated-failure storm model (fault-rate modulation, capacity
+    /// crunches, mass revocations and backoff jitter).
     pub storms: StormConfig,
 }
 

@@ -19,11 +19,13 @@
 //!   restart loss.
 //!
 //! Everything reuses the existing stack: arena-backed calibrated price
-//! traces and EC2-2015 billing (`spothost-market`, `spothost-cloudsim`),
-//! bid selection (`spothost-core`'s `BiddingPolicy` plus the
-//! `spothost-forecast` risk model), fault and storm injection
-//! (`spothost-faults`), checkpoint cost models (`spothost-virt`), and
-//! the telemetry event schema (`spothost-telemetry`).
+//! traces (`spothost-market`), every lease requested, revoked and billed
+//! through the service scheduler's provider (`spothost-cloudsim`), bid
+//! selection (`spothost-core`'s `BiddingPolicy` plus the
+//! `spothost-forecast` risk model), fault and storm injection and the
+//! backoff ladder (`spothost-faults`), checkpoint cost models
+//! (`spothost-virt`), and the telemetry event schema
+//! (`spothost-telemetry`).
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]

@@ -23,11 +23,12 @@ pub struct JobsReport {
     pub total_cost: f64,
     /// Compute that counted toward job completion.
     pub useful: SimDuration,
-    /// Compute billed but thrown away: boots, checkpoint/restore
-    /// overhead, and progress lost to revocations.
+    /// Leased compute thrown away: checkpoint/restore overhead, grace
+    /// windows, and progress lost to revocations. Allocation latency is
+    /// not leased, so it is in neither this nor `useful`.
     pub wasted: SimDuration,
-    /// Spot leases lost to price crossings, mass revocations, or
-    /// injected capacity faults.
+    /// Spot leases revoked, by a price crossing or a storm mass
+    /// revocation. Capacity faults deny requests; they never end a lease.
     pub revocations: u32,
     /// Successful checkpoints written (periodic and final flushes).
     pub checkpoints: u32,

@@ -1,12 +1,18 @@
 //! The deterministic batch-job simulator.
 //!
 //! Jobs are scheduled in arrival order onto a fixed pool of worker
-//! slots, each slot one spot server in the configured market. A job
-//! runs as a sequence of leases: spot leases end at price crossings,
-//! storm mass revocations, or injected capacity faults at billing-hour
-//! boundaries; escalated jobs run one uninterrupted on-demand lease.
-//! Everything is driven by seeded streams ([`derive_seed`]) and the
-//! arena-backed price traces, so a `(config, seed)` pair replays
+//! slots, each slot one server in the configured market. A job runs as
+//! a sequence of leases, each requested, activated and billed through
+//! one [`CloudProvider`] on the terms the service scheduler gets (§2.1):
+//! a spot lease is warned when the price crosses its bid or a storm
+//! sweeps its zone, and ends [`REVOCATION_GRACE`] later with its partial
+//! hour free; allocation latency follows Table 1 and is not billed; a
+//! failed startup is free; a denied request backs off on the
+//! scheduler's ladder ([`acquire_backoff`]). Escalated jobs run one
+//! on-demand lease. What this module adds is job logic: the bid, Young's
+//! checkpoint interval, the checkpoint walk with its final flush, and
+//! escalation. Everything is driven by seeded streams ([`derive_seed`])
+//! and the arena-backed price traces, so a `(config, seed)` pair replays
 //! bit-identically.
 //!
 //! Jobs are simulated one at a time, to completion, in start order.
@@ -15,17 +21,18 @@
 //! only ever grows, so job starts are monotone and the forecaster can
 //! be fed price history causally — each job's bid decision sees exactly
 //! the history up to its own start, never the future.
+//!
+//! [`REVOCATION_GRACE`]: spothost_cloudsim::REVOCATION_GRACE
 
-use spothost_cloudsim::billing::{on_demand_lease_charge, SpotLeaseMeter};
+use spothost_cloudsim::{CloudProvider, InstanceId, StartupModel, TerminationReason};
 use spothost_core::BiddingPolicy;
-use spothost_faults::{FaultPlan, StormSchedule, WarningFault};
+use spothost_faults::{acquire_backoff, FaultPlan, StormSchedule};
 use spothost_forecast::{ForecastParams, MarketForecaster};
 use spothost_market::gen::derive_seed;
 use spothost_market::time::{
-    SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR, MILLIS_PER_MINUTE, MILLIS_PER_SECOND,
+    SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR, MILLIS_PER_MINUTE,
 };
-use spothost_market::trace::TraceCursor;
-use spothost_market::types::{MarketId, Zone};
+use spothost_market::types::MarketId;
 use spothost_market::{Catalog, TraceSet};
 use spothost_telemetry::{NullSink, Sink, TelemetryEvent};
 use spothost_virt::{BoundedCheckpointer, VirtParams, VmSpec};
@@ -39,12 +46,6 @@ use crate::workload::{generate_jobs, JobSpec};
 /// supply traces of their own.
 pub const DEFAULT_HORIZON: SimDuration = SimDuration(14 * MILLIS_PER_DAY);
 
-/// Server boot time before a lease does useful work.
-const BOOT: SimDuration = SimDuration(60 * MILLIS_PER_SECOND);
-/// The provider's revocation warning lead (EC2's two minutes).
-const GRACE: SimDuration = SimDuration(120 * MILLIS_PER_SECOND);
-/// Base backoff after a denied server request.
-const ACQUIRE_BACKOFF: SimDuration = SimDuration(60 * MILLIS_PER_SECOND);
 /// Clamp range for the Young-formula checkpoint interval.
 const TAU_MIN: SimDuration = SimDuration(10 * MILLIS_PER_MINUTE);
 const TAU_MAX: SimDuration = SimDuration(6 * MILLIS_PER_HOUR);
@@ -58,8 +59,8 @@ const HAZARD_FLOOR_PER_H: f64 = 0.005;
 pub struct JobOutcome {
     /// The job as submitted.
     pub spec: JobSpec,
-    /// First successful server acquisition; `None` if the job never got
-    /// a server before the horizon.
+    /// When the job's first server came up; `None` if none did before
+    /// the horizon.
     pub started: Option<SimTime>,
     /// When the job finished — or the horizon, for jobs cut off by it.
     pub completion: SimTime,
@@ -74,14 +75,15 @@ pub struct JobOutcome {
     pub useful_cost: f64,
     /// Leased wall-clock that counted toward completion.
     pub useful: SimDuration,
-    /// Leased wall-clock thrown away: boots, checkpoint/restore
-    /// overhead, grace windows, and progress lost to revocations.
-    /// `useful + wasted` equals [`JobOutcome::compute`] exactly.
+    /// Leased wall-clock thrown away: checkpoint/restore overhead, grace
+    /// windows, and progress lost to revocations. Allocation latency is
+    /// not leased time. `useful + wasted` equals
+    /// [`JobOutcome::compute`] exactly.
     pub wasted: SimDuration,
     /// Total leased wall-clock across all of the job's leases.
     pub compute: SimDuration,
-    /// Spot leases lost to price crossings, mass revocations, or
-    /// injected capacity faults.
+    /// Spot leases revoked, by a price crossing or a storm mass
+    /// revocation.
     pub revocations: u32,
     /// Durable checkpoints written (periodic and warned final flushes).
     pub checkpoints: u32,
@@ -190,38 +192,17 @@ pub fn try_run_jobs_on<S: Sink>(
     let trace = traces
         .trace(cfg.market)
         .ok_or(JobsError::MissingTrace(cfg.market))?;
-    let horizon = SimTime::ZERO + traces.horizon();
-    let jobs = generate_jobs(cfg, master_seed, horizon);
+    let jobs = generate_jobs(cfg, master_seed, SimTime::ZERO + traces.horizon());
 
     scratch.forecaster.reset(ForecastParams::default());
     scratch.events.clear();
-    let ckpt = BoundedCheckpointer::new(&VmSpec::paper_2gib(), &VirtParams::typical());
-
-    let mut ctx = Ctx {
+    let mut ctx = Ctx::new(
         cfg,
-        prices: trace.cursor(),
-        pon: traces.catalog().on_demand_price(cfg.market),
-        cap: traces.catalog().max_bid(cfg.market),
-        horizon,
-        zone: cfg.market.zone,
-        delta: ckpt.full_checkpoint_duration(),
-        ckpt,
-        faults: FaultPlan::new(
-            cfg.faults.clone(),
-            derive_seed(master_seed, "jobs-faults", 0),
-        ),
-        storms: StormSchedule::new(
-            cfg.storms.clone(),
-            derive_seed(master_seed, "jobs-storms", 0),
-            traces.horizon(),
-            traces.spike_spans(),
-        ),
-        forecaster: &mut scratch.forecaster,
-        events: &mut scratch.events,
-        obs_revocations: 0,
-        obs_busy: SimDuration::ZERO,
-        crossing: None,
-    };
+        traces,
+        master_seed,
+        &mut scratch.forecaster,
+        &mut scratch.events,
+    );
 
     let mut free_at = vec![SimTime::ZERO; cfg.workers as usize];
     let mut outcomes = Vec::with_capacity(jobs.len());
@@ -262,55 +243,81 @@ pub fn try_run_jobs_on<S: Sink>(
     })
 }
 
-/// Why a lease ended before its planned completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LeaseEnd {
-    /// Price crossed the bid: the provider sends the grace warning.
-    Warned,
-    /// Mass revocation or injected capacity fault: no warning.
-    Unwarned,
-    /// The simulation horizon cut the lease off.
-    Horizon,
-}
-
 struct Ctx<'a> {
     cfg: &'a JobsConfig,
-    /// The market's price trace. Queries follow each job's leases in
-    /// time order, so they seek forward; a job that starts before the
-    /// previous job's last lease ended costs one binary search back.
-    prices: TraceCursor<'a>,
+    /// Every lease of every job is requested, activated, scheduled for
+    /// revocation and billed here. Jobs run one after another, each from
+    /// its own start, so its price and storm cursors sometimes seek back.
+    provider: CloudProvider<'a>,
     pon: f64,
     cap: f64,
     horizon: SimTime,
-    zone: Zone,
+    /// Mean allocation latency of an on-demand server (Table 1): the
+    /// wait the escalation rule expects before the job runs again.
+    od_latency: SimDuration,
     /// Duration of one full checkpoint write (also used as the restore
     /// read on the replacement server).
     delta: SimDuration,
     ckpt: BoundedCheckpointer,
-    faults: FaultPlan,
-    storms: StormSchedule,
+    /// Checkpoint-write fault draws. `None` unless fault injection is
+    /// enabled; the provider holds its own plan for everything else.
+    faults: Option<Box<FaultPlan>>,
+    /// The storm schedule's backoff jitter and the fault-rate multiplier
+    /// of checkpoint writes (a clone of the provider's, which draws only
+    /// the crunch stream). `None` unless storms are enabled.
+    storms: Option<StormSchedule>,
     forecaster: &'a mut MarketForecaster,
     events: &'a mut Vec<(SimTime, TelemetryEvent)>,
     /// Fleet-wide revocations observed so far (all jobs).
     obs_revocations: u32,
     /// Fleet-wide leased spot time so far, the hazard denominator.
     obs_busy: SimDuration,
-    /// The last price crossing a spot lease looked up, kept across leases
-    /// and jobs (see [`Ctx::next_crossing`]).
-    crossing: Option<Crossing>,
+    /// Consecutive denied requests of the current job (drives the
+    /// backoff).
+    denials: u32,
 }
 
-/// One answer of `TraceCursor::next_time_above(from, bid)`: `at` is the
-/// first instant at or after `from` with the price above `bid`, `None`
-/// if there is none before the horizon.
-#[derive(Debug, Clone, Copy)]
-struct Crossing {
-    bid: f64,
-    from: SimTime,
-    at: Option<SimTime>,
-}
+impl<'a> Ctx<'a> {
+    /// The simulation state of one run: its provider, built the way the
+    /// service scheduler builds one, and its storm schedule, built only
+    /// when storms are enabled.
+    fn new(
+        cfg: &'a JobsConfig,
+        traces: &'a TraceSet,
+        master_seed: u64,
+        forecaster: &'a mut MarketForecaster,
+        events: &'a mut Vec<(SimTime, TelemetryEvent)>,
+    ) -> Self {
+        let storms = cfg.storms.enabled().then(|| {
+            StormSchedule::new(
+                cfg.storms.clone(),
+                derive_seed(master_seed, "jobs-storms", 0),
+                traces.horizon(),
+                traces.spike_spans(),
+            )
+        });
+        let (provider, faults) =
+            CloudProvider::for_run(traces, master_seed, &cfg.faults, storms.as_ref());
+        let ckpt = BoundedCheckpointer::new(&VmSpec::paper_2gib(), &VirtParams::typical());
+        Ctx {
+            cfg,
+            provider,
+            pon: traces.catalog().on_demand_price(cfg.market),
+            cap: traces.catalog().max_bid(cfg.market),
+            horizon: SimTime::ZERO + traces.horizon(),
+            od_latency: StartupModel::table1().on_demand_mean(cfg.market.zone.region()),
+            delta: ckpt.full_checkpoint_duration(),
+            ckpt,
+            faults,
+            storms,
+            forecaster,
+            events,
+            obs_revocations: 0,
+            obs_busy: SimDuration::ZERO,
+            denials: 0,
+        }
+    }
 
-impl Ctx<'_> {
     /// Blended revocation hazard per hour: the forecaster's predicted
     /// P(revocation within its 1 h lookahead) if warmed up, the fleet's
     /// observed revocations per leased hour, or the floor — whichever
@@ -339,30 +346,100 @@ impl Ctx<'_> {
         self.events.push((at, ev));
     }
 
-    /// The first instant at or after `grant` with the price above `bid`,
-    /// exactly as `self.prices.next_time_above(grant, bid)` answers it.
-    /// The price stays at or below `bid` from the remembered lookup's
-    /// `from` until its answer, so a lease with the same bid granted in
-    /// that window (up to the horizon if there was no crossing) has the
-    /// same answer, and the points up to it are not walked again. Leases
-    /// re-granted after an unwarned revocation, a failed boot, or by the
-    /// next job mostly land there.
-    ///
-    /// The memo lives here rather than in `TraceCursor`, whose every
-    /// other user would carry its space without a hit.
-    fn next_crossing(&mut self, grant: SimTime, bid: f64) -> Option<SimTime> {
-        if let Some(c) = self.crossing {
-            if c.bid == bid && c.from <= grant && c.at.is_none_or(|at| grant <= at) {
-                return c.at;
-            }
+    /// Does a checkpoint write at `at` fail? Never without faults.
+    fn ckpt_write_fails(&mut self, at: SimTime) -> bool {
+        let Some(f) = &mut self.faults else {
+            return false;
+        };
+        if let Some(s) = &mut self.storms {
+            f.set_storm_multiplier(s.fault_multiplier(self.cfg.market.zone, at));
         }
-        let at = self.prices.next_time_above(grant, bid);
-        self.crossing = Some(Crossing {
-            bid,
-            from: grant,
-            at,
-        });
-        at
+        f.ckpt_write_fails()
+    }
+
+    /// Request a server at `*now` (spot at `bid`, on-demand without one)
+    /// and activate it at its ready time, which `*now` moves to; a denied
+    /// request moves `*now` past the backoff instead. The running lease,
+    /// or `None` when no server came up: a failed startup, a spot price
+    /// above the bid at the ready time and a server ready only after the
+    /// horizon all close the lease unbilled.
+    fn acquire(&mut self, now: &mut SimTime, bid: Option<f64>) -> Option<InstanceId> {
+        let market = self.cfg.market;
+        let granted = match bid {
+            Some(bid) => self.provider.request_spot(market, bid, *now),
+            None => self.provider.request_on_demand(market, *now),
+        };
+        let Ok((lease, ready)) = granted else {
+            *now += acquire_backoff(&mut self.denials, self.storms.as_mut());
+            return None;
+        };
+        self.denials = 0;
+        if ready >= self.horizon {
+            self.provider
+                .terminate(lease, *now, TerminationReason::Voluntary);
+            *now = self.horizon;
+            return None;
+        }
+        *now = ready;
+        self.provider.activate(lease, ready).then_some(lease)
+    }
+
+    /// Emit the job's start on its first server, or its restart on the
+    /// first server after a revocation.
+    fn note_server(
+        &mut self,
+        id: u32,
+        out: &mut JobOutcome,
+        pending_lost: &mut Option<SimDuration>,
+        at: SimTime,
+        spot: bool,
+    ) {
+        let market = self.cfg.market;
+        if out.started.is_none() {
+            out.started = Some(at);
+            self.emit(
+                at,
+                TelemetryEvent::JobStarted {
+                    job: id,
+                    market,
+                    spot,
+                },
+            );
+        } else if let Some(lost) = pending_lost.take() {
+            self.emit(
+                at,
+                TelemetryEvent::JobRestarted {
+                    job: id,
+                    market,
+                    lost,
+                },
+            );
+        }
+    }
+
+    /// Close the lease that came up at `ready` at `end`, and book its
+    /// charge and its leased time, `useful` of which counted toward
+    /// completion. Returns the leased time.
+    fn close(
+        &mut self,
+        out: &mut JobOutcome,
+        lease: InstanceId,
+        ready: SimTime,
+        end: SimTime,
+        reason: TerminationReason,
+        useful: SimDuration,
+    ) -> SimDuration {
+        let charge = self.provider.terminate(lease, end, reason);
+        let wall = end.since(ready);
+        debug_assert!(useful <= wall);
+        out.cost += charge;
+        out.useful += useful;
+        out.wasted += wall - useful;
+        out.compute += wall;
+        if wall > SimDuration::ZERO {
+            out.useful_cost += charge * (useful.as_secs_f64() / wall.as_secs_f64());
+        }
+        wall
     }
 
     /// Simulate one job from `start` to completion (or the horizon).
@@ -411,6 +488,7 @@ impl Ctx<'_> {
         let mut pending_lost: Option<SimDuration> = None;
         let mut now = start;
         let mut escalated = false;
+        self.denials = 0;
 
         'job: while now < self.horizon {
             if self.cfg.policy == JobPolicy::OnDemandFallback && !escalated {
@@ -419,7 +497,7 @@ impl Ctx<'_> {
                 // `hazard * R` revocations losing R/2 each on average.
                 let r = durable_left;
                 let expected_loss = r.mul_f64(0.5 * hazard * r.as_hours_f64());
-                if now + BOOT + r + expected_loss > spec.deadline {
+                if now + self.od_latency + r + expected_loss > spec.deadline {
                     escalated = true;
                 }
             }
@@ -430,50 +508,19 @@ impl Ctx<'_> {
             }
 
             // Wait for the spot price to clear the bid.
-            if self.prices.price_at(now) > bid {
-                match self.prices.next_time_at_or_below(now, bid) {
-                    Some(t) if t < self.horizon => now = t,
-                    _ => break 'job,
-                }
+            match self
+                .provider
+                .next_time_at_or_below(self.cfg.market, now, bid)
+            {
+                Some(t) if t < self.horizon => now = t,
+                _ => break 'job,
             }
-            // Capacity denials at request time.
-            self.faults
-                .set_storm_multiplier(self.storms.fault_multiplier(self.zone, now));
-            if self.storms.crunch_fault(self.zone, now) || self.faults.spot_capacity_fault() {
-                now += self.storms.jittered_backoff(ACQUIRE_BACKOFF);
+            let Some(lease) = self.acquire(&mut now, Some(bid)) else {
                 continue 'job;
-            }
-            let grant = now;
-            // A failed boot burns (and bills) the boot window.
-            if self.faults.startup_failure() {
-                let end = (grant + BOOT).min(self.horizon);
-                self.bill_spot(&mut out, grant, end, false, SimDuration::ZERO);
-                now = end;
-                continue 'job;
-            }
+            };
+            self.note_server(id, &mut out, &mut pending_lost, now, true);
 
-            if out.started.is_none() {
-                out.started = Some(grant);
-                self.emit(
-                    grant,
-                    TelemetryEvent::JobStarted {
-                        job: id,
-                        market: self.cfg.market,
-                        spot: true,
-                    },
-                );
-            } else if let Some(lost) = pending_lost.take() {
-                self.emit(
-                    grant,
-                    TelemetryEvent::JobRestarted {
-                        job: id,
-                        market: self.cfg.market,
-                        lost,
-                    },
-                );
-            }
-
-            match self.run_spot_lease(id, &mut out, grant, bid, can_ckpt, tau, &mut durable_left) {
+            match self.run_spot_lease(id, &mut out, lease, now, can_ckpt, tau, &mut durable_left) {
                 SpotLeaseOutcome::Finished(at) => {
                     out.finished = true;
                     out.completion = at;
@@ -513,7 +560,8 @@ impl Ctx<'_> {
     }
 
     /// One uninterrupted on-demand lease running the job to completion
-    /// (or the horizon). On-demand capacity faults back off and retry.
+    /// (or the horizon). A denied request backs off and a failed startup
+    /// requests again.
     fn run_on_demand_lease(
         &mut self,
         id: u32,
@@ -522,50 +570,19 @@ impl Ctx<'_> {
         now: &mut SimTime,
         durable_left: SimDuration,
     ) {
-        loop {
-            self.faults
-                .set_storm_multiplier(self.storms.fault_multiplier(self.zone, *now));
-            if !self.faults.od_capacity_fault() {
-                break;
-            }
-            *now += self.storms.jittered_backoff(ACQUIRE_BACKOFF);
+        let lease = loop {
             if *now >= self.horizon {
                 return;
             }
-        }
-        let grant = *now;
-        if out.started.is_none() {
-            out.started = Some(grant);
-            self.emit(
-                grant,
-                TelemetryEvent::JobStarted {
-                    job: id,
-                    market: self.cfg.market,
-                    spot: false,
-                },
-            );
-        } else if let Some(lost) = pending_lost.take() {
-            self.emit(
-                grant,
-                TelemetryEvent::JobRestarted {
-                    job: id,
-                    market: self.cfg.market,
-                    lost,
-                },
-            );
-        }
-        let work_start = grant + BOOT;
-        let end = (work_start + durable_left).min(self.horizon);
-        let worked = end.since(work_start.min(end));
-        let wall = end.since(grant);
-        let charge = on_demand_lease_charge(self.pon, grant, end);
-        out.cost += charge;
-        out.useful += worked;
-        out.wasted += wall - worked;
-        out.compute += wall;
-        if wall > SimDuration::ZERO {
-            out.useful_cost += charge * (worked.as_secs_f64() / wall.as_secs_f64());
-        }
+            if let Some(lease) = self.acquire(now, None) {
+                break lease;
+            }
+        };
+        let ready = *now;
+        self.note_server(id, out, pending_lost, ready, false);
+        let end = (ready + durable_left).min(self.horizon);
+        let worked = end.since(ready);
+        self.close(out, lease, ready, end, TerminationReason::Voluntary, worked);
         *now = end;
         if worked == durable_left {
             out.finished = true;
@@ -573,47 +590,25 @@ impl Ctx<'_> {
         }
     }
 
-    /// Bill one spot lease and book its useful/wasted split.
-    fn bill_spot(
-        &mut self,
-        out: &mut JobOutcome,
-        grant: SimTime,
-        end: SimTime,
-        revoked: bool,
-        useful: SimDuration,
-    ) {
-        let wall = end.since(grant);
-        debug_assert!(useful <= wall);
-        let charge = SpotLeaseMeter::new(self.prices.trace(), grant).close(end, revoked);
-        out.cost += charge;
-        out.useful += useful;
-        out.wasted += wall - useful;
-        out.compute += wall;
-        if wall > SimDuration::ZERO {
-            out.useful_cost += charge * (useful.as_secs_f64() / wall.as_secs_f64());
-        }
-        self.obs_busy += wall;
-    }
-
-    /// Simulate one spot lease granted at `grant` until the job
-    /// finishes, the lease is revoked, or the horizon interferes.
+    /// Run the job on the spot lease that came up at `ready` until the
+    /// job finishes, the lease is revoked, or the horizon cuts it off,
+    /// and close the lease.
     #[allow(clippy::too_many_arguments)]
     fn run_spot_lease(
         &mut self,
         id: u32,
         out: &mut JobOutcome,
-        grant: SimTime,
-        bid: f64,
+        lease: InstanceId,
+        ready: SimTime,
         can_ckpt: bool,
         tau: SimDuration,
         durable_left: &mut SimDuration,
     ) -> SpotLeaseOutcome {
-        // Boot, plus checkpoint restore when resuming durable state.
-        let mut setup = BOOT;
+        // Checkpoint restore when resuming durable state.
+        let mut work_start = ready;
         if can_ckpt && *durable_left < out.spec.runtime {
-            setup += self.delta + self.faults.volume_attach_delay();
+            work_start += self.delta + self.provider.volume_attach_delay();
         }
-        let work_start = grant + setup;
 
         // Planned completion if nothing interferes: the remaining work
         // plus one checkpoint pause per full tau chunk.
@@ -624,52 +619,22 @@ impl Ctx<'_> {
         };
         let planned_end = work_start + *durable_left + self.delta.mul_f64(n_pauses as f64);
 
-        // Earliest interference: price crossing (warned), mass
-        // revocation, or an injected capacity fault at a billing-hour
-        // boundary (both unwarned).
-        let mut stop_t = planned_end.min(self.horizon);
-        let mut end_kind = if planned_end <= self.horizon {
-            None
-        } else {
-            Some(LeaseEnd::Horizon)
-        };
-        if let Some(t) = self.next_crossing(grant, bid) {
-            if t < stop_t {
-                stop_t = t;
-                end_kind = Some(LeaseEnd::Warned);
+        // The lease ends at the planned completion or the horizon, unless
+        // its revocation stops work first: at the warning, or at the
+        // termination when no warning comes. The lease then ends at the
+        // termination, and the rest of the grace window is the budget of
+        // a final flush.
+        let mut end = planned_end.min(self.horizon);
+        let mut work_stop = end;
+        let mut revoked = false;
+        if let Some(s) = self.provider.revocation_schedule(lease, ready) {
+            let stop = s.warning_at.unwrap_or(s.terminate_at);
+            if stop < end {
+                work_stop = stop;
+                end = s.terminate_at.min(self.horizon);
+                revoked = true;
             }
         }
-        if let Some(t) = self.storms.next_mass_revocation(self.zone, grant) {
-            if t < stop_t {
-                stop_t = t;
-                end_kind = Some(LeaseEnd::Unwarned);
-            }
-        }
-        let mut boundary = grant + SimDuration::hours(1);
-        while boundary < stop_t {
-            self.faults
-                .set_storm_multiplier(self.storms.fault_multiplier(self.zone, boundary));
-            if self.faults.spot_capacity_fault() {
-                stop_t = boundary;
-                end_kind = Some(LeaseEnd::Unwarned);
-                break;
-            }
-            boundary += SimDuration::hours(1);
-        }
-
-        // A warned revocation stops work when the warning lands and
-        // spends the rest of the window flushing; a delayed warning
-        // works longer but has less flush budget left.
-        let (work_stop, flush_budget) = match end_kind {
-            Some(LeaseEnd::Warned) => match self.faults.warning_fault(GRACE) {
-                WarningFault::Delivered => (stop_t.saturating_sub(GRACE), GRACE),
-                WarningFault::Delayed(d) => {
-                    (stop_t.saturating_sub(GRACE) + d, GRACE.saturating_sub(d))
-                }
-                WarningFault::Missing => (stop_t, SimDuration::ZERO),
-            },
-            _ => (stop_t, SimDuration::ZERO),
-        };
 
         // Walk the work/checkpoint blocks up to `work_stop`.
         let entering_left = *durable_left;
@@ -700,7 +665,7 @@ impl Ctx<'_> {
                 break None;
             }
             cursor = ck_end;
-            if !self.faults.ckpt_write_fails() {
+            if !self.ckpt_write_fails(cursor) {
                 *durable_left = left;
                 unsaved = SimDuration::ZERO;
                 out.checkpoints += 1;
@@ -716,20 +681,23 @@ impl Ctx<'_> {
 
         if let Some(done_at) = finished_at {
             *durable_left = SimDuration::ZERO;
-            self.bill_spot(out, grant, done_at, false, entering_left);
+            let reason = TerminationReason::Voluntary;
+            let wall = self.close(out, lease, ready, done_at, reason, entering_left);
+            self.obs_busy += wall;
             return SpotLeaseOutcome::Finished(done_at);
         }
 
-        // Warned revocations get a bounded final flush of the unsaved
-        // increment inside the remaining grace window.
-        if can_ckpt && unsaved > SimDuration::ZERO && flush_budget > SimDuration::ZERO {
+        // A warned revocation flushes the unsaved increment when the rest
+        // of the grace window fits it.
+        if revoked && can_ckpt && unsaved > SimDuration::ZERO {
             let flush = self.ckpt.final_write_duration(unsaved);
-            if flush <= flush_budget && !self.faults.ckpt_write_fails() {
+            let flushed = work_stop + flush;
+            if flushed <= end && !self.ckpt_write_fails(work_stop) {
                 *durable_left = left;
                 unsaved = SimDuration::ZERO;
                 out.checkpoints += 1;
                 self.emit(
-                    stop_t,
+                    flushed,
                     TelemetryEvent::JobCheckpointed {
                         job: id,
                         duration: flush,
@@ -739,20 +707,20 @@ impl Ctx<'_> {
         }
 
         let banked = entering_left - *durable_left;
-        match end_kind {
-            None | Some(LeaseEnd::Horizon) => {
-                // The horizon cut the lease (planned end or grace window
-                // past it): terminate voluntarily at the horizon.
-                self.bill_spot(out, grant, self.horizon, false, banked);
-                SpotLeaseOutcome::HorizonCut
+        let reason = if revoked {
+            TerminationReason::Revoked
+        } else {
+            TerminationReason::Voluntary
+        };
+        let wall = self.close(out, lease, ready, end, reason, banked);
+        self.obs_busy += wall;
+        if revoked {
+            SpotLeaseOutcome::Revoked {
+                at: end,
+                lost: unsaved,
             }
-            _ => {
-                self.bill_spot(out, grant, stop_t, true, banked);
-                SpotLeaseOutcome::Revoked {
-                    at: stop_t,
-                    lost: unsaved,
-                }
-            }
+        } else {
+            SpotLeaseOutcome::HorizonCut
         }
     }
 }
@@ -760,7 +728,8 @@ impl Ctx<'_> {
 enum SpotLeaseOutcome {
     /// Job completed all remaining work at this time.
     Finished(SimTime),
-    /// Lease revoked; `lost` is the progress not durably saved.
+    /// Lease revoked and closed at `at`; `lost` is the progress not
+    /// durably saved.
     Revoked { at: SimTime, lost: SimDuration },
     /// The horizon ended the run mid-lease.
     HorizonCut,
@@ -769,7 +738,80 @@ enum SpotLeaseOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spothost_market::types::InstanceType;
+    use spothost_cloudsim::{spot_lease_charge, REVOCATION_GRACE};
+    use spothost_market::trace::{PricePoint, PriceTrace};
+    use spothost_market::types::{InstanceType, Zone};
+
+    /// A checkpointing job's spot lease on a hand-made step trace, faults
+    /// off: the price crosses every bid 59 min into the job's work. Work
+    /// stops at the crossing, the unsaved increment is flushed inside the
+    /// grace window, and the lease is billed to the crossing plus the
+    /// grace, which takes it past its first hour: that hour is charged,
+    /// the revoked partial hour is free. The job counts one revocation and
+    /// finishes on a replacement that runs exactly the work left.
+    #[test]
+    fn a_revoked_lease_is_warned_at_the_crossing_and_billed_to_its_end() {
+        let cfg = JobsConfig::new(JobPolicy::CheckpointSpot);
+        let catalog = Catalog::ec2_2015();
+        let pon = catalog.on_demand_price(cfg.market);
+        let startup = StartupModel::deterministic();
+        let latency = startup.spot_mean(cfg.market.zone.region());
+        let ready = SimTime::ZERO + latency;
+        let crossing = ready + SimDuration::minutes(59);
+        let calm = crossing + SimDuration::minutes(30);
+        let days = SimDuration::days(2);
+        let point = |at, price| PricePoint { at, price };
+        let trace = PriceTrace::new(
+            vec![
+                point(SimTime::ZERO, 0.3 * pon),
+                point(crossing, 10.0 * pon),
+                point(calm, 0.3 * pon),
+            ],
+            SimTime::ZERO + days,
+        );
+        let traces = TraceSet::from_traces(&catalog, vec![(cfg.market, trace)], days);
+        let trace = traces.trace(cfg.market).expect("built above");
+        let mut scratch = JobsScratch::new();
+        let (forecaster, events) = (&mut scratch.forecaster, &mut scratch.events);
+        let mut ctx = Ctx::new(&cfg, &traces, 1, forecaster, events);
+        ctx.provider = CloudProvider::new(&traces, 1).with_startup_model(startup);
+        let tau = ctx.young_interval(ctx.hazard_per_hour(None));
+        assert!(tau > crossing.since(ready), "one chunk, no periodic write");
+        let spec = JobSpec {
+            arrival: SimTime::ZERO,
+            runtime: SimDuration::minutes(79),
+            deadline: SimTime::ZERO + days,
+            checkpointable: true,
+        };
+        let out = ctx.run_job(0, spec, SimTime::ZERO);
+
+        assert_eq!(out.revocations, 1);
+        assert_eq!(out.started, Some(ready));
+        let end = crossing + REVOCATION_GRACE;
+        let flushes: Vec<SimTime> = ctx
+            .events
+            .iter()
+            .filter(|(_, ev)| matches!(ev, TelemetryEvent::JobCheckpointed { .. }))
+            .map(|&(at, _)| at)
+            .collect();
+        assert_eq!(out.checkpoints, 1);
+        assert_eq!(flushes.len(), 1);
+        assert!(crossing < flushes[0] && flushes[0] <= end, "{flushes:?}");
+        // The replacement comes up once the price is back under the bid,
+        // restores, and runs exactly the 20 min not done by the crossing.
+        let ready2 = calm + latency;
+        assert!(out.finished);
+        assert_eq!(
+            out.completion,
+            ready2 + ctx.delta + SimDuration::minutes(20)
+        );
+        assert_eq!(out.useful, spec.runtime);
+        assert_eq!(out.compute, end.since(ready) + out.completion.since(ready2));
+        let first = spot_lease_charge(trace, ready, end, true);
+        assert!((first - 0.3 * pon).abs() < 1e-12, "one hour, got {first}");
+        let second = spot_lease_charge(trace, ready2, out.completion, false);
+        assert_eq!(out.cost.to_bits(), (first + second).to_bits());
+    }
 
     fn one_day(market: MarketId) -> TraceSet {
         TraceSet::generate(&Catalog::ec2_2015(), &[market], 1, SimDuration::days(1))

@@ -9,7 +9,7 @@
 //!     useful time is exactly its runtime;
 //! (c) the zero-fault floor — on a constant price below the bid with no
 //!     injected faults or storms, GreedySpot never revokes, and never
-//!     misses a deadline whose slack covers its queue wait and boot;
+//!     misses a deadline whose slack covers its wait for a server;
 //! (d) replay — the `JobFinished` costs of the event stream, folded in
 //!     job order, equal the report's `total_cost` bit for bit, and
 //!     recording the stream does not change the report;
@@ -196,7 +196,6 @@ proptest! {
         seed in arb_seed(),
         workers in 1u32..4,
     ) {
-        const BOOT: SimDuration = SimDuration(60_000);
         let cfg = JobsConfig::new(JobPolicy::GreedySpot).with_workers(workers);
         let catalog = Catalog::ec2_2015();
         let pon = catalog.on_demand_price(market());
@@ -210,9 +209,11 @@ proptest! {
         prop_assert_eq!(run.report.revocations, 0);
         prop_assert_eq!(run.report.escalations, 0);
         for o in &run.outcomes {
+            // `started` is the ready time, so the wait includes the
+            // allocation latency.
             let Some(started) = o.started else { continue };
             let wait = started.since(o.spec.arrival);
-            if wait + BOOT <= o.spec.slack() && o.finished {
+            if wait <= o.spec.slack() && o.finished {
                 prop_assert!(
                     !o.missed,
                     "job with covering slack missed: wait {wait}, slack {}, {o:?}",
@@ -220,8 +221,8 @@ proptest! {
                 );
             }
             if o.finished {
-                // No revocations: exactly one lease, all of it useful + boot.
-                prop_assert!(o.compute == o.spec.runtime + BOOT, "lease shape wrong: {o:?}");
+                // No revocations: exactly one lease, all of it useful.
+                prop_assert!(o.compute == o.spec.runtime, "lease shape wrong: {o:?}");
             }
         }
     }

@@ -144,7 +144,7 @@ pub fn event_to_json(at: SimTime, ev: &TelemetryEvent) -> String {
             o.str("id", &id.to_string());
             o.str("market", &market.to_string());
             o.bool("spot", *spot);
-            o.str("reason", termination_name(*reason));
+            o.str("reason", reason.name());
             o.time("start_ms", *start);
             o.time("end_ms", *end);
             o.f64("cost", *cost);
@@ -246,15 +246,6 @@ pub fn event_to_json(at: SimTime, ev: &TelemetryEvent) -> String {
         }
     }
     o.finish()
-}
-
-fn termination_name(r: spothost_cloudsim::TerminationReason) -> &'static str {
-    use spothost_cloudsim::TerminationReason as TR;
-    match r {
-        TR::Revoked => "revoked",
-        TR::Voluntary => "voluntary",
-        TR::FailedAllocation => "failed-allocation",
-    }
 }
 
 #[cfg(test)]
