@@ -1,11 +1,8 @@
-//! Fixed-bucket histograms for aggregating per-event observations
-//! (downtime durations, migration latencies, lease lengths, ...) without
-//! keeping the raw samples around.
+//! Fixed-bucket histograms: the bucket counts `query --agg hist` renders
+//! for a selection's samples.
 //!
-//! The bucket edges are fixed at construction, so merging two histograms
-//! built from the same edges is exact and the memory footprint is
-//! independent of the number of samples — the property the telemetry
-//! `Metrics` sink needs to stay O(1) per event.
+//! The bucket edges are fixed at construction; samples below the first
+//! edge or at or above the last are counted in underflow and overflow.
 
 /// A histogram over `[edges[0], edges[n-1])` with one bucket per
 /// consecutive pair of edges, plus underflow and overflow buckets.
@@ -16,9 +13,6 @@ pub struct FixedHistogram {
     underflow: u64,
     overflow: u64,
     count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
 }
 
 impl FixedHistogram {
@@ -39,9 +33,6 @@ impl FixedHistogram {
             underflow: 0,
             overflow: 0,
             count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -52,17 +43,13 @@ impl FixedHistogram {
         FixedHistogram::new((0..=n).map(|i| lo + w * i as f64).collect())
     }
 
-    /// Record one observation. Non-finite values are counted (in
-    /// `count`/`min`/`max` they are ignored) into overflow/underflow by
-    /// sign; NaN is dropped entirely.
+    /// Record one observation. Infinities are counted into
+    /// overflow/underflow by sign; NaN is dropped entirely.
     pub fn record(&mut self, x: f64) {
         if x.is_nan() {
             return;
         }
         self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
         if x < self.edges[0] {
             self.underflow += 1;
             return;
@@ -90,38 +77,6 @@ impl FixedHistogram {
         self.count
     }
 
-    /// Sum of all recorded observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of recorded observations, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-
-    /// Smallest recorded observation, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Largest recorded observation, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-
     /// Observations below the first edge / at-or-above the last edge.
     pub fn underflow(&self) -> u64 {
         self.underflow
@@ -147,47 +102,6 @@ impl FixedHistogram {
             .windows(2)
             .zip(self.counts.iter())
             .map(|(w, &c)| (w[0], w[1], c))
-    }
-
-    /// Approximate quantile (0..=1) by linear interpolation inside the
-    /// containing bucket. `None` when empty. Underflow mass is attributed
-    /// to the first edge, overflow mass to the last.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.count as f64;
-        let mut acc = self.underflow as f64;
-        if target <= acc {
-            return Some(self.edges[0]);
-        }
-        for (lo, hi, c) in self.buckets() {
-            let next = acc + c as f64;
-            if target <= next && c > 0 {
-                let frac = (target - acc) / c as f64;
-                return Some(lo + (hi - lo) * frac);
-            }
-            acc = next;
-        }
-        Some(self.edges[self.edges.len() - 1])
-    }
-
-    /// Merge another histogram built from identical edges into this one.
-    ///
-    /// Panics when the edges differ — merging incompatible histograms is
-    /// a caller bug.
-    pub fn merge(&mut self, other: &FixedHistogram) {
-        assert_eq!(self.edges, other.edges, "cannot merge: bucket edges differ");
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Render as `lo..hi: count` lines with a proportional bar, for quick
@@ -235,8 +149,7 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.min(), Some(-0.5));
-        assert_eq!(h.max(), Some(42.0));
+        assert_eq!(h.counts(), &[0, 0]);
     }
 
     #[test]
@@ -244,39 +157,13 @@ mod tests {
         let mut h = FixedHistogram::linear(0.0, 1.0, 2);
         h.record(f64::NAN);
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), None);
-    }
-
-    #[test]
-    fn merge_adds_counts_exactly() {
-        let mut a = FixedHistogram::linear(0.0, 10.0, 5);
-        let mut b = FixedHistogram::linear(0.0, 10.0, 5);
-        a.record(1.0);
-        b.record(1.0);
-        b.record(7.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.counts(), &[2, 0, 0, 1, 0]);
-        assert_eq!(a.sum(), 9.0);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let mut h = FixedHistogram::linear(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0);
-        }
-        let med = h.quantile(0.5).expect("non-empty");
-        assert!((med - 5.0).abs() < 1.0, "median {med}");
-        assert_eq!(h.quantile(0.0), Some(0.0));
+        assert_eq!(h.underflow() + h.overflow(), 0);
     }
 
     #[test]
     fn empty_histogram_is_inert() {
         let h = FixedHistogram::linear(0.0, 1.0, 4);
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.min(), None);
+        assert_eq!(h.counts(), &[0, 0, 0, 0]);
     }
 }

@@ -14,6 +14,11 @@
 
 use spothost_bench::experiments;
 use spothost_bench::ExpSettings;
+use spothost_core::telemetry::export::write_jsonl;
+use spothost_eventstore::ColReader;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::Path;
 use std::time::Instant;
 
 /// Default trace-arena residency bound. Seed sweeps walk seeds
@@ -112,31 +117,26 @@ fn main() {
         if let Some(dir) = &csv_dir {
             std::fs::create_dir_all(dir).expect("create csv dir");
             for (file, contents) in &run.artifacts {
-                let path = std::path::Path::new(dir).join(file);
+                let path = Path::new(dir).join(file);
                 std::fs::write(&path, contents).expect("write csv");
                 println!("[wrote {}]", path.display());
             }
         }
         if let Some(dir) = &trace_dir {
-            if let Some(rec) = experiments::representative_recording(name, &settings) {
+            if let Some(store) = experiments::representative_recording(name, &settings) {
                 std::fs::create_dir_all(dir).expect("create trace dir");
-                let path = std::path::Path::new(dir).join(format!("{name}.trace.jsonl"));
-                let mut out = std::io::BufWriter::new(
-                    std::fs::File::create(&path).expect("create trace file"),
-                );
-                rec.write_jsonl(&mut out).expect("write trace");
-                println!("[wrote {} ({} events)]", path.display(), rec.len());
-                // The same stream as a columnar store, ready for
-                // `spothost query --store`.
-                let col_path = std::path::Path::new(dir).join(format!("{name}.col"));
-                let store = spothost_eventstore::ColumnarStore::create(&col_path)
-                    .expect("create columnar store");
-                let mut sink = store.sink();
-                for &(t, ev) in rec.events() {
-                    spothost_core::telemetry::Sink::emit(&mut sink, t, ev);
-                }
-                drop(sink);
-                store.finish().expect("flush columnar store");
+                let events = ColReader::from_bytes(&store.bytes())
+                    .and_then(|r| r.decode_all())
+                    .expect("decode the recording");
+                let path = Path::new(dir).join(format!("{name}.trace.jsonl"));
+                let mut out = BufWriter::new(File::create(&path).expect("create trace file"));
+                write_jsonl(&mut out, events.iter().map(|se| (se.at, &se.event)))
+                    .and_then(|()| out.flush())
+                    .expect("write trace");
+                println!("[wrote {} ({} events)]", path.display(), events.len());
+                // The recording itself, ready for `spothost query --store`.
+                let col_path = Path::new(dir).join(format!("{name}.col"));
+                std::fs::write(&col_path, store.bytes()).expect("write columnar store");
                 println!(
                     "[wrote {} ({} blocks)]",
                     col_path.display(),

@@ -24,6 +24,12 @@ pub mod tab4;
 
 use crate::settings::ExpSettings;
 use spothost_analysis::mc::par_map;
+use spothost_core::telemetry::Sink;
+use spothost_core::SimRun;
+use spothost_eventstore::ColumnarStore;
+use spothost_market::catalog::Catalog;
+use spothost_market::gen::TraceSet;
+use spothost_market::types::MarketId;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -264,41 +270,47 @@ pub fn representative_config(name: &str) -> Option<spothost_core::SchedulerConfi
     })
 }
 
-/// One representative seed's full telemetry recording for an
-/// experiment, used to dump event streams alongside the figures
-/// (`repro --trace DIR`). Scheduler experiments replay their
-/// [`representative_config`]; `jobs` records the batch-job simulator
-/// (checkpointing rung under faults, so the job lifecycle vocabulary —
-/// start/checkpoint/restart/finish — all appears). `None` for analytic
-/// experiments that run no simulation.
-pub fn representative_recording(
-    name: &str,
-    settings: &ExpSettings,
-) -> Option<spothost_core::telemetry::Recorder> {
-    use spothost_core::telemetry::Recorder;
-    if name == "jobs" {
-        use spothost_jobs::{run_jobs_on, JobPolicy, JobsConfig, JobsScratch};
-        use spothost_market::catalog::Catalog;
-        use spothost_market::gen::TraceSet;
-        let cfg = JobsConfig::new(JobPolicy::CheckpointSpot)
-            .with_faults(spothost_faults::FaultConfig::uniform(0.1));
-        let traces = TraceSet::generate(
+/// Run one representative seed of an experiment with its telemetry into
+/// `sink`. Scheduler experiments run their [`representative_config`];
+/// `jobs` runs the batch-job simulator (checkpointing rung under faults,
+/// so the job lifecycle vocabulary — start/checkpoint/restart/finish —
+/// all appears). `None`, running nothing, for analytic experiments.
+pub fn run_representative<S: Sink>(name: &str, settings: &ExpSettings, mut sink: S) -> Option<()> {
+    let generate = |markets: &[MarketId]| {
+        TraceSet::generate(
             &Catalog::ec2_2015(),
-            &[cfg.market],
+            markets,
             settings.seed0,
             settings.horizon,
-        );
-        let mut rec = Recorder::new();
+        )
+    };
+    if name == "jobs" {
+        use spothost_jobs::{run_jobs_on, JobPolicy, JobsConfig, JobsScratch};
+        let cfg = JobsConfig::new(JobPolicy::CheckpointSpot)
+            .with_faults(spothost_faults::FaultConfig::uniform(0.1));
+        let traces = generate(&[cfg.market]);
         run_jobs_on(
             &cfg,
             &traces,
             settings.seed0,
-            &mut rec,
+            &mut sink,
             &mut JobsScratch::new(),
         );
-        return Some(rec);
+        return Some(());
     }
     let cfg = representative_config(name)?;
-    let (_, rec) = spothost_core::run_one_recorded(&cfg, settings.seed0, settings.horizon);
-    Some(rec)
+    let traces = generate(&cfg.candidates());
+    SimRun::new(&traces, &cfg, settings.seed0)
+        .with_sink(sink)
+        .run();
+    Some(())
+}
+
+/// One representative seed's full telemetry recording for an experiment
+/// ([`run_representative`]), as an in-memory columnar store: `repro
+/// --trace DIR` writes it out as `.col` and decodes it to JSONL.
+pub fn representative_recording(name: &str, settings: &ExpSettings) -> Option<ColumnarStore> {
+    let store = ColumnarStore::in_memory();
+    run_representative(name, settings, store.sink())?;
+    Some(store)
 }

@@ -1,76 +1,47 @@
-//! `repro --trace` writes each representative recording twice: as JSONL
-//! and as a `.col` columnar store. This test pins the two forms to the
-//! same stream: folding the columnar store through the query layer must
-//! reproduce the recorder's own aggregates exactly (same counts per
-//! kind, bit-identical dollar sums, same time span).
+//! `repro --trace` records each representative run once, into a columnar
+//! store, writes the store as `.col` and decodes it to JSONL. This test
+//! pins the store to the run it records: decoded, it must equal a
+//! `Recorder`'s stream of the same run event for event, with nothing
+//! dropped.
 
 use spothost_bench::experiments;
 use spothost_bench::ExpSettings;
-use spothost_core::telemetry::Sink;
-use spothost_eventstore::{ColReader, ColumnarStore, EventKind, Field, Predicate};
-use std::collections::BTreeMap;
+use spothost_core::telemetry::Recorder;
+use spothost_eventstore::{ColReader, StoredEvent};
 
-fn col_roundtrip(name: &str) {
+fn store_equals_recorder(name: &str) {
     let settings = ExpSettings::quick();
-    let rec = experiments::representative_recording(name, &settings)
+    let store = experiments::representative_recording(name, &settings)
         .unwrap_or_else(|| panic!("{name} has no representative recording"));
+    let decoded = ColReader::from_bytes(&store.bytes())
+        .and_then(|r| r.decode_all())
+        .expect("decode the recording");
+
+    let mut rec = Recorder::with_capacity(1 << 20);
+    experiments::run_representative(name, &settings, &mut rec).expect("a recorded experiment");
+    assert_eq!(rec.dropped(), 0, "{name}: the recorder overflowed");
     assert!(!rec.is_empty(), "{name}: empty recording");
-
-    // Encode exactly the way `repro --trace` does (small blocks so the
-    // file is multi-block), then read it back through the query layer.
-    let store = ColumnarStore::in_memory().with_block_events(512);
-    let mut sink = store.sink();
-    for &(t, ev) in rec.events() {
-        sink.emit(t, ev);
-    }
-    drop(sink);
-    store.finish().expect("in-memory store cannot fail I/O");
-    let reader = ColReader::from_bytes(&store.bytes()).expect("reopen store");
-    assert_eq!(reader.event_count(), rec.len() as u64);
-
-    let sel = reader.select(&Predicate::any()).expect("decode all blocks");
-    assert_eq!(sel.events.len(), rec.len());
-
-    // Per-kind counts match the recorder fold.
-    let mut rec_kinds: BTreeMap<EventKind, u64> = BTreeMap::new();
-    for (_, ev) in rec.events() {
-        *rec_kinds.entry(EventKind::of(ev)).or_default() += 1;
-    }
-    let mut col_kinds: BTreeMap<EventKind, u64> = BTreeMap::new();
-    for se in &sel.events {
-        *col_kinds.entry(EventKind::of(&se.event)).or_default() += 1;
-    }
-    assert_eq!(rec_kinds, col_kinds, "{name}: per-kind counts diverge");
-
-    // Every queryable field folds to the bit-identical sum (stream order
-    // is preserved, so even float addition order matches).
-    for field in Field::ALL {
-        let rec_sum: f64 = rec.events().filter_map(|(_, ev)| field.extract(ev)).sum();
-        let col_sum: f64 = sel
-            .events
-            .iter()
-            .filter_map(|se| field.extract(&se.event))
-            .sum();
-        assert_eq!(
-            rec_sum.to_bits(),
-            col_sum.to_bits(),
-            "{name}: {} sum diverges ({rec_sum} vs {col_sum})",
-            field.name()
-        );
-    }
-
-    // Time span survives the encoding.
-    let rec_last = rec.events().map(|&(t, _)| t).max().expect("nonempty");
-    let col_last = sel.events.iter().map(|se| se.at).max().expect("nonempty");
-    assert_eq!(rec_last, col_last, "{name}: last event time diverges");
+    let recorded: Vec<StoredEvent> = rec
+        .into_events()
+        .into_iter()
+        .map(|(at, event)| StoredEvent {
+            vm: None,
+            at,
+            event,
+        })
+        .collect();
+    assert_eq!(
+        decoded, recorded,
+        "{name}: the store and the recorder diverge"
+    );
 }
 
 #[test]
-fn jobs_columnar_trace_matches_recorder_fold() {
-    col_roundtrip("jobs");
+fn jobs_recording_equals_the_recorder_stream() {
+    store_equals_recorder("jobs");
 }
 
 #[test]
-fn scheduler_columnar_trace_matches_recorder_fold() {
-    col_roundtrip("fig6");
+fn scheduler_recording_equals_the_recorder_stream() {
+    store_equals_recorder("fig6");
 }

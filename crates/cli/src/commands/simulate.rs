@@ -1,13 +1,17 @@
 //! `spothost simulate` — run the cloud scheduler and report.
 
 use crate::args::Args;
+use spothost_analysis::mean;
 use spothost_core::prelude::*;
+use spothost_core::telemetry::export::write_jsonl;
 use spothost_core::{RunPlan, SimRun, SimScratch};
+use spothost_eventstore::query::{group_counts, percentile_of, reacquire_seconds, Field, GroupBy};
+use spothost_eventstore::{ColReader, ColumnarStore, StoredEvent};
 use spothost_market::gen::TraceSet;
 use spothost_market::io::{parse_market, read_trace_set};
 use spothost_market::prelude::*;
 use spothost_workload::slo;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -123,13 +127,81 @@ pub(crate) fn load_traces(
 /// A run of `cfg` over `set` with run seed `seed`. An imported trace set
 /// that lacks one of the config's candidate markets is an error, not a
 /// panic.
-pub(crate) fn plan_run<'t>(
-    set: &'t TraceSet,
-    cfg: &SchedulerConfig,
-    seed: u64,
-) -> Result<SimRun<'t>, String> {
+fn plan_run<'t>(set: &'t TraceSet, cfg: &SchedulerConfig, seed: u64) -> Result<SimRun<'t>, String> {
     let plan = RunPlan::new(set, cfg).map_err(|e| e.to_string())?;
     Ok(SimRun::from_plan(Arc::new(plan), seed, SimScratch::new()))
+}
+
+/// Run `cfg` over `set` with run seed `seed`, recording its telemetry
+/// into an in-memory columnar store.
+pub(crate) fn record_run(
+    set: &TraceSet,
+    cfg: &SchedulerConfig,
+    seed: u64,
+) -> Result<(RunReport, ColumnarStore), String> {
+    let store = ColumnarStore::in_memory();
+    let report = plan_run(set, cfg, seed)?.with_sink(store.sink()).run();
+    Ok((report, store))
+}
+
+/// The recorded stream of an in-memory store, in emission order.
+pub(crate) fn decode(store: &ColumnarStore) -> Result<Vec<StoredEvent>, String> {
+    ColReader::from_bytes(&store.bytes())
+        .and_then(|r| r.decode_all())
+        .map_err(|e| e.to_string())
+}
+
+/// `--metrics`: n, mean, min, max and exact p99 of five observables of
+/// the recorded run, then its event count per kind.
+fn render_metrics(events: &[StoredEvent]) -> String {
+    let values = |field: Field| -> Vec<f64> {
+        events
+            .iter()
+            .filter_map(|se| field.extract(&se.event))
+            .collect()
+    };
+    // Effective $/hour of each closed lease; zero-length leases are skipped.
+    let lease_cost: Vec<f64> = events
+        .iter()
+        .filter_map(|se| {
+            let hours = Field::LeaseHours.extract(&se.event)?;
+            let cost = Field::Cost.extract(&se.event)?;
+            (hours > 0.0).then(|| cost / hours)
+        })
+        .collect();
+    let reacquire = reacquire_seconds(events)
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    let mut out = String::new();
+    for (title, values, unit) in [
+        ("outage duration", values(Field::OutageSeconds), "s"),
+        (
+            "migration latency",
+            values(Field::MigrationDowntimeSeconds),
+            "s",
+        ),
+        ("lease length", values(Field::LeaseHours), "h"),
+        ("time to reacquire", reacquire, "s"),
+        ("lease cost", lease_cost, "$/h"),
+    ] {
+        let stat = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}{unit}"));
+        let some = !values.is_empty();
+        out.push_str(&format!(
+            "{title}: n={} mean={} min={} max={} p99={}\n",
+            values.len(),
+            stat(some.then(|| mean(&values))),
+            stat(values.iter().copied().reduce(f64::min)),
+            stat(values.iter().copied().reduce(f64::max)),
+            stat(some.then(|| percentile_of(&values, 99.0))),
+        ));
+    }
+    out.push_str("events:");
+    for (kind, n) in group_counts(events, GroupBy::Kind) {
+        out.push_str(&format!(" {kind}={n}"));
+    }
+    out.push('\n');
+    out
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
@@ -206,51 +278,39 @@ pub fn run(args: &Args) -> Result<(), String> {
         );
     }
 
-    // Telemetry extras: re-run the first seed with a sink attached. The
-    // recorded run is bit-identical to the aggregate's first member (the
-    // sink only observes), so the numbers above still describe it.
-    if let Some(path) = args.get("trace") {
+    // Telemetry views: re-run the first seed once, into a columnar store
+    // that `--trace`, `--store` and `--metrics` all read. The recorded run
+    // is bit-identical to the aggregate's first member (the sink only
+    // observes), so the numbers above still describe it.
+    let (trace, store_path, metrics) = (args.get("trace"), args.get("store"), args.has("metrics"));
+    if trace.is_some() || store_path.is_some() || metrics {
         let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
-        let file = std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
-        let mut rec = Recorder::new().with_writer(Box::new(BufWriter::new(file)));
-        plan_run(&set, &cfg, seed0)?.with_sink(&mut rec).run();
-        rec.finish().map_err(|e| format!("--trace {path}: {e}"))?;
-        println!(
-            "\ntrace:             {} events -> {path} (seed {seed0}, JSONL)",
-            rec.len() as u64 + rec.dropped()
-        );
-        if rec.dropped() > 0 {
+        let (_, store) = record_run(&set, &cfg, seed0)?;
+        let events = decode(&store)?;
+        if let Some(path) = trace {
+            let file = std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
+            let mut out = BufWriter::new(file);
+            write_jsonl(&mut out, events.iter().map(|se| (se.at, &se.event)))
+                .and_then(|()| out.flush())
+                .map_err(|e| format!("--trace {path}: {e}"))?;
             println!(
-                "WARNING: the in-memory ring buffer evicted the {} oldest events; \
-                 the JSONL file is complete (streamed), but in-process consumers \
-                 of this recorder only see the newest {}.",
-                rec.dropped(),
-                rec.len()
+                "\ntrace:             {} events -> {path} (seed {seed0}, JSONL)",
+                events.len()
             );
         }
-    }
-    if let Some(path) = args.get("store") {
-        let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
-        let store = spothost_eventstore::ColumnarStore::create(path)
-            .map_err(|e| format!("--store {path}: {e}"))?;
-        {
-            let sink = store.sink();
-            plan_run(&set, &cfg, seed0)?.with_sink(sink).run();
+        if let Some(path) = store_path {
+            std::fs::write(path, store.bytes()).map_err(|e| format!("--store {path}: {e}"))?;
+            println!(
+                "\nstore:             {} events in {} columnar blocks -> {path} \
+                 (seed {seed0}; aggregate with `spothost query --store {path}`)",
+                store.events_written(),
+                store.blocks_written()
+            );
         }
-        store.finish().map_err(|e| format!("--store {path}: {e}"))?;
-        println!(
-            "\nstore:             {} events in {} columnar blocks -> {path} \
-             (seed {seed0}; aggregate with `spothost query --store {path}`)",
-            store.events_written(),
-            store.blocks_written()
-        );
-    }
-    if args.has("metrics") {
-        let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
-        let mut metrics = Metrics::new();
-        plan_run(&set, &cfg, seed0)?.with_sink(&mut metrics).run();
-        println!("\nevent histograms (seed {seed0}):");
-        print!("{}", metrics.render());
+        if metrics {
+            println!("\nevent histograms (seed {seed0}):");
+            print!("{}", render_metrics(&events));
+        }
     }
     if args.has("cache-stats") {
         let s = spothost_market::TraceArena::global().stats();

@@ -1,10 +1,9 @@
-//! `spothost timeline` — run one seed with the telemetry recorder and
-//! render the event stream as an ASCII Gantt chart: lease occupancy per
+//! `spothost timeline` — record one seed into a columnar store and
+//! render its event stream as an ASCII Gantt chart: lease occupancy per
 //! market, outage/degraded windows, migration markers.
 
 use crate::args::Args;
-use crate::commands::simulate::{build_cfg, load_traces, plan_run};
-use spothost_core::prelude::*;
+use crate::commands::simulate::{build_cfg, decode, load_traces, record_run};
 use spothost_core::telemetry::render_timeline;
 use spothost_market::prelude::*;
 use spothost_market::time::SimTime;
@@ -20,21 +19,12 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     let horizon = SimDuration::days(days);
     let set = load_traces(args, &cfg, seed, horizon)?;
-    let mut rec = Recorder::new();
-    let report = plan_run(&set, &cfg, seed)?.with_sink(&mut rec).run();
-    let dropped = rec.dropped();
-
+    let (report, store) = record_run(&set, &cfg, seed)?;
+    let events: Vec<_> = decode(&store)?
+        .into_iter()
+        .map(|se| (se.at, se.event))
+        .collect();
     let end = SimTime::ZERO + horizon;
-    let events = rec.into_events();
-    if dropped > 0 {
-        println!(
-            "WARNING: timeline truncated — the ring buffer evicted the {dropped} oldest \
-             events; the Gantt below starts mid-run (first kept event at {}).\n\
-             Re-run with `spothost simulate --trace out.jsonl` (streams the full \
-             timeline) or record to a columnar store with `--store out.col`.\n",
-            events.first().map(|(t, _)| *t).unwrap_or(SimTime::ZERO)
-        );
-    }
     print!("{}", render_timeline(&events, SimTime::ZERO, end, width));
     println!(
         "\n{} events | cost {:.1}% of on-demand | unavailability {:.5}% | {} migrations",

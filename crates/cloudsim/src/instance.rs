@@ -60,17 +60,13 @@ impl TerminationReason {
     }
 }
 
-/// Lifecycle state machine:
-/// `Pending -> Running -> Terminated`, with `Running -> RevocationPending ->
-/// Terminated` for provider-initiated revocation.
+/// Lifecycle state machine: `Pending -> Running -> Terminated`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InstanceState {
     /// Requested, booting; becomes ready at the contained time.
     Pending { ready_at: SimTime },
     /// Serving. The lease clock (billing hours) started at `ready_at`.
     Running,
-    /// Revocation warning delivered; the server dies at `terminate_at`.
-    RevocationPending { terminate_at: SimTime },
     /// Lease closed.
     Terminated {
         at: SimTime,
@@ -92,13 +88,6 @@ pub struct Instance {
 }
 
 impl Instance {
-    pub fn is_running(&self) -> bool {
-        matches!(
-            self.state,
-            InstanceState::Running | InstanceState::RevocationPending { .. }
-        )
-    }
-
     pub fn is_terminated(&self) -> bool {
         matches!(self.state, InstanceState::Terminated { .. })
     }
@@ -119,29 +108,5 @@ mod tests {
     #[test]
     fn display_id() {
         assert_eq!(InstanceId(7).to_string(), "i-000007");
-    }
-
-    #[test]
-    fn running_includes_revocation_pending() {
-        use spothost_market::types::{InstanceType, Zone};
-        let mut inst = Instance {
-            id: InstanceId(1),
-            market: MarketId::new(Zone::UsEast1a, InstanceType::Small),
-            kind: InstanceKind::Spot { bid: 0.06 },
-            requested_at: SimTime::ZERO,
-            ready_at: SimTime::secs(280),
-            state: InstanceState::Running,
-        };
-        assert!(inst.is_running());
-        inst.state = InstanceState::RevocationPending {
-            terminate_at: SimTime::secs(1000),
-        };
-        assert!(inst.is_running());
-        inst.state = InstanceState::Terminated {
-            at: SimTime::secs(1000),
-            reason: TerminationReason::Revoked,
-        };
-        assert!(!inst.is_running());
-        assert!(inst.is_terminated());
     }
 }

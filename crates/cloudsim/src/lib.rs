@@ -16,8 +16,11 @@
 //!   customer terminates voluntarily. On-demand hours round up.
 //! * **Allocation latency** — measured mean start-up times from the paper's
 //!   Table 1 (~1.5 min on-demand, 3.5–4.5 min spot), with sampling jitter.
-//! * **Network volumes** — EBS-style storage that survives revocation and
-//!   re-attaches to replacement servers.
+//!
+//! Network storage is not modelled here: a disk or checkpoint volume
+//! survives revocation by assumption, the time to write and read it is
+//! the migration mechanisms' (`spothost-virt`), and the provider only
+//! draws the injected delay of attaching it to a replacement server.
 
 // Library code must not unwrap: every remaining panic site is either an
 // invariant with an explanatory expect message or a documented
@@ -29,14 +32,12 @@ pub mod event;
 pub mod instance;
 pub mod provider;
 pub mod startup;
-pub mod volume;
 
 pub use billing::{on_demand_lease_charge, spot_lease_charge};
 pub use event::EventQueue;
 pub use instance::{Instance, InstanceId, InstanceKind, InstanceState, TerminationReason};
 pub use provider::{CloudProvider, RequestError, RevocationSchedule};
 pub use startup::StartupModel;
-pub use volume::{NetworkVolume, VolumeError, VolumeId, VolumePool};
 
 /// Re-export the shared clock so downstream crates need a single import.
 pub use spothost_market::time::{SimDuration, SimTime};

@@ -13,7 +13,6 @@ use std::cell::RefCell;
 use crate::billing::{on_demand_lease_charge, spot_lease_charge, SpotLeaseMeter};
 use crate::instance::{Instance, InstanceId, InstanceKind, InstanceState, TerminationReason};
 use crate::startup::StartupModel;
-use crate::volume::VolumePool;
 use crate::REVOCATION_GRACE;
 use spothost_faults::{FaultConfig, FaultPlan, StormSchedule, WarningFault};
 use spothost_market::gen::{derive_seed, TraceSet};
@@ -101,7 +100,6 @@ pub struct CloudProvider<'t> {
     rng: ChaCha12Rng,
     /// Every instance ever created, at the index of its id.
     instances: Vec<Instance>,
-    volumes: VolumePool,
     /// One forward cursor per market (dense-indexed, lazily created),
     /// shared by price lookups, revocation scans and reverse-migration
     /// scans. Interior mutability keeps the read-only query API
@@ -139,7 +137,6 @@ impl<'t> CloudProvider<'t> {
             startup: StartupModel::table1(),
             rng: ChaCha12Rng::seed_from_u64(derive_seed(seed, "provider-startup", 0)),
             instances: Vec::new(),
-            volumes: VolumePool::new(),
             market_cursors: RefCell::new([const { None }; 16]),
             meters: Vec::new(),
             faults: None,
@@ -230,14 +227,6 @@ impl<'t> CloudProvider<'t> {
 
     pub fn traces(&self) -> &'t TraceSet {
         self.traces
-    }
-
-    pub fn volumes_mut(&mut self) -> &mut VolumePool {
-        &mut self.volumes
-    }
-
-    pub fn volumes(&self) -> &VolumePool {
-        &self.volumes
     }
 
     /// Current spot price of a market.
@@ -524,20 +513,6 @@ impl<'t> CloudProvider<'t> {
         })
     }
 
-    /// Mark a running spot instance as revocation-pending (the warning has
-    /// been delivered). No-op for unknown or non-running instances.
-    pub fn begin_revocation(&mut self, id: InstanceId, warning_at: SimTime) {
-        let Some(inst) = self.slot_mut(id) else {
-            return;
-        };
-        if !matches!(inst.state, InstanceState::Running) {
-            return;
-        }
-        inst.state = InstanceState::RevocationPending {
-            terminate_at: warning_at + REVOCATION_GRACE,
-        };
-    }
-
     /// Close a lease and bill it. Returns the charge, which is never
     /// negative. Idempotent: unknown instances and repeat terminations
     /// charge nothing (the first termination settled the lease; under
@@ -554,7 +529,6 @@ impl<'t> CloudProvider<'t> {
         inst.state = InstanceState::Terminated { at: now, reason };
         let (market, kind, lease_start) = (inst.market, inst.kind, inst.ready_at);
         self.release_od(kind);
-        self.volumes.detach_all_from(id);
 
         let meter = self.meter_index(id).map(|i| self.meters.swap_remove(i).1);
         // A request cancelled before the server came up is free.
@@ -585,11 +559,6 @@ impl<'t> CloudProvider<'t> {
 
     pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
         self.instances.get(usize::try_from(id.0).ok()?)
-    }
-
-    /// Number of instances ever created (for diagnostics).
-    pub fn instances_created(&self) -> usize {
-        self.instances.len()
     }
 }
 
@@ -648,7 +617,7 @@ mod tests {
         let (id, ready) = p.request_spot(market(), pon, SimTime::ZERO).unwrap();
         assert!(ready > SimTime::ZERO);
         assert!(p.activate(id, ready));
-        assert!(p.instance(id).unwrap().is_running());
+        assert_eq!(p.instance(id).unwrap().state, InstanceState::Running);
     }
 
     #[test]
@@ -732,34 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn volume_reattach_across_revocation() {
-        let ts = traces();
-        let mut p = CloudProvider::new(&ts, 7).with_startup_model(StartupModel::deterministic());
-        let pon = p.on_demand_price(market());
-        let (spot, ready) = p.request_spot(market(), pon, SimTime::ZERO).unwrap();
-        p.activate(spot, ready);
-        let vol = p.volumes_mut().create(16.0);
-        p.volumes_mut().attach(vol, spot).unwrap();
-        p.volumes_mut().write_checkpoint(vol, 2.0).unwrap();
-
-        // Revocation: lease closes, volume persists, re-attaches.
-        p.terminate(
-            spot,
-            ready + SimDuration::minutes(30),
-            TerminationReason::Revoked,
-        );
-        assert_eq!(p.volumes().get(vol).unwrap().attached_to, None);
-        assert_eq!(p.volumes().get(vol).unwrap().checkpoint_gib, 2.0);
-
-        let (od, od_ready) = p
-            .request_on_demand(market(), ready + SimDuration::minutes(30))
-            .unwrap();
-        p.activate(od, od_ready);
-        p.volumes_mut().attach(vol, od).unwrap();
-        assert_eq!(p.volumes().get(vol).unwrap().attached_to, Some(od));
-    }
-
-    #[test]
     fn incremental_meter_matches_replay_bit_for_bit() {
         let ts = traces();
         let mut p = CloudProvider::new(&ts, 7).with_startup_model(StartupModel::deterministic());
@@ -792,7 +733,7 @@ mod tests {
             p.request_on_demand(market(), SimTime::ZERO),
             Err(RequestError::InsufficientCapacity(_))
         ));
-        assert_eq!(p.instances_created(), 0);
+        assert!(p.instance(InstanceId(0)).is_none());
     }
 
     #[test]

@@ -72,6 +72,6 @@ pub mod prelude {
     pub use crate::sim::{run_grid, run_many, run_one, run_one_recorded, AggregateReport};
     pub use crate::strategy::MarketScope;
     pub use spothost_faults::{FaultConfig, StormConfig};
-    pub use spothost_telemetry::{Metrics, Recorder, TelemetryEvent};
+    pub use spothost_telemetry::{Recorder, TelemetryEvent};
     pub use spothost_virt::{MechanismCombo, ParamRegime};
 }

@@ -761,11 +761,6 @@ impl<'t, S: Sink> SimRun<'t, S> {
         self.horizon
     }
 
-    /// Expose the accounting (tests).
-    pub fn into_parts(self) -> (Accounting, f64) {
-        (self.acc, self.plan.baseline_rate)
-    }
-
     // --- telemetry ----------------------------------------------------------
 
     /// Emit one event at the current simulation time. Behind the default

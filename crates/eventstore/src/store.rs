@@ -7,9 +7,9 @@
 //! along with the store's sealing buffers: a fleet seals one small block
 //! per VM, and reusing one block `Encoder` and payload buffer for all
 //! of them keeps sealing free of per-block allocation.
-//! I/O errors are latched (like `Recorder`): emission never panics or
-//! returns errors into the hot path; [`ColumnarStore::finish`] reports
-//! the first failure at the end.
+//! I/O errors are latched: emission never panics or returns errors into
+//! the hot path; [`ColumnarStore::finish`] reports the first failure at
+//! the end.
 
 use crate::block::Encoder;
 use spothost_market::time::SimTime;

@@ -448,11 +448,6 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         }
     }
 
-    /// Users one VM absorbs at the configured target utilisation.
-    pub fn per_vm_capacity(&self) -> u64 {
-        self.per_vm_cap
-    }
-
     /// Run the whole simulation and report.
     pub fn run(mut self) -> FleetSimReport {
         // Boot the floor fleet at t = 0.

@@ -92,9 +92,6 @@ pub struct JobsConfig {
     /// deadline is `arrival + runtime * (1 + slack_factor * u)` with
     /// `u ~ U[0.5, 1.5]`.
     pub slack_factor: f64,
-    /// Fraction of jobs that can be checkpointed at all; the rest always
-    /// restart from scratch regardless of policy.
-    pub checkpointable_fraction: f64,
     /// Injected fault rates (capacity denials, boot failures, warning
     /// and checkpoint-write faults).
     pub faults: FaultConfig,
@@ -106,7 +103,7 @@ pub struct JobsConfig {
 impl JobsConfig {
     /// Default single-market configuration for a policy rung:
     /// 4 workers, ~4 h jobs arriving every ~2 h, slack of one runtime,
-    /// 75% checkpointable, no injected faults, no storms.
+    /// no injected faults, no storms.
     pub fn new(policy: JobPolicy) -> Self {
         JobsConfig {
             market: MarketId::new(Zone::UsEast1a, InstanceType::Large),
@@ -115,7 +112,6 @@ impl JobsConfig {
             mean_interarrival: SimDuration::hours(2),
             mean_runtime: SimDuration::hours(4),
             slack_factor: 1.0,
-            checkpointable_fraction: 0.75,
             faults: FaultConfig::none(),
             storms: StormConfig::none(),
         }
@@ -130,12 +126,6 @@ impl JobsConfig {
     /// Builder: replace the storm configuration.
     pub fn with_storms(mut self, storms: StormConfig) -> Self {
         self.storms = storms;
-        self
-    }
-
-    /// Builder: replace the market.
-    pub fn with_market(mut self, market: MarketId) -> Self {
-        self.market = market;
         self
     }
 
@@ -161,12 +151,6 @@ impl JobsConfig {
             return Err(format!(
                 "slack factor must be finite and >= 0, got {}",
                 self.slack_factor
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.checkpointable_fraction) {
-            return Err(format!(
-                "checkpointable fraction must be in [0, 1], got {}",
-                self.checkpointable_fraction
             ));
         }
         self.policy.bidding().validate()?;
@@ -202,9 +186,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = JobsConfig::new(JobPolicy::GreedySpot);
         c.slack_factor = -1.0;
-        assert!(c.validate().is_err());
-        let mut c = JobsConfig::new(JobPolicy::GreedySpot);
-        c.checkpointable_fraction = 1.5;
         assert!(c.validate().is_err());
     }
 }

@@ -12,6 +12,9 @@ use crate::config::JobsConfig;
 pub const MIN_RUNTIME: SimDuration = SimDuration(10 * MILLIS_PER_MINUTE);
 /// Longest job the generator will emit.
 pub const MAX_RUNTIME: SimDuration = SimDuration(48 * MILLIS_PER_HOUR);
+/// Fraction of jobs that can be checkpointed at all; the rest always
+/// restart from scratch regardless of policy.
+const CHECKPOINTABLE_FRACTION: f64 = 0.75;
 
 /// One batch job as submitted: when it arrives, how much compute it
 /// needs, when it must be done, and whether its state can be
@@ -71,7 +74,7 @@ pub fn generate_jobs(cfg: &JobsConfig, master_seed: u64, horizon: SimTime) -> Ve
             .min(MAX_RUNTIME);
         let u = 0.5 + slack_rng.gen::<f64>();
         let slack = runtime.mul_f64(cfg.slack_factor * u);
-        let checkpointable = ckpt_rng.gen::<f64>() < cfg.checkpointable_fraction;
+        let checkpointable = ckpt_rng.gen::<f64>() < CHECKPOINTABLE_FRACTION;
         jobs.push(JobSpec {
             arrival: t,
             runtime,

@@ -7,6 +7,7 @@
 
 use crate::event::TelemetryEvent;
 use spothost_market::time::{SimDuration, SimTime};
+use std::io::{self, Write};
 
 /// Minimal JSON object writer. All strings we serialize are internal
 /// identifiers (market names, event kinds), but escape anyway so the
@@ -246,6 +247,17 @@ pub fn event_to_json(at: SimTime, ev: &TelemetryEvent) -> String {
         }
     }
     o.finish()
+}
+
+/// Write timed events as JSONL, one [`event_to_json`] line each.
+pub fn write_jsonl<'a>(
+    w: &mut dyn Write,
+    events: impl IntoIterator<Item = (SimTime, &'a TelemetryEvent)>,
+) -> io::Result<()> {
+    for (at, ev) in events {
+        writeln!(w, "{}", event_to_json(at, ev))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -10,19 +10,18 @@
 //! charge), fault injections, backoff attempts, and state-machine
 //! transitions.
 //!
-//! Three sinks cover the use cases:
+//! Two sinks live here:
 //!
 //! * [`NullSink`] — the default. `ENABLED = false` and an empty inline
 //!   `emit` let the compiler delete every emission site, so an
 //!   uninstrumented run is bit-identical to (and as fast as) a build
 //!   without telemetry at all.
-//! * [`Recorder`] — a bounded ring buffer of timestamped events with
-//!   JSONL export ([`export`]) and an optional streaming writer for
-//!   timelines longer than the buffer.
-//! * [`Metrics`] — fixed-bucket histograms
-//!   ([`spothost_analysis::FixedHistogram`]) over the event stream:
-//!   downtime durations, migration latencies, lease lengths,
-//!   time-to-reacquire, per-hour lease cost.
+//! * [`Recorder`] — a bounded in-memory ring buffer of timestamped
+//!   events, the reference sink tests and benchmarks read a stream from.
+//!
+//! The CLI and `repro --trace` record a run into `spothost-eventstore`'s
+//! columnar store, which keeps every event; their JSONL traces
+//! ([`export::write_jsonl`]), summaries and timelines are views of it.
 //!
 //! Two guarantees the rest of the workspace depends on (see DESIGN.md
 //! "Observability"):
@@ -40,14 +39,12 @@
 
 pub mod event;
 pub mod export;
-pub mod metrics;
 pub mod recorder;
 pub mod sink;
 pub mod timeline;
 
 pub use event::{DenialReason, MigrationPhase, SchedulerState, TelemetryEvent};
 pub use export::event_to_json;
-pub use metrics::Metrics;
 pub use recorder::Recorder;
 pub use sink::{NullSink, NullSinkFactory, Sink, SinkFactory};
 pub use spothost_faults::FaultKind;

@@ -1,9 +1,9 @@
 //! The [`Recorder`] sink: a bounded in-memory ring buffer of timestamped
-//! events, with optional streaming JSONL output for timelines longer than
-//! the buffer.
+//! events, the reference sink that tests and benchmarks read a run's
+//! stream from.
 
 use crate::event::TelemetryEvent;
-use crate::export::event_to_json;
+use crate::export;
 use crate::sink::Sink;
 use crate::TimedEvent;
 use spothost_market::time::SimTime;
@@ -17,31 +17,19 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 /// Records the event stream of one run.
 ///
 /// The ring buffer keeps the **newest** `capacity` events; older ones are
-/// dropped (and counted). Attach a streaming writer with
-/// [`Recorder::with_writer`] to persist the *full* timeline as JSONL
-/// regardless of buffer size.
+/// dropped (and counted). A columnar store
+/// (`spothost_eventstore::ColumnarStore`) keeps every event of a run of
+/// any length.
+#[derive(Debug)]
 pub struct Recorder {
     events: VecDeque<TimedEvent>,
     capacity: usize,
     dropped: u64,
-    writer: Option<Box<dyn Write>>,
-    io_error: Option<io::Error>,
 }
 
 impl Default for Recorder {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl std::fmt::Debug for Recorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder")
-            .field("events", &self.events.len())
-            .field("capacity", &self.capacity)
-            .field("dropped", &self.dropped)
-            .field("streaming", &self.writer.is_some())
-            .finish()
     }
 }
 
@@ -56,17 +44,7 @@ impl Recorder {
             events: VecDeque::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
             dropped: 0,
-            writer: None,
-            io_error: None,
         }
-    }
-
-    /// Also stream every event to `w` as one JSONL line each, as it is
-    /// emitted. I/O errors are latched (see [`Recorder::take_io_error`])
-    /// and stop further writes; they never panic mid-run.
-    pub fn with_writer(mut self, w: Box<dyn Write>) -> Self {
-        self.writer = Some(w);
-        self
     }
 
     /// The buffered events, oldest first.
@@ -88,34 +66,14 @@ impl Recorder {
         self.events.is_empty()
     }
 
-    /// Events evicted from the ring buffer (still streamed if a writer is
-    /// attached).
+    /// Events evicted from the ring buffer.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Flush the streaming writer and surface any latched I/O error.
-    pub fn finish(&mut self) -> io::Result<()> {
-        if let Some(e) = self.io_error.take() {
-            return Err(e);
-        }
-        if let Some(w) = self.writer.as_mut() {
-            w.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Take the latched streaming I/O error, if any.
-    pub fn take_io_error(&mut self) -> Option<io::Error> {
-        self.io_error.take()
-    }
-
     /// Write the buffered events as JSONL.
     pub fn write_jsonl(&self, w: &mut dyn Write) -> io::Result<()> {
-        for (at, ev) in &self.events {
-            writeln!(w, "{}", event_to_json(*at, ev))?;
-        }
-        Ok(())
+        export::write_jsonl(w, self.events.iter().map(|(at, ev)| (*at, ev)))
     }
 }
 
@@ -123,11 +81,6 @@ impl Sink for Recorder {
     const ENABLED: bool = true;
 
     fn emit(&mut self, at: SimTime, event: TelemetryEvent) {
-        if let (Some(w), None) = (self.writer.as_mut(), self.io_error.as_ref()) {
-            if let Err(e) = writeln!(w, "{}", event_to_json(at, &event)) {
-                self.io_error = Some(e);
-            }
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -161,26 +114,13 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let first = r.events().next().map(|(t, _)| t.as_millis());
         assert_eq!(first, Some(2));
-    }
-
-    #[test]
-    fn streaming_writer_sees_everything_despite_small_buffer() {
-        let buf: Vec<u8> = Vec::new();
-        let mut r = Recorder::with_capacity(2).with_writer(Box::new(buf));
-        for n in 0..10 {
-            let (at, e) = ev(n);
-            r.emit(at, e);
-        }
-        assert_eq!(r.len(), 2);
-        r.finish().expect("no io error on Vec writer");
-        // The Vec is owned by the recorder; round-trip through write_jsonl
-        // on the buffered tail instead to check formatting.
+        // The JSONL holds exactly the kept events.
         let mut out = Vec::new();
         r.write_jsonl(&mut out).expect("write to Vec");
-        let text = String::from_utf8(out).expect("utf8");
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
+        let want: String = r
+            .events()
+            .map(|(at, e)| crate::event_to_json(*at, e) + "\n")
+            .collect();
+        assert_eq!(String::from_utf8(out).expect("utf8"), want);
     }
 }

@@ -43,7 +43,7 @@ impl<S: Sink> Sink for &mut S {
 }
 
 /// Pair composition: fan one event stream out to two sinks (e.g. a
-/// `Recorder` and a `Metrics` in the same run).
+/// `Recorder` and a columnar store's sink in the same run).
 impl<A: Sink, B: Sink> Sink for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 

@@ -72,11 +72,6 @@ impl ClosedNetwork {
         self.stations.iter().map(|s| s.demand_s).fold(0.0, f64::max)
     }
 
-    /// Asymptotic maximum throughput, `1 / D_max`.
-    pub fn max_throughput(&self) -> f64 {
-        1.0 / self.bottleneck_demand()
-    }
-
     /// Exact MVA at population `n`.
     pub fn solve(&self, n: u32) -> MvaResult {
         let k = self.stations.len();
