@@ -15,21 +15,24 @@
 //! ## Architecture
 //!
 //! ```text
-//!  SimRun/FleetSim --Sink--> ColumnarSink --seal--> ColumnarStore --> .col file
-//!                                                        |
-//!  ColReader::open <-------------------------------------+
+//!  SimRun/FleetSim --Sink--> ColumnarSink --append--> ColumnarStore --seal--> .col file
+//!                                                          |
+//!  ColReader::open <---------------------------------------+
 //!      |-- select(Predicate)  block pruning via header zone maps
 //!      |-- Query aggregations  counts / sums / histograms / percentiles
 //!      `-- perfetto::to_perfetto_json  chrome://tracing / ui.perfetto.dev
 //! ```
 //!
-//! * [`ColumnarStore`] owns the output (file or memory) and hands out
-//!   per-VM [`ColumnarSink`]s; each sink buffers events and seals them
-//!   into struct-of-arrays blocks ([`block`]) of ~4096 events.
-//! * Every block header carries min/max time plus kind/market/zone
-//!   bitmaps, so [`ColReader::select`] can skip whole blocks that cannot
-//!   match a [`Predicate`] — the [`Selection`] reports how many blocks
-//!   were actually decoded.
+//! * [`ColumnarStore`] owns the output (file or memory) and one buffer
+//!   of events. Every [`ColumnarSink`] it hands out (one per fleet VM,
+//!   or one for a single run) appends its events, tagged with its VM,
+//!   to that buffer. The buffer seals into a fleet-wide struct-of-arrays
+//!   block ([`block`]) every [`DEFAULT_BLOCK_EVENTS`] events, and when
+//!   the last sink drops.
+//! * Every block header carries min/max time, kind/market/zone bitmaps
+//!   and the exact set of VMs in the block, so [`ColReader::select`] can
+//!   skip whole blocks that cannot match a [`Predicate`]; the
+//!   [`Selection`] reports how many blocks were actually decoded.
 //! * [`query`] computes aggregations over a selection, reusing
 //!   `spothost-analysis` percentile/histogram machinery so CLI numbers
 //!   match report numbers bit for bit.
@@ -65,7 +68,9 @@ pub enum ColError {
     Truncated,
     /// The input is structurally invalid; the message names the field.
     Corrupt(&'static str),
-    /// The file does not start with the `SPOTCOL1` magic.
+    /// The file does not start with the `SPOTCOL2` magic. Files of the
+    /// earlier per-VM-block format (`SPOTCOL1`) are refused here too:
+    /// there is one codec, and a v1 file has to be re-recorded.
     BadMagic,
     /// An underlying I/O error (opening or reading the file).
     Io(std::io::Error),

@@ -2,7 +2,7 @@
 //!
 //! A [`Predicate`] is evaluated in two stages: [`Predicate::matches_meta`]
 //! prunes whole blocks using only header zone maps (time window, kind /
-//! market / zone bitmaps, VM tag), then [`Predicate::matches_event`]
+//! market / zone bitmaps, VM dictionary), then [`Predicate::matches_event`]
 //! filters the events of the blocks that had to be decoded. The split is
 //! what makes narrow queries cheap on fleet-scale files.
 //!
@@ -110,26 +110,22 @@ impl Predicate {
                 return false;
             }
         }
-        if let Some(vm) = self.vm {
-            if meta.vm != Some(vm) {
-                return false;
-            }
-        }
-        true
+        self.vm.is_none_or(|vm| meta.holds_vm(Some(vm)))
     }
 
     /// Does every event in a block with this header match? True when the
     /// header lies wholly inside the predicate: its time window inside
     /// the range, its kinds among the predicate's, no market or zone
-    /// constraint, and the VM unconstrained or the block's own. Such a
-    /// block needs no [`Self::matches_event`] pass.
+    /// constraint, and the VM unconstrained or the only one in the
+    /// block's VM dictionary. Such a block needs no
+    /// [`Self::matches_event`] pass.
     pub(crate) fn covers_meta(&self, meta: &BlockMeta) -> bool {
         self.from_ms <= meta.min_t_ms
             && meta.max_t_ms <= self.to_ms
             && self.kinds.is_none_or(|k| meta.kinds & !k == 0)
             && self.markets.is_none()
             && self.zones.is_none()
-            && self.vm.is_none_or(|vm| meta.vm == Some(vm))
+            && self.vm.is_none_or(|vm| meta.vms == [Some(vm)])
     }
 
     /// Exact per-event filter, applied after a block is decoded.

@@ -1,18 +1,25 @@
 //! The read path: [`ColReader`] parses a columnar file into raw blocks
-//! (headers eagerly, payloads lazily) and serves predicate-filtered
-//! selections, decoding only the blocks whose header zone maps survive
-//! pruning.
+//! (headers eagerly, bodies lazily) and serves predicate-filtered
+//! selections, decoding only the blocks whose headers (time window,
+//! kind, market and zone bitmaps, VM dictionary) survive pruning.
+//!
+//! A file is the magic `SPOTCOL2`, then one frame per block: the
+//! payload's byte length (u32, little-endian) and the payload
+//! ([`crate::block`]). Any other magic, the earlier per-VM-block
+//! `SPOTCOL1` included, is [`ColError::BadMagic`].
 
 use crate::block::{self, BlockMeta, Decoder};
 use crate::query::Predicate;
 use crate::store::MAGIC;
+use crate::varint::Cursor;
 use crate::ColError;
 use spothost_market::time::SimTime;
 use spothost_telemetry::TelemetryEvent;
+use std::ops::Range;
 use std::path::Path;
 
 /// One decoded event with its stream tag.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoredEvent {
     /// Fleet VM (spawn index) the event came from; `None` for untagged
     /// single-run streams.
@@ -23,11 +30,11 @@ pub struct StoredEvent {
     pub event: TelemetryEvent,
 }
 
-/// A block's header and where its payload lies in the file.
+/// A block's header and where its body (the payload after the header)
+/// lies in the file.
 struct RawBlock {
     meta: BlockMeta,
-    start: usize,
-    end: usize,
+    body: Range<usize>,
 }
 
 /// The result of [`ColReader::select`]: matching events plus pruning
@@ -35,8 +42,8 @@ struct RawBlock {
 /// predicate actually touched.
 #[derive(Debug, Clone)]
 pub struct Selection {
-    /// Events matching the predicate, in file order (per-VM streams stay
-    /// in emission order; different VMs interleave by seal time).
+    /// Events matching the predicate, in emission order across the
+    /// whole store (so each VM's stream is in its own emission order).
     pub events: Vec<StoredEvent>,
     /// Total blocks in the file.
     pub blocks_total: usize,
@@ -61,8 +68,8 @@ impl std::fmt::Debug for ColReader {
 
 impl ColReader {
     /// Parse a columnar file from bytes. Headers are decoded up front
-    /// (they are a few dozen bytes per block); column payloads stay raw
-    /// until a predicate needs them.
+    /// (a few dozen bytes per block, plus the VM dictionary); block
+    /// bodies stay raw until a predicate needs them.
     ///
     /// An empty input is a valid, empty store (a run that emitted no
     /// events writes no bytes).
@@ -75,7 +82,7 @@ impl ColReader {
         ColReader::parse(std::fs::read(path)?)
     }
 
-    /// Index the frames of `data`, which the reader keeps: payloads are
+    /// Index the frames of `data`, which the reader keeps: bodies are
     /// decoded in place, not copied out per block.
     fn parse(data: Vec<u8>) -> Result<Self, ColError> {
         if data.is_empty() {
@@ -100,9 +107,13 @@ impl ColReader {
             if rest.len() - 4 < len {
                 return Err(ColError::Truncated);
             }
-            let (start, end) = (pos + 4, pos + 4 + len);
-            let meta = block::decode_meta(&data[start..end])?;
-            blocks.push(RawBlock { meta, start, end });
+            let end = pos + 4 + len;
+            let mut c = Cursor::new(&data[pos + 4..end]);
+            let meta = block::read_meta(&mut c)?;
+            blocks.push(RawBlock {
+                meta,
+                body: end - c.remaining()..end,
+            });
             pos = end;
         }
         Ok(ColReader { data, blocks })
@@ -123,9 +134,10 @@ impl ColReader {
         self.blocks.iter().map(|b| &b.meta)
     }
 
-    /// Distinct VM tags present, sorted, `None` first if present.
+    /// Distinct VM tags present, sorted, `None` first if present (the
+    /// union of the blocks' VM dictionaries).
     pub fn vms(&self) -> Vec<Option<u32>> {
-        let mut vms: Vec<Option<u32>> = self.blocks.iter().map(|b| b.meta.vm).collect();
+        let mut vms: Vec<Option<u32>> = self.metas().flat_map(|m| m.vms.iter().copied()).collect();
         vms.sort_unstable();
         vms.dedup();
         vms
@@ -140,25 +152,18 @@ impl ColReader {
     /// then filter events. The returned [`Selection`] reports how many
     /// blocks were decoded vs. total — the pruning win.
     ///
-    /// The output is reserved once from the surviving headers' counts,
-    /// and one block `Decoder` decodes every surviving block.
+    /// The output is reserved once for the blocks every event of which
+    /// matches, and one block `Decoder` decodes every surviving block.
     pub fn select(&self, pred: &Predicate) -> Result<Selection, ColError> {
         let survivors = || self.blocks.iter().filter(|b| pred.matches_meta(&b.meta));
-        let mut events = Vec::with_capacity(survivors().map(|b| b.meta.count).sum());
+        let covered = survivors().filter(|b| pred.covers_meta(&b.meta));
+        let mut events = Vec::with_capacity(covered.map(|b| b.meta.count).sum());
         let mut decoder = Decoder::default();
         let mut decoded = 0usize;
         for raw in survivors() {
             decoded += 1;
-            let (meta, stream) = decoder.decode(&self.data[raw.start..raw.end])?;
-            if meta != raw.meta {
-                return Err(ColError::Corrupt("block body disagrees with header"));
-            }
-            let stream = stream.map(|(at, event)| StoredEvent {
-                vm: meta.vm,
-                at,
-                event,
-            });
-            if pred.covers_meta(&meta) {
+            let stream = decoder.decode(&raw.meta, &self.data[raw.body.clone()])?;
+            if pred.covers_meta(&raw.meta) {
                 events.extend(stream);
             } else {
                 events.extend(stream.filter(|se| pred.matches_event(se)));
@@ -181,17 +186,24 @@ mod tests {
     use spothost_market::types::{InstanceType, MarketId, Zone};
     use spothost_telemetry::Sink;
 
+    fn quota(vm: u32, i: u64) -> (SimTime, TelemetryEvent) {
+        (
+            SimTime::millis(i * 60_000),
+            TelemetryEvent::QuotaExhausted {
+                market: MarketId::new(Zone::ALL[vm as usize], InstanceType::Large),
+            },
+        )
+    }
+
+    /// Two VMs of 20 events each, VM 0's sink dropped before VM 1's is
+    /// made: the drop seals VM 0's partial block, so no block mixes them.
     fn write_two_vm_store() -> Vec<u8> {
         let store = ColumnarStore::in_memory().with_block_events(8);
         for vm in 0..2u32 {
             let mut sink = store.sink_for_vm(vm);
             for i in 0..20u64 {
-                sink.emit(
-                    SimTime::millis(i * 60_000),
-                    TelemetryEvent::QuotaExhausted {
-                        market: MarketId::new(Zone::ALL[vm as usize], InstanceType::Large),
-                    },
-                );
+                let (t, e) = quota(vm, i);
+                sink.emit(t, e);
             }
         }
         store.bytes()
@@ -222,6 +234,33 @@ mod tests {
         let sel = reader.select(&Predicate::any().with_vm(0)).unwrap();
         assert_eq!(sel.blocks_decoded, 3);
         assert!(sel.events.iter().all(|e| e.vm == Some(0)));
+    }
+
+    #[test]
+    fn interleaved_vms_share_blocks_and_demultiplex() {
+        // Three live sinks emitting in turn: every block holds all three.
+        let store = ColumnarStore::in_memory().with_block_events(8);
+        {
+            let mut sinks: Vec<_> = (0..3).map(|vm| store.sink_for_vm(vm)).collect();
+            for i in 0..10u64 {
+                for (vm, sink) in sinks.iter_mut().enumerate() {
+                    let (t, e) = quota(vm as u32, i);
+                    sink.emit(t, e);
+                }
+            }
+        }
+        let reader = ColReader::from_bytes(&store.bytes()).unwrap();
+        assert_eq!(reader.block_count(), 4); // 30 events: 3 × 8 + 6
+        assert!(reader.metas().all(|m| m.vms == [Some(0), Some(1), Some(2)]));
+        assert_eq!(reader.vms(), vec![Some(0), Some(1), Some(2)]);
+        let sel = reader.select(&Predicate::any().with_vm(1)).unwrap();
+        assert_eq!(sel.blocks_decoded, 4);
+        let want: Vec<_> = (0..10).map(|i| quota(1, i)).collect();
+        let got: Vec<_> = sel.events.iter().map(|e| (e.at, e.event)).collect();
+        assert_eq!(got, want);
+        // A VM in no block's dictionary decodes nothing.
+        let sel = reader.select(&Predicate::any().with_vm(3)).unwrap();
+        assert_eq!((sel.blocks_decoded, sel.events.len()), (0, 0));
     }
 
     #[test]
@@ -261,5 +300,14 @@ mod tests {
         let bytes = write_two_vm_store();
         assert!(ColReader::from_bytes(&bytes[..bytes.len() - 2]).is_err());
         assert!(ColReader::from_bytes(&[]).unwrap().block_count() == 0);
+    }
+
+    #[test]
+    fn version_one_files_are_bad_magic() {
+        // The small fleet store as the per-VM-block format wrote it: it
+        // is refused by type, not misread.
+        let v1 = include_bytes!("../tests/fixtures/fleet_small_v1.col");
+        assert_eq!(&v1[..8], b"SPOTCOL1");
+        assert!(matches!(ColReader::from_bytes(v1), Err(ColError::BadMagic)));
     }
 }
