@@ -20,7 +20,8 @@ pub fn run_one(cfg: &SchedulerConfig, seed: u64, horizon: SimDuration) -> RunRep
     SimRun::new(&traces, cfg, seed).run()
 }
 
-/// [`run_one`], recording the full telemetry event stream.
+/// [`run_one`], recording the full telemetry event stream, however long
+/// the run: the recorder is unbounded, so it drops no event.
 ///
 /// The simulation itself is bit-identical to [`run_one`] — the recorder
 /// only observes — so the returned [`RunReport`] matches the unrecorded
@@ -33,7 +34,7 @@ pub fn run_one_recorded(
     let catalog = Catalog::ec2_2015();
     let markets = cfg.candidates();
     let traces = TraceSet::generate(&catalog, &markets, seed, horizon);
-    let mut rec = Recorder::new();
+    let mut rec = Recorder::with_capacity(usize::MAX);
     let report = SimRun::new(&traces, cfg, seed).with_sink(&mut rec).run();
     (report, rec)
 }

@@ -27,6 +27,7 @@
 use proptest::prelude::*;
 use spothost_core::prelude::*;
 use spothost_core::scheduler::{SimRun, SimScratch};
+use spothost_core::telemetry::recorder::DEFAULT_CAPACITY;
 use spothost_core::telemetry::TimedEvent;
 use spothost_market::catalog::Catalog;
 use spothost_market::gen::TraceSet;
@@ -232,6 +233,51 @@ fn run_ticked(
 /// An event stream rendered for bitwise comparison: `{:?}` prints every
 /// float in its shortest round-trip form, so equal renderings are equal
 /// bits.
+/// (d) Replay a recorded stream: ordered sums reproduce the report's
+/// cost and downtime bitwise, and storm edges are balanced per zone (at
+/// most one episode left open at the horizon, since a zone's episodes
+/// never overlap).
+fn replay<'a>(
+    report: &RunReport,
+    events: impl Iterator<Item = &'a TimedEvent>,
+) -> Result<(), String> {
+    let mut cost = 0.0f64;
+    let mut downtime_ms = 0u64;
+    let mut open = [0i64; 4];
+    for (_, ev) in events {
+        match ev {
+            TelemetryEvent::LeaseClosed { cost: c, .. } => cost += c,
+            TelemetryEvent::Outage { start, end } => {
+                downtime_ms += (*end - *start).as_millis();
+            }
+            TelemetryEvent::StormStarted { zone } => open[zone.index()] += 1,
+            TelemetryEvent::StormEnded { zone } => {
+                open[zone.index()] -= 1;
+                if open[zone.index()] < 0 {
+                    return Err(format!("zone {zone:?}: storm ended before it started"));
+                }
+            }
+            _ => {}
+        }
+    }
+    if cost.to_bits() != report.cost.to_bits() {
+        return Err(format!(
+            "replayed cost {cost} != report cost {}",
+            report.cost
+        ));
+    }
+    if downtime_ms != report.downtime.as_millis() {
+        return Err(format!(
+            "replayed downtime {downtime_ms} ms != report {:?}",
+            report.downtime
+        ));
+    }
+    match open.iter().position(|n| !(0..=1).contains(n)) {
+        Some(z) => Err(format!("zone {z}: {} unbalanced storm edges", open[z])),
+        None => Ok(()),
+    }
+}
+
 fn rendered(stream: &[TimedEvent]) -> Vec<String> {
     stream.iter().map(|e| format!("{e:?}")).collect()
 }
@@ -404,34 +450,8 @@ proptest! {
 
         // Observation stays free with storm events in the stream.
         prop_assert_eq!(plain, report.clone());
-
-        // Replay: ordered sums reproduce the report bitwise; storm edges
-        // are balanced per zone (at most one episode left open at the
-        // horizon, since a zone's episodes never overlap).
-        let mut cost = 0.0f64;
-        let mut downtime_ms = 0u64;
-        let mut open = [0i64; 4];
-        for (_, ev) in rec.events() {
-            match ev {
-                TelemetryEvent::LeaseClosed { cost: c, .. } => cost += c,
-                TelemetryEvent::Outage { start, end } => {
-                    downtime_ms += (*end - *start).as_millis();
-                }
-                TelemetryEvent::StormStarted { zone } => open[zone.index()] += 1,
-                TelemetryEvent::StormEnded { zone } => {
-                    open[zone.index()] -= 1;
-                    prop_assert!(open[zone.index()] >= 0, "storm ended before it started");
-                }
-                _ => {}
-            }
-        }
-        prop_assert_eq!(cost.to_bits(), report.cost.to_bits(),
-            "replayed cost {} != report cost {}", cost, report.cost);
-        prop_assert_eq!(downtime_ms, report.downtime.as_millis());
-        for (z, n) in open.iter().enumerate() {
-            prop_assert!((0..=1).contains(n),
-                "zone {z}: {n} unbalanced storm edges");
-        }
+        let replayed = replay(&report, rec.events());
+        prop_assert!(replayed.is_ok(), "{}", replayed.unwrap_err());
     }
 
     #[test]
@@ -544,4 +564,28 @@ proptest! {
         prop_assert_eq!(every.0, skipping.0);
         prop_assert_eq!(rendered(&every.1), rendered(&skipping.1));
     }
+}
+
+/// (d) holds however long the run: `run_one_recorded` keeps the whole
+/// stream, not just the newest `DEFAULT_CAPACITY` events a default
+/// `Recorder` holds. This chaotic 450-day run emits about 75k events.
+#[test]
+fn recorded_runs_longer_than_the_ring_replay_whole() {
+    let mut faults = FaultConfig::none();
+    faults.spot_capacity_rate = 0.5;
+    faults.od_capacity_rate = 0.5;
+    faults.warning_miss_rate = 0.5;
+    faults.ckpt_failure_rate = 0.5;
+    let cfg = SchedulerConfig::multi(MarketScope::MultiMarket(Zone::UsEast1a))
+        .with_policy(BiddingPolicy::proactive_default())
+        .with_faults(faults)
+        .with_storms(StormConfig::intensity(1.0));
+    let (report, rec) = run_one_recorded(&cfg, 7, SimDuration::days(450));
+    assert_eq!(rec.dropped(), 0, "the recording lost its oldest events");
+    assert!(
+        rec.len() > DEFAULT_CAPACITY,
+        "only {} events: too short to outgrow the ring",
+        rec.len()
+    );
+    replay(&report, rec.events()).unwrap();
 }
