@@ -1,9 +1,9 @@
 //! # spothost-analysis
 //!
-//! Statistics, Monte-Carlo execution, and table/CSV rendering shared by the
-//! `spothost` experiment harness. Keeps the experiment code (one module per
-//! paper table/figure in `spothost-bench`) free of formatting and
-//! aggregation boilerplate.
+//! Statistics, Monte-Carlo execution, table/CSV rendering and report
+//! output shared by the `spothost` experiment harness and CLI. Keeps the
+//! experiment code (one module per paper table/figure in
+//! `spothost-bench`) free of formatting and aggregation boilerplate.
 
 // Library code must not unwrap (see DESIGN.md "Failure semantics").
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -12,6 +12,7 @@ pub mod hist;
 pub mod mc;
 pub mod series;
 pub mod stats;
+pub mod stdout;
 pub mod table;
 
 pub use hist::FixedHistogram;

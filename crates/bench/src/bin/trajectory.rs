@@ -15,6 +15,7 @@
 //!                                   # last committed quick entry
 //! ```
 
+use spothost_analysis::stdout;
 use spothost_bench::{experiments, ExpSettings};
 use std::time::Instant;
 
@@ -199,8 +200,9 @@ fn entry_json(
 }
 
 /// Append an entry to the trajectory file, keeping the format "JSON array,
-/// one entry per line" so `--check` can scan it without a JSON parser.
-fn append_entry(path: &str, entry: &str) {
+/// one entry per line" so `--check` can scan it without a JSON parser. A
+/// file that cannot be written is an error naming it.
+fn append_entry(path: &str, entry: &str) -> Result<(), String> {
     let mut entries: Vec<String> = match std::fs::read_to_string(path) {
         Ok(s) => s
             .lines()
@@ -211,7 +213,7 @@ fn append_entry(path: &str, entry: &str) {
     };
     entries.push(entry.to_string());
     let body = entries.join(",\n");
-    std::fs::write(path, format!("[\n{body}\n]\n")).expect("write trajectory file");
+    std::fs::write(path, format!("[\n{body}\n]\n")).map_err(|e| format!("--out {path}: {e}"))
 }
 
 /// Numeric `field` of the last committed entry for `mode`, scanned
@@ -288,9 +290,9 @@ fn main() {
             std::process::exit(2);
         };
         let limit = baseline * REGRESSION_FACTOR;
-        println!(
-            "trajectory --check ({mode}): wall {wall_s:.2}s vs baseline {baseline:.2}s (limit {limit:.2}s)"
-        );
+        stdout::write(&format!(
+            "trajectory --check ({mode}): wall {wall_s:.2}s vs baseline {baseline:.2}s (limit {limit:.2}s)\n"
+        ));
         if wall_s > limit {
             eprintln!(
                 "FAIL: repro --{mode} all regressed >{:.0}% ({wall_s:.2}s > {limit:.2}s)",
@@ -300,9 +302,9 @@ fn main() {
         }
         if let Some(fleet_base) = last_field(&out, mode, "fleet_wall_s") {
             let fleet_limit = fleet_base * REGRESSION_FACTOR;
-            println!(
-                "trajectory --check ({mode}): fleet {fleet_s:.2}s vs baseline {fleet_base:.2}s (limit {fleet_limit:.2}s)"
-            );
+            stdout::write(&format!(
+                "trajectory --check ({mode}): fleet {fleet_s:.2}s vs baseline {fleet_base:.2}s (limit {fleet_limit:.2}s)\n"
+            ));
             if fleet_s > fleet_limit {
                 eprintln!(
                     "FAIL: fleet experiment regressed >{:.0}% ({fleet_s:.2}s > {fleet_limit:.2}s)",
@@ -313,9 +315,9 @@ fn main() {
         }
         if let Some(jobs_base) = last_field(&out, mode, "jobs_wall_s") {
             let jobs_limit = jobs_base * REGRESSION_FACTOR;
-            println!(
-                "trajectory --check ({mode}): jobs {jobs_s:.2}s vs baseline {jobs_base:.2}s (limit {jobs_limit:.2}s)"
-            );
+            stdout::write(&format!(
+                "trajectory --check ({mode}): jobs {jobs_s:.2}s vs baseline {jobs_base:.2}s (limit {jobs_limit:.2}s)\n"
+            ));
             if jobs_s > jobs_limit {
                 eprintln!(
                     "FAIL: jobs experiment regressed >{:.0}% ({jobs_s:.2}s > {jobs_limit:.2}s)",
@@ -327,14 +329,14 @@ fn main() {
         // Columnar-sink overhead is gated absolutely (not vs baseline):
         // instrumentation must stay cheap relative to the simulation.
         let store_pct = bench_store_overhead_pct();
-        println!("trajectory --check ({mode}): columnar store overhead {store_pct:.1}% (limit {STORE_OVERHEAD_LIMIT_PCT:.0}%)");
+        stdout::write(&format!("trajectory --check ({mode}): columnar store overhead {store_pct:.1}% (limit {STORE_OVERHEAD_LIMIT_PCT:.0}%)\n"));
         if store_pct > STORE_OVERHEAD_LIMIT_PCT {
             eprintln!(
                 "FAIL: ColumnarStore fleet instrumentation overhead {store_pct:.1}% > {STORE_OVERHEAD_LIMIT_PCT:.0}%"
             );
             std::process::exit(1);
         }
-        println!("OK: within budget");
+        stdout::write("OK: within budget\n");
         return;
     }
 
@@ -349,9 +351,11 @@ fn main() {
     let entry = entry_json(
         &label, mode, wall_s, fleet_s, jobs_s, rss_kb, bill_ns, grid_ns, store_pct,
     );
-    append_entry(&out, &entry);
-    println!("{entry}");
-    println!("[appended to {out}]");
+    if let Err(e) = append_entry(&out, &entry) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+    stdout::write(&format!("{entry}\n[appended to {out}]\n"));
 }
 
 #[cfg(test)]
@@ -377,7 +381,7 @@ mod tests {
             .to_string();
         let _ = std::fs::remove_file(&path);
         for entry in entries {
-            append_entry(&path, entry);
+            append_entry(&path, entry).expect("append to temp history");
         }
         path
     }
@@ -411,6 +415,18 @@ mod tests {
     }
 
     #[test]
+    fn an_unwritable_file_is_an_error_naming_it() {
+        let file = history("unwritable", &OLD[..1]);
+        let under_file = format!("{file}/sub.json");
+        assert_eq!(
+            append_entry(&under_file, OLD[1])
+                .map_err(|e| e.starts_with(&format!("--out {under_file}: "))),
+            Err(true)
+        );
+        std::fs::remove_file(file).expect("remove temp history");
+    }
+
+    #[test]
     fn append_keeps_every_line_in_the_array_shape() {
         let path = history("append", &OLD[..2]);
         let created = std::fs::read_to_string(&path).expect("read history");
@@ -422,7 +438,7 @@ mod tests {
             "/../../BENCH_trajectory.json"
         ));
         std::fs::write(&path, committed).expect("write temp history");
-        append_entry(&path, OLD[2]);
+        append_entry(&path, OLD[2]).expect("append to temp history");
         let appended = std::fs::read_to_string(&path).expect("read history");
         let body = committed.strip_suffix("\n]\n").expect("committed shape");
         assert_eq!(appended, format!("{body},\n{}\n]\n", OLD[2]));

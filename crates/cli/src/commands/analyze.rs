@@ -1,21 +1,33 @@
 //! `spothost analyze` — statistics over a trace directory.
 
-use crate::args::Args;
+use crate::args::{Args, Flag};
 use spothost_analysis::table::TextTable;
 use spothost_market::io::read_trace_set;
 use spothost_market::prelude::*;
 use spothost_market::stats::{avg_intra_zone_correlation, trace_correlation};
+use std::fmt::Write as _;
 use std::path::Path;
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub const FLAGS: &[Flag] = &[
+    Flag::value("traces", "DIR", "trace directory, as gen-traces writes it"),
+    Flag::value(
+        "sample-mins",
+        "M",
+        "sampling step of the correlations, in minutes",
+    ),
+];
+
+pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let dir = args
         .get("traces")
         .ok_or("analyze requires --traces DIR (see gen-traces)")?;
     let sample_mins = args.get_u64("sample-mins", 5)?;
     let catalog = Catalog::ec2_2015();
-    let set = read_trace_set(&catalog, Path::new(dir)).map_err(|e| e.to_string())?;
+    let set =
+        read_trace_set(&catalog, Path::new(dir)).map_err(|e| format!("--traces {dir}: {e}"))?;
 
-    println!(
+    let _ = writeln!(
+        out,
         "{} markets over {:.1} days\n",
         set.len(),
         set.horizon().as_days_f64()
@@ -39,7 +51,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             format!("{:.2}%", trace.fraction_above(pon) * 100.0),
         ]);
     }
-    println!("{}", t.render());
+    let _ = writeln!(out, "{}", t.render());
 
     // Correlations where we have whole zones.
     let dt = SimDuration::minutes(sample_mins);
@@ -49,7 +61,8 @@ pub fn run(args: &Args) -> Result<(), String> {
             .filter(|m| set.trace(*m).is_some())
             .collect();
         if markets.len() >= 2 {
-            println!(
+            let _ = writeln!(
+                out,
                 "avg intra-zone correlation {zone}: {:.3}",
                 avg_intra_zone_correlation(&set, zone)
             );
@@ -60,7 +73,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     if loaded.len() >= 2 {
         let (ma, ta) = loaded[0];
         let (mb, tb) = loaded[1];
-        println!(
+        let _ = writeln!(
+            out,
             "correlation {ma} vs {mb}: {:.3}",
             trace_correlation(ta, tb, dt)
         );
@@ -74,6 +88,12 @@ mod tests {
     use crate::args::parse;
     use spothost_market::io::write_trace_set;
 
+    fn run(items: &[&str]) -> Result<String, String> {
+        let argv: Vec<String> = items.iter().map(|s| s.to_string()).collect();
+        let mut out = String::new();
+        super::run(&parse(&[FLAGS], &argv).unwrap(), &mut out).map(|()| out)
+    }
+
     #[test]
     fn analyzes_a_generated_directory() {
         let dir = std::env::temp_dir().join(format!("spothost-cli-an-{}", std::process::id()));
@@ -85,16 +105,12 @@ mod tests {
             SimDuration::days(2),
         );
         write_trace_set(&set, &dir).unwrap();
-        let argv: Vec<String> = ["--traces", dir.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        run(&parse(&argv).unwrap()).unwrap();
+        run(&["--traces", dir.to_str().unwrap()]).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn requires_traces_flag() {
-        assert!(run(&parse(&[]).unwrap()).is_err());
+        assert!(run(&[]).is_err());
     }
 }

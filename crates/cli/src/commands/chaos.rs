@@ -18,11 +18,19 @@
 //! reproduces exactly: `spothost chaos --seed N` re-runs the same grid
 //! in the same order regardless of how many trials the budget admitted.
 
-use crate::args::Args;
+use crate::args::{Args, Flag};
+use crate::commands::SEED;
 use spothost_core::prelude::*;
 use spothost_market::time::SimDuration;
 use spothost_market::types::{InstanceType, MarketId, Zone};
+use std::fmt::Write as _;
 use std::time::Instant;
+
+pub const FLAGS: &[Flag] = &[
+    Flag::value("seconds", "S", "wall-clock budget of the sweep"),
+    SEED,
+    Flag::value("days", "D", "simulated days per trial"),
+];
 
 /// splitmix64 — tiny, seedable, and good enough to scatter trial knobs.
 /// Using it (rather than the simulator's ChaCha streams) keeps the
@@ -166,7 +174,7 @@ fn check_zero_intensity(
     Ok(())
 }
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let budget_s = args.get_f64("seconds", 30.0)?;
     if !(budget_s > 0.0 && budget_s.is_finite()) {
         return Err(format!("--seconds must be positive, got {budget_s}"));
@@ -175,7 +183,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     let days = args.get_positive("days", 7)?;
     let horizon = SimDuration::days(days);
 
-    println!(
+    let _ = writeln!(
+        out,
         "spothost chaos — storm/fault grid, {budget_s:.0}s budget, \
          {days}-day runs, seed {seed}"
     );
@@ -220,7 +229,8 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
         trials += 1;
     }
-    println!(
+    let _ = writeln!(
+        out,
         "PASS — {trials} chaotic configurations, {checks} invariant checks, \
          {:.1}s",
         start.elapsed().as_secs_f64()
@@ -233,19 +243,23 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
-    fn argv(items: &[&str]) -> Args {
-        parse(&items.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    fn run(items: &[&str]) -> Result<String, String> {
+        let argv: Vec<String> = items.iter().map(|s| s.to_string()).collect();
+        let mut out = String::new();
+        super::run(&parse(&[FLAGS], &argv).unwrap(), &mut out).map(|()| out)
     }
 
     #[test]
     fn bounded_chaos_passes_within_a_small_budget() {
-        run(&argv(&["--seconds", "2", "--days", "2"])).unwrap();
+        assert!(run(&["--seconds", "2", "--days", "2"])
+            .unwrap()
+            .contains("PASS"));
     }
 
     #[test]
     fn rejects_nonpositive_budget() {
-        assert!(run(&argv(&["--seconds", "0"])).is_err());
-        assert!(run(&argv(&["--seconds", "-3"])).is_err());
+        assert!(run(&["--seconds", "0"]).is_err());
+        assert!(run(&["--seconds", "-3"]).is_err());
     }
 
     #[test]

@@ -8,28 +8,38 @@
 //! response time over simulated time, then prints the cost/availability
 //! summary. Fixed seed → byte-identical output.
 
-use crate::args::Args;
-use crate::commands::simulate::{parse_mechanism, parse_policy, parse_zone};
+use crate::args::{Args, Flag};
+use crate::commands::simulate::{parse_mechanism, parse_policy, parse_scope};
+use crate::commands::{DAYS, MECHANISM, POLICY, SCOPE, SEED, STORM_INTENSITY, WIDTH};
 use spothost_faults::StormConfig;
 use spothost_fleet::{run_fleet_sim, run_fleet_sim_with, FleetSample, FleetSimConfig};
 use spothost_market::time::SimDuration;
-use spothost_market::types::Zone;
 use spothost_workload::TrafficConfig;
 use std::fmt::Write as _;
 
-fn parse_zones(args: &Args) -> Result<Vec<Zone>, String> {
-    let Some(scope) = args.get("scope") else {
-        return Ok(vec![Zone::UsEast1a]);
-    };
-    let (kind, rest) = scope
-        .split_once(':')
-        .ok_or("scope must be 'zone:Z' or 'regions:Z1,Z2'")?;
-    match kind {
-        "zone" => Ok(vec![parse_zone(rest)?]),
-        "regions" => rest.split(',').map(parse_zone).collect(),
-        other => Err(format!("unknown scope kind '{other}'")),
-    }
-}
+pub const FLAGS: &[Flag] = &[
+    Flag::value("vms", "MAX", "most VMs the autoscaler may run"),
+    Flag::value("min-vms", "MIN", "fewest VMs the autoscaler keeps"),
+    Flag::value("seconds", "S", "autoscaler control interval, in seconds"),
+    DAYS,
+    SEED,
+    Flag::value("users", "U", "base population of the diurnal user load"),
+    SCOPE,
+    POLICY,
+    MECHANISM,
+    STORM_INTENSITY,
+    Flag::value(
+        "target-util",
+        "T",
+        "per-VM bottleneck utilisation the autoscaler provisions for",
+    ),
+    WIDTH,
+    Flag::value(
+        "store",
+        "FILE",
+        "record every VM's telemetry stream into FILE as a columnar store",
+    ),
+];
 
 /// Downsample a series to `width` columns, keeping each bucket's max
 /// (autoscaler charts are about peaks, not averages).
@@ -85,7 +95,7 @@ fn day_axis(cols: usize, days: f64) -> String {
     axis
 }
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let max_vms = args.get_u32("vms", 200)?;
     let min_vms = args.get_u32("min-vms", 2)?;
     let interval_s = args.get_positive("seconds", 300)?;
@@ -99,8 +109,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err(format!("--width must be in [10, 500], got {width}"));
     }
 
-    let cfg = FleetSimConfig {
-        zones: parse_zones(args)?,
+    let mut cfg = FleetSimConfig {
         policy: parse_policy(args.get_or("policy", "proactive"))?,
         mechanism: parse_mechanism(args.get_or("mechanism", "ckpt-lr-live"))?,
         storms: StormConfig::intensity(storm),
@@ -114,6 +123,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         target_utilization: target_util,
         ..FleetSimConfig::default()
     };
+    if let Some(scope) = args.get("scope") {
+        cfg.zones = parse_scope(scope)?.zones();
+    }
     cfg.validate()?;
 
     let horizon = SimDuration::days(days);
@@ -127,13 +139,17 @@ pub fn run(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("--store {path}: {e}"))?;
             let report = run_fleet_sim_with(&cfg, seed, horizon, store.clone());
             store.finish().map_err(|e| format!("--store {path}: {e}"))?;
-            println!(
+            let _ = writeln!(
+                out,
                 "store: {} events from {} VM streams in {} blocks -> {path}",
                 store.events_written(),
                 report.spawned_vms,
                 store.blocks_written()
             );
-            println!("       (per-VM queries: `spothost query --store {path} --vm N`)\n");
+            let _ = writeln!(
+                out,
+                "       (per-VM queries: `spothost query --store {path} --vm N`)\n"
+            );
             report
         }
         None => run_fleet_sim(&cfg, seed, horizon),
@@ -146,13 +162,13 @@ pub fn run(args: &Args) -> Result<(), String> {
         .map(|s: &FleetSample| 1_000.0 * s.p99_response_s)
         .collect();
     let days_f = horizon.as_hours_f64() / 24.0;
-    print!("{}", chart("fleet size", "VMs", &sizes, width, 8));
-    print!("{}", day_axis(width.min(sizes.len()), days_f));
-    println!();
-    print!("{}", chart("p99 response", "ms", &p99_ms, width, 6));
-    print!("{}", day_axis(width.min(p99_ms.len()), days_f));
-    println!();
-    print!("{}", report.render());
+    out.push_str(&chart("fleet size", "VMs", &sizes, width, 8));
+    out.push_str(&day_axis(width.min(sizes.len()), days_f));
+    out.push('\n');
+    out.push_str(&chart("p99 response", "ms", &p99_ms, width, 6));
+    out.push_str(&day_axis(width.min(p99_ms.len()), days_f));
+    out.push('\n');
+    out.push_str(&report.render());
     Ok(())
 }
 
@@ -161,13 +177,15 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
-    fn argv(items: &[&str]) -> Args {
-        parse(&items.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    fn run(items: &[&str]) -> Result<String, String> {
+        let argv: Vec<String> = items.iter().map(|s| s.to_string()).collect();
+        let mut out = String::new();
+        super::run(&parse(&[FLAGS], &argv).unwrap(), &mut out).map(|()| out)
     }
 
     #[test]
     fn runs_a_small_fleet() {
-        run(&argv(&[
+        run(&[
             "--vms",
             "10",
             "--users",
@@ -178,16 +196,16 @@ mod tests {
             "900",
             "--width",
             "40",
-        ]))
+        ])
         .unwrap();
     }
 
     #[test]
     fn rejects_bad_flags() {
-        assert!(run(&argv(&["--width", "4"])).is_err());
-        assert!(run(&argv(&["--seconds", "0"])).is_err());
-        assert!(run(&argv(&["--scope", "zone:nowhere"])).is_err());
-        assert!(run(&argv(&["--vms", "1", "--min-vms", "5"])).is_err());
+        assert!(run(&["--width", "4"]).is_err());
+        assert!(run(&["--seconds", "0"]).is_err());
+        assert!(run(&["--scope", "zone:nowhere"]).is_err());
+        assert!(run(&["--vms", "1", "--min-vms", "5"]).is_err());
     }
 
     #[test]

@@ -1,36 +1,42 @@
 //! `spothost gen-traces` — generate calibrated traces and export CSV.
 
-use crate::args::Args;
+use crate::args::{Args, Flag};
+use crate::commands::simulate::parse_zone;
+use crate::commands::SEED;
 use spothost_market::io::write_trace_set;
 use spothost_market::prelude::*;
+use std::fmt::Write as _;
 use std::path::Path;
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub const FLAGS: &[Flag] = &[
+    SEED,
+    Flag::value("days", "D", "days of price history"),
+    Flag::value("out", "DIR", "directory to write one CSV per market to"),
+    Flag::value("zone", "Z", "only the markets of zone Z"),
+];
+
+pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let seed = args.get_u64("seed", 0)?;
     let days = args.get_positive("days", 28)?;
-    let out = args.get_or("out", "traces");
+    let dir = args.get_or("out", "traces");
     let markets = match args.get("zone") {
         None => MarketId::all(),
-        Some(z) => {
-            let zone = Zone::ALL
-                .into_iter()
-                .find(|zone| zone.name() == z)
-                .ok_or_else(|| format!("unknown zone '{z}'"))?;
-            MarketId::all_in_zone(zone)
-        }
+        Some(z) => MarketId::all_in_zone(parse_zone(z)?),
     };
     let catalog = Catalog::ec2_2015();
     let set = TraceSet::generate(&catalog, &markets, seed, SimDuration::days(days));
-    write_trace_set(&set, Path::new(out)).map_err(|e| e.to_string())?;
-    println!(
+    write_trace_set(&set, Path::new(dir)).map_err(|e| format!("--out {dir}: {e}"))?;
+    let _ = writeln!(
+        out,
         "wrote {} traces ({} days, seed {}) to {}/",
         set.len(),
         days,
         seed,
-        out
+        dir
     );
     for (market, trace) in set.iter() {
-        println!(
+        let _ = writeln!(
+            out,
             "  {:<22} {:>6} price changes, mean ${:.4}/h",
             market.to_string(),
             trace.num_changes(),
@@ -45,21 +51,17 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
+    fn run(items: &[&str]) -> Result<String, String> {
+        let argv: Vec<String> = items.iter().map(|s| s.to_string()).collect();
+        let mut out = String::new();
+        super::run(&parse(&[FLAGS], &argv).unwrap(), &mut out).map(|()| out)
+    }
+
     #[test]
     fn generates_zone_traces_to_temp_dir() {
         let dir = std::env::temp_dir().join(format!("spothost-cli-gen-{}", std::process::id()));
-        let argv: Vec<String> = [
-            "--zone",
-            "eu-west-1a",
-            "--days",
-            "2",
-            "--out",
-            dir.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&parse(&argv).unwrap()).unwrap();
+        let dir_s = dir.to_str().unwrap();
+        run(&["--zone", "eu-west-1a", "--days", "2", "--out", dir_s]).unwrap();
         let n = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(n, 4);
         std::fs::remove_dir_all(&dir).ok();
@@ -67,10 +69,9 @@ mod tests {
 
     #[test]
     fn rejects_unknown_zone() {
-        let argv: Vec<String> = ["--zone", "atlantis-1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&parse(&argv).unwrap()).is_err());
+        assert_eq!(
+            run(&["--zone", "atlantis-1"]).unwrap_err(),
+            "unknown zone 'atlantis-1'"
+        );
     }
 }

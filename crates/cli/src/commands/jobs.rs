@@ -10,7 +10,8 @@
 //! per-job cost on finish) into a columnar event store for
 //! `spothost query`.
 
-use crate::args::Args;
+use crate::args::{Args, Flag};
+use crate::commands::{DAYS, FAULT_RATE, SEED, STORM_INTENSITY};
 use spothost_core::telemetry::NullSink;
 use spothost_faults::{FaultConfig, StormConfig};
 use spothost_jobs::{try_run_jobs_on, JobPolicy, JobsConfig, JobsRunResult, JobsScratch};
@@ -18,6 +19,34 @@ use spothost_market::catalog::Catalog;
 use spothost_market::gen::TraceSet;
 use spothost_market::io::parse_market;
 use spothost_market::time::SimDuration;
+use std::fmt::Write as _;
+
+pub const FLAGS: &[Flag] = &[
+    Flag::value(
+        "policy",
+        "P",
+        "greedy-spot, checkpoint-spot, on-demand-fallback, or all side by side",
+    ),
+    Flag::value("market", "M", "spot market of the workers, zone/size"),
+    Flag::value("workers", "N", "worker slots"),
+    DAYS,
+    SEED,
+    Flag::value("mean-runtime-h", "H", "mean job runtime, in hours"),
+    Flag::value(
+        "mean-arrival-h",
+        "H",
+        "mean time between job arrivals, in hours",
+    ),
+    Flag::value("slack", "F", "deadline as a multiple of the job's runtime"),
+    FAULT_RATE,
+    STORM_INTENSITY,
+    Flag::switch("outcomes", "print each policy's worst per-job lines"),
+    Flag::value(
+        "store",
+        "FILE",
+        "record the job lifecycle events into FILE as a columnar store",
+    ),
+];
 
 fn parse_policies(s: &str) -> Result<Vec<JobPolicy>, String> {
     if s == "all" {
@@ -57,19 +86,21 @@ fn config_from(args: &Args) -> Result<JobsConfig, String> {
     Ok(cfg)
 }
 
-fn print_worst_outcomes(run: &JobsRunResult, n: usize) {
+fn write_worst_outcomes(out: &mut String, run: &JobsRunResult, n: usize) {
     let mut worst: Vec<_> = run.outcomes.iter().collect();
     worst.sort_by(|a, b| {
         (b.missed, b.cost)
             .partial_cmp(&(a.missed, a.cost))
             .expect("job costs are finite")
     });
-    println!(
+    let _ = writeln!(
+        out,
         "  worst {} jobs (missed first, then by cost):",
         n.min(worst.len())
     );
     for o in worst.iter().take(n) {
-        println!(
+        let _ = writeln!(
+            out,
             "    arrival {:>7.1}h runtime {:>5.1}h deadline {:>7.1}h -> {} at {:>7.1}h, \
              ${:.3}, {} revocations, {} checkpoints{}{}",
             o.spec.arrival.as_hours_f64(),
@@ -86,7 +117,7 @@ fn print_worst_outcomes(run: &JobsRunResult, n: usize) {
     }
 }
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let policies = parse_policies(args.get_or("policy", "all"))?;
     let days = args.get_positive("days", 14)?;
     let seed = args.get_u64("seed", 0)?;
@@ -106,7 +137,8 @@ pub fn run(args: &Args) -> Result<(), String> {
         })
         .transpose()?;
 
-    println!(
+    let _ = writeln!(
+        out,
         "batch jobs on {} over {days} simulated days (seed {seed}, {} workers):\n",
         base.market, base.workers
     );
@@ -125,14 +157,15 @@ pub fn run(args: &Args) -> Result<(), String> {
             None => try_run_jobs_on(&cfg, &traces, seed, &mut NullSink, &mut scratch),
         }
         .map_err(|e| e.to_string())?;
-        println!("{}", run.report);
+        let _ = writeln!(out, "{}", run.report);
         if outcomes {
-            print_worst_outcomes(&run, 5);
+            write_worst_outcomes(out, &run, 5);
         }
     }
     if let Some((sink, path)) = store {
         sink.finish().map_err(|e| format!("--store {path}: {e}"))?;
-        println!(
+        let _ = writeln!(
+            out,
             "store: {} events in {} blocks -> {path} (aggregate with `spothost query`)",
             sink.events_written(),
             sink.blocks_written()
@@ -146,18 +179,20 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
-    fn argv(items: &[&str]) -> Args {
-        parse(&items.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    fn run(items: &[&str]) -> Result<String, String> {
+        let argv: Vec<String> = items.iter().map(|s| s.to_string()).collect();
+        let mut out = String::new();
+        super::run(&parse(&[FLAGS], &argv).unwrap(), &mut out).map(|()| out)
     }
 
     #[test]
     fn runs_all_policies_quickly() {
-        run(&argv(&["--days", "4", "--workers", "2", "--outcomes"])).unwrap();
+        run(&["--days", "4", "--workers", "2", "--outcomes"]).unwrap();
     }
 
     #[test]
     fn runs_one_policy_with_faults() {
-        run(&argv(&[
+        run(&[
             "--policy",
             "on-demand-fallback",
             "--days",
@@ -166,17 +201,17 @@ mod tests {
             "0.1",
             "--storm-intensity",
             "0.5",
-        ]))
+        ])
         .unwrap();
     }
 
     #[test]
     fn rejects_bad_flags() {
-        assert!(run(&argv(&["--policy", "nope"])).is_err());
-        assert!(run(&argv(&["--days", "0"])).is_err());
-        assert!(run(&argv(&["--market", "nowhere/huge"])).is_err());
-        assert!(run(&argv(&["--mean-runtime-h", "0"])).is_err());
-        assert!(run(&argv(&["--slack", "-2"])).is_err());
+        assert!(run(&["--policy", "nope"]).is_err());
+        assert!(run(&["--days", "0"]).is_err());
+        assert!(run(&["--market", "nowhere/huge"]).is_err());
+        assert!(run(&["--mean-runtime-h", "0"]).is_err());
+        assert!(run(&["--slack", "-2"]).is_err());
     }
 
     #[test]
@@ -185,14 +220,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("jobs.col");
         let path_s = path.to_str().unwrap();
-        run(&argv(&[
+        run(&[
             "--policy",
             "checkpoint-spot",
             "--days",
             "4",
             "--store",
             path_s,
-        ]))
+        ])
         .unwrap();
         assert!(path.exists() && std::fs::metadata(&path).unwrap().len() > 0);
         std::fs::remove_file(&path).unwrap();

@@ -1,11 +1,13 @@
 //! `spothost markets` — the price book and calibration summary.
 
+use crate::args::Args;
 use spothost_analysis::table::TextTable;
 use spothost_market::prelude::*;
+use std::fmt::Write as _;
 
-pub fn run() -> Result<(), String> {
+pub fn run(_: &Args, out: &mut String) -> Result<(), String> {
     let catalog = Catalog::ec2_2015();
-    println!("spot markets (2015 EC2 calibration)\n");
+    out.push_str("spot markets (2015 EC2 calibration)\n\n");
     let mut t = TextTable::new([
         "market",
         "on-demand $/h",
@@ -25,8 +27,9 @@ pub fn run() -> Result<(), String> {
             model.spike_duration_mean.to_string(),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(
+        out,
         "bid cap: {}x on-demand (Amazon's 2015 limit)",
         catalog.max_bid_mult()
     );
@@ -37,6 +40,8 @@ pub fn run() -> Result<(), String> {
 mod tests {
     #[test]
     fn markets_command_succeeds() {
-        super::run().unwrap();
+        let mut out = String::new();
+        super::run(&crate::args::parse(&[], &[]).unwrap(), &mut out).unwrap();
+        assert!(out.starts_with("spot markets"));
     }
 }

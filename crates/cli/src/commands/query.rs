@@ -7,7 +7,7 @@
 //! percentiles or histograms of a chosen field, optionally grouped.
 //! `--perfetto` exports the selection as a Chrome/Perfetto trace instead.
 
-use crate::args::Args;
+use crate::args::{Args, Flag};
 use crate::commands::simulate::parse_zone;
 use spothost_eventstore::query::{
     group_counts, grouped_values, histogram_of, percentile_of, Field, GroupBy, Predicate,
@@ -15,6 +15,39 @@ use spothost_eventstore::query::{
 use spothost_eventstore::{perfetto, ColReader, EventKind};
 use spothost_market::io::parse_market;
 use spothost_market::time::SimTime;
+use std::fmt::Write as _;
+
+pub const FLAGS: &[Flag] = &[
+    Flag::value(
+        "store",
+        "FILE",
+        "columnar store to read, as simulate, fleet-sim or jobs --store write it",
+    ),
+    Flag::value("from-h", "H", "only events at or after hour H"),
+    Flag::value("to-h", "H", "only events before hour H"),
+    Flag::value("kind", "K,..", "only events of these kinds"),
+    Flag::value("market", "M", "only events of market M, zone/size"),
+    Flag::value("zone", "Z", "only events of zone Z"),
+    Flag::value("vm", "N", "only events of the VM spawned N-th"),
+    Flag::value(
+        "agg",
+        "A",
+        "count, sum, mean, p50, p90, p99 or hist of the selection",
+    ),
+    Flag::value(
+        "field",
+        "F",
+        "field that --agg aggregates: cost, bid, risk, lease_hours, outage_s, ...",
+    ),
+    Flag::value("group-by", "G", "none, kind, market, zone or vm"),
+    Flag::value("buckets", "N", "buckets of --agg hist"),
+    Flag::switch("stats", "print each block's header"),
+    Flag::value(
+        "perfetto",
+        "OUT",
+        "export the selection as a Chrome/Perfetto trace to OUT, in place of --agg",
+    ),
+];
 
 fn field_names() -> String {
     Field::ALL
@@ -70,19 +103,33 @@ fn build_predicate(args: &Args) -> Result<Predicate, String> {
     Ok(pred)
 }
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let path = args.get("store").ok_or("--store FILE is required")?;
     let reader = ColReader::open(path).map_err(|e| format!("--store {path}: {e}"))?;
     let pred = build_predicate(args)?;
-    let group = GroupBy::parse(args.get_or("group-by", "none"))
-        .ok_or_else(|| "--group-by must be one of none, kind, market, zone, vm".to_string())?;
+    let group_by = args.get_or("group-by", "none");
+    let group = GroupBy::parse(group_by).ok_or_else(|| {
+        format!("--group-by must be one of none, kind, market, zone, vm, got '{group_by}'")
+    })?;
+    // An export replaces the aggregation, and each aggregation reads
+    // only some of the flags that shape it.
+    for flag in ["agg", "field", "group-by", "buckets"] {
+        args.reject_beside(flag, "perfetto")?;
+    }
     let agg = args.get_or("agg", "count");
+    if agg == "count" && args.given("field") {
+        return Err("--field applies only to an --agg other than count".to_string());
+    }
+    if agg != "hist" && args.given("buckets") {
+        return Err(format!("--buckets applies only to --agg hist, not {agg}"));
+    }
     let buckets = args.get_u64("buckets", 10)? as usize;
 
     let sel = reader.select(&pred).map_err(|e| format!("{path}: {e}"))?;
     let vms = reader.vms();
     let tagged = vms.iter().filter(|v| v.is_some()).count();
-    println!(
+    let _ = writeln!(
+        out,
         "store:      {path} ({} blocks, {} events, {})",
         reader.block_count(),
         reader.event_count(),
@@ -92,7 +139,8 @@ pub fn run(args: &Args) -> Result<(), String> {
             "1 untagged stream".to_string()
         }
     );
-    println!(
+    let _ = writeln!(
+        out,
         "selection:  {} events; decoded {}/{} blocks (pruned {})",
         sel.events.len(),
         sel.blocks_decoded,
@@ -101,9 +149,13 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
 
     if args.has("stats") {
-        println!("\nblocks (VM streams, events, time span, kinds bitmap):");
+        let _ = writeln!(
+            out,
+            "\nblocks (VM streams, events, time span, kinds bitmap):"
+        );
         for meta in reader.metas() {
-            println!(
+            let _ = writeln!(
+                out,
                 "  {:>6} vms  {:>6} ev  [{:>10.3} h, {:>10.3} h]  kinds {:#08x}",
                 meta.vms().len(),
                 meta.count,
@@ -114,11 +166,12 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    if let Some(out) = args.get("perfetto") {
+    if let Some(file) = args.get("perfetto") {
         let json = perfetto::to_perfetto_json(&sel.events);
-        std::fs::write(out, &json).map_err(|e| format!("--perfetto {out}: {e}"))?;
-        println!(
-            "perfetto:   {} events -> {out} ({} bytes; open in ui.perfetto.dev)",
+        std::fs::write(file, &json).map_err(|e| format!("--perfetto {file}: {e}"))?;
+        let _ = writeln!(
+            out,
+            "perfetto:   {} events -> {file} ({} bytes; open in ui.perfetto.dev)",
             sel.events.len(),
             json.len()
         );
@@ -127,9 +180,9 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     match agg {
         "count" => {
-            println!("\ncount by {group:?}:");
+            let _ = writeln!(out, "\ncount by {group:?}:");
             for (key, n) in group_counts(&sel.events, group) {
-                println!("  {key:<24} {n}");
+                let _ = writeln!(out, "  {key:<24} {n}");
             }
         }
         "sum" | "mean" | "p50" | "p90" | "p99" | "hist" => {
@@ -141,26 +194,28 @@ pub fn run(args: &Args) -> Result<(), String> {
             })?;
             let groups = grouped_values(&sel.events, field, group);
             if groups.is_empty() {
-                println!("\nno events in the selection carry field '{field_name}'");
+                let _ = writeln!(
+                    out,
+                    "\nno events in the selection carry field '{field_name}'"
+                );
                 return Ok(());
             }
-            println!("\n{agg} of {field_name} by {group:?}:");
+            let _ = writeln!(out, "\n{agg} of {field_name} by {group:?}:");
             for (key, values) in &groups {
-                match agg {
-                    "sum" => println!("  {key:<24} {:.6}", values.iter().sum::<f64>()),
-                    "mean" => println!(
-                        "  {key:<24} {:.6}",
-                        values.iter().sum::<f64>() / values.len() as f64
-                    ),
-                    "p50" => println!("  {key:<24} {:.6}", percentile_of(values, 50.0)),
-                    "p90" => println!("  {key:<24} {:.6}", percentile_of(values, 90.0)),
-                    "p99" => println!("  {key:<24} {:.6}", percentile_of(values, 99.0)),
+                let value = match agg {
+                    "sum" => values.iter().sum::<f64>(),
+                    "mean" => values.iter().sum::<f64>() / values.len() as f64,
+                    "p50" => percentile_of(values, 50.0),
+                    "p90" => percentile_of(values, 90.0),
+                    "p99" => percentile_of(values, 99.0),
                     "hist" => {
-                        println!("  {key} ({} samples):", values.len());
-                        print!("{}", histogram_of(values, buckets).render(40));
+                        let _ = writeln!(out, "  {key} ({} samples):", values.len());
+                        out.push_str(&histogram_of(values, buckets).render(40));
+                        continue;
                     }
                     _ => unreachable!("matched above"),
-                }
+                };
+                let _ = writeln!(out, "  {key:<24} {value:.6}");
             }
         }
         other => {
@@ -184,8 +239,10 @@ mod tests {
     use spothost_market::time::SimDuration;
     use spothost_market::types::{InstanceType, MarketId};
 
-    fn argv(items: &[&str]) -> Args {
-        parse(&items.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    fn run(items: &[&str]) -> Result<String, String> {
+        let argv: Vec<String> = items.iter().map(|s| s.to_string()).collect();
+        let mut out = String::new();
+        super::run(&parse(&[FLAGS], &argv).unwrap(), &mut out).map(|()| out)
     }
 
     /// Record a short chaotic run into a temp `.col` file.
@@ -212,9 +269,9 @@ mod tests {
     fn counts_sums_and_histograms_run() {
         let path = fixture("basic");
         let store = path.to_str().unwrap();
-        run(&argv(&["--store", store])).unwrap();
-        run(&argv(&["--store", store, "--group-by", "kind"])).unwrap();
-        run(&argv(&[
+        run(&["--store", store]).unwrap();
+        run(&["--store", store, "--group-by", "kind"]).unwrap();
+        run(&[
             "--store",
             store,
             "--agg",
@@ -223,18 +280,10 @@ mod tests {
             "cost",
             "--group-by",
             "market",
-        ]))
+        ])
         .unwrap();
-        run(&argv(&[
-            "--store",
-            store,
-            "--agg",
-            "p99",
-            "--field",
-            "lease_hours",
-        ]))
-        .unwrap();
-        run(&argv(&[
+        run(&["--store", store, "--agg", "p99", "--field", "lease_hours"]).unwrap();
+        run(&[
             "--store",
             store,
             "--agg",
@@ -243,10 +292,10 @@ mod tests {
             "cost",
             "--buckets",
             "5",
-        ]))
+        ])
         .unwrap();
-        run(&argv(&["--store", store, "--stats"])).unwrap();
-        run(&argv(&[
+        run(&["--store", store, "--stats"]).unwrap();
+        run(&[
             "--store",
             store,
             "--from-h",
@@ -255,7 +304,7 @@ mod tests {
             "24",
             "--kind",
             "lease_closed",
-        ]))
+        ])
         .unwrap();
     }
 
@@ -263,12 +312,12 @@ mod tests {
     fn perfetto_export_writes_json() {
         let path = fixture("perfetto");
         let out = std::env::temp_dir().join("spothost-query-test-perfetto.json");
-        run(&argv(&[
+        run(&[
             "--store",
             path.to_str().unwrap(),
             "--perfetto",
             out.to_str().unwrap(),
-        ]))
+        ])
         .unwrap();
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(json.starts_with("{\"traceEvents\":["));
@@ -286,10 +335,10 @@ mod tests {
         store.finish().unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         let p = path.to_str().unwrap();
-        run(&argv(&["--store", p])).unwrap();
-        run(&argv(&["--store", p, "--agg", "sum", "--field", "cost"])).unwrap();
-        run(&argv(&["--store", p, "--agg", "hist", "--field", "cost"])).unwrap();
-        run(&argv(&["--store", p, "--stats"])).unwrap();
+        run(&["--store", p]).unwrap();
+        run(&["--store", p, "--agg", "sum", "--field", "cost"]).unwrap();
+        run(&["--store", p, "--agg", "hist", "--field", "cost"]).unwrap();
+        run(&["--store", p, "--stats"]).unwrap();
     }
 
     #[test]
@@ -300,7 +349,7 @@ mod tests {
         assert!(whole.len() > 64, "fixture store too small to truncate");
         let cut = std::env::temp_dir().join("spothost-query-test-truncated.col");
         std::fs::write(&cut, &whole[..whole.len() - 11]).unwrap();
-        let err = run(&argv(&["--store", cut.to_str().unwrap()])).unwrap_err();
+        let err = run(&["--store", cut.to_str().unwrap()]).unwrap_err();
         assert!(
             err.contains("truncated") || err.contains("corrupt"),
             "unhelpful truncation error: {err}"
@@ -311,13 +360,13 @@ mod tests {
         let mut bytes = spothost_eventstore::MAGIC.to_vec();
         bytes.extend_from_slice(&[0xFF, 0x00]); // partial frame length
         std::fs::write(&headless, &bytes).unwrap();
-        let err = run(&argv(&["--store", headless.to_str().unwrap()])).unwrap_err();
+        let err = run(&["--store", headless.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("truncated"), "unhelpful error: {err}");
 
         // Not a columnar file at all.
         let garbage = std::env::temp_dir().join("spothost-query-test-garbage.col");
         std::fs::write(&garbage, b"this is not a columnar store").unwrap();
-        let err = run(&argv(&["--store", garbage.to_str().unwrap()])).unwrap_err();
+        let err = run(&["--store", garbage.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("bad magic"), "unhelpful error: {err}");
     }
 
@@ -325,23 +374,20 @@ mod tests {
     fn bad_flags_are_errors_not_panics() {
         let path = fixture("errors");
         let store = path.to_str().unwrap();
-        assert!(run(&argv(&[])).is_err()); // no --store
-        assert!(run(&argv(&["--store", "/nonexistent.col"])).is_err());
-        assert!(run(&argv(&["--store", store, "--kind", "nope"])).is_err());
-        assert!(run(&argv(&["--store", store, "--agg", "median"])).is_err());
-        assert!(run(&argv(&["--store", store, "--agg", "sum"])).is_err()); // no field
-        assert!(run(&argv(&[
-            "--store", store, "--agg", "sum", "--field", "nope"
-        ]))
-        .is_err());
-        assert!(run(&argv(&["--store", store, "--group-by", "planet"])).is_err());
-        assert!(run(&argv(&["--store", store, "--from-h", "5", "--to-h", "1"])).is_err());
+        assert!(run(&[]).is_err()); // no --store
+        assert!(run(&["--store", "/nonexistent.col"]).is_err());
+        assert!(run(&["--store", store, "--kind", "nope"]).is_err());
+        assert!(run(&["--store", store, "--agg", "median"]).is_err());
+        assert!(run(&["--store", store, "--agg", "sum"]).is_err()); // no field
+        assert!(run(&["--store", store, "--agg", "sum", "--field", "nope"]).is_err());
+        assert!(run(&["--store", store, "--group-by", "planet"]).is_err());
+        assert!(run(&["--store", store, "--from-h", "5", "--to-h", "1"]).is_err());
         // Non-finite bounds: NaN is no bound at all, and an infinite
         // start selects nothing; both are bad ranges, not silent answers.
         for bounds in [["--from-h", "nan"], ["--to-h", "nan"], ["--from-h", "inf"]] {
-            let err = run(&argv(&["--store", store, bounds[0], bounds[1]])).unwrap_err();
+            let err = run(&["--store", store, bounds[0], bounds[1]]).unwrap_err();
             assert!(err.starts_with("bad time range"), "{bounds:?}: {err}");
         }
-        assert!(run(&argv(&["--store", store, "--zone", "mars"])).is_err());
+        assert!(run(&["--store", store, "--zone", "mars"]).is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! `spothost simulate` — run the cloud scheduler and report.
 
-use crate::args::Args;
+use crate::args::{Args, Flag};
+use crate::commands::{DAYS, FAULT_RATE, MECHANISM, POLICY, SCOPE, STORM_INTENSITY};
 use spothost_analysis::mean;
 use spothost_core::prelude::*;
 use spothost_core::telemetry::export::write_jsonl;
@@ -11,9 +12,67 @@ use spothost_market::gen::TraceSet;
 use spothost_market::io::{parse_market, read_trace_set};
 use spothost_market::prelude::*;
 use spothost_workload::slo;
+use std::fmt::Write as _;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
+
+/// The scenario flags `simulate` and `timeline` both take: what
+/// [`build_cfg`] reads, plus the imported history of `--traces`.
+pub(crate) const SCENARIO: &[Flag] = &[
+    Flag::value("market", "M", "one spot market to run on, zone/size"),
+    SCOPE,
+    POLICY,
+    Flag::value(
+        "bid-mult",
+        "X",
+        "proactive policy's bid as a multiple of the on-demand price, >= 1",
+    ),
+    Flag::value(
+        "risk-budget",
+        "P",
+        "adaptive policy's tolerated P(revocation within the next hour), in (0, 1)",
+    ),
+    MECHANISM,
+    Flag::switch("pessimistic", "use the pessimistic migration parameters"),
+    Flag::value(
+        "stability",
+        "W",
+        "weight of the penalty on volatile markets",
+    ),
+    Flag::value("units", "U", "capacity units of the service: 1, 2, 4 or 8"),
+    FAULT_RATE,
+    STORM_INTENSITY,
+    Flag::value(
+        "traces",
+        "DIR",
+        "run against imported price history (see gen-traces); it fixes the horizon",
+    ),
+];
+
+pub const FLAGS: &[Flag] = &[
+    DAYS,
+    Flag::value("seeds", "N", "number of runs, with seeds from --seed on"),
+    Flag::value("seed", "N", "seed of the first run"),
+    Flag::value(
+        "trace",
+        "FILE",
+        "stream the first run's event timeline to FILE as JSONL",
+    ),
+    Flag::value(
+        "store",
+        "FILE",
+        "record the first run into FILE as a columnar store (see query)",
+    ),
+    Flag::switch(
+        "metrics",
+        "print the first run's outage, migration, lease and cost histograms",
+    ),
+    Flag::switch(
+        "cache-stats",
+        "print the trace arena's hit, miss and residency counters",
+    ),
+];
 
 pub(crate) fn parse_policy(s: &str) -> Result<BiddingPolicy, String> {
     Ok(match s {
@@ -43,24 +102,28 @@ pub(crate) fn parse_zone(s: &str) -> Result<Zone, String> {
         .ok_or_else(|| format!("unknown zone '{s}'"))
 }
 
-fn parse_scope(args: &Args) -> Result<(MarketScope, u32), String> {
+/// A `--scope` value: `zone:Z` or `regions:Z1,Z2`.
+pub(crate) fn parse_scope(scope: &str) -> Result<MarketScope, String> {
+    let (kind, rest) = scope
+        .split_once(':')
+        .ok_or_else(|| format!("--scope must be 'zone:Z' or 'regions:Z1,Z2', got '{scope}'"))?;
+    Ok(match kind {
+        "zone" => MarketScope::MultiMarket(parse_zone(rest)?),
+        "regions" => MarketScope::MultiRegion(
+            rest.split(',')
+                .map(parse_zone)
+                .collect::<Result<Vec<_>, _>>()?,
+        ),
+        other => return Err(format!("unknown scope kind '{other}'")),
+    })
+}
+
+/// The scope of `--scope` or `--market`, which exclude each other, and
+/// its capacity units.
+fn scope_and_units(args: &Args) -> Result<(MarketScope, u32), String> {
+    args.reject_beside("market", "scope")?;
     if let Some(scope) = args.get("scope") {
-        let (kind, rest) = scope
-            .split_once(':')
-            .ok_or("scope must be 'zone:Z' or 'regions:Z1,Z2'")?;
-        let scope = match kind {
-            "zone" => MarketScope::MultiMarket(parse_zone(rest)?),
-            "regions" => {
-                let zones = rest
-                    .split(',')
-                    .map(parse_zone)
-                    .collect::<Result<Vec<_>, _>>()?;
-                MarketScope::MultiRegion(zones)
-            }
-            other => return Err(format!("unknown scope kind '{other}'")),
-        };
-        let units = args.get_u32("units", 8)?;
-        return Ok((scope, units));
+        return Ok((parse_scope(scope)?, args.get_u32("units", 8)?));
     }
     let market =
         parse_market(args.get_or("market", "us-east-1a/small")).map_err(|e| e.to_string())?;
@@ -70,15 +133,28 @@ fn parse_scope(args: &Args) -> Result<(MarketScope, u32), String> {
 
 /// Build the scheduler configuration shared by `simulate` and `timeline`.
 pub(crate) fn build_cfg(args: &Args) -> Result<SchedulerConfig, String> {
-    let (scope, units) = parse_scope(args)?;
-    let mut policy = parse_policy(args.get_or("policy", "proactive"))?;
-    // Per-policy tuning knobs. Out-of-range values surface through
-    // `cfg.validate()` below as errors, never as panics.
-    if let BiddingPolicy::Proactive { bid_mult } = &mut policy {
-        *bid_mult = args.get_f64("bid-mult", *bid_mult)?;
+    let (scope, units) = scope_and_units(args)?;
+    let name = args.get_or("policy", "proactive");
+    let mut policy = parse_policy(name)?;
+    // Each tuning knob belongs to one policy; beside another it would be
+    // dropped.
+    for (knob, owner) in [("bid-mult", "proactive"), ("risk-budget", "adaptive")] {
+        if name != owner && args.given(knob) {
+            return Err(format!(
+                "--{knob} applies only to --policy {owner}, not {name}"
+            ));
+        }
     }
-    if let BiddingPolicy::Adaptive { risk_budget } = &mut policy {
-        *risk_budget = args.get_f64("risk-budget", *risk_budget)?;
+    // Out-of-range values surface through `cfg.validate()` below as
+    // errors, never as panics.
+    match &mut policy {
+        BiddingPolicy::Proactive { bid_mult } => {
+            *bid_mult = args.get_f64("bid-mult", *bid_mult)?;
+        }
+        BiddingPolicy::Adaptive { risk_budget } => {
+            *risk_budget = args.get_f64("risk-budget", *risk_budget)?;
+        }
+        _ => {}
     }
     let mechanism = parse_mechanism(args.get_or("mechanism", "ckpt-lr-live"))?;
     let stability = args.get_f64("stability", 0.0)?;
@@ -103,25 +179,17 @@ pub(crate) fn build_cfg(args: &Args) -> Result<SchedulerConfig, String> {
     Ok(cfg)
 }
 
-/// The trace set `simulate`/`timeline` run against: imported price
-/// history when `--traces DIR` is given, the calibrated generator
-/// otherwise.
-pub(crate) fn load_traces(
-    args: &Args,
-    cfg: &SchedulerConfig,
-    seed: u64,
-    horizon: SimDuration,
-) -> Result<TraceSet, String> {
-    let catalog = Catalog::ec2_2015();
-    match args.get("traces") {
-        Some(dir) => read_trace_set(&catalog, Path::new(dir)).map_err(|e| e.to_string()),
-        None => Ok(TraceSet::generate(
-            &catalog,
-            &cfg.candidates(),
-            seed,
-            horizon,
-        )),
-    }
+/// The imported price history of `--traces DIR`, or `None` without the
+/// flag. The imported set fixes the horizon, so `--days` beside it is an
+/// error.
+pub(crate) fn imported_traces(args: &Args) -> Result<Option<TraceSet>, String> {
+    let Some(dir) = args.get("traces") else {
+        return Ok(None);
+    };
+    args.reject_beside("days", "traces")?;
+    read_trace_set(&Catalog::ec2_2015(), Path::new(dir))
+        .map(Some)
+        .map_err(|e| format!("--traces {dir}: {e}"))
 }
 
 /// A run of `cfg` over `set` with run seed `seed`. An imported trace set
@@ -204,54 +272,65 @@ fn render_metrics(events: &[StoredEvent]) -> String {
     out
 }
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let cfg = build_cfg(args)?;
     let policy = cfg.policy;
-    let days = args.get_positive("days", 60)?;
-    let seeds = args.get_positive("seeds", 1)?;
     let seed0 = args.get_u64("seed", 0)?;
     let stability = args.get_f64("stability", 0.0)?;
     let fault_rate = args.get_f64("fault-rate", 0.0)?;
     let storm_intensity = args.get_f64("storm-intensity", 0.0)?;
 
-    let agg = match args.get("traces") {
-        Some(dir) => {
-            // Imported history: single deterministic run against it.
-            let catalog = Catalog::ec2_2015();
-            let set = read_trace_set(&catalog, Path::new(dir)).map_err(|e| e.to_string())?;
-            let report = plan_run(&set, &cfg, seed0)?.run();
-            AggregateReport::of(vec![report])
+    // Imported history: a single deterministic run against it.
+    args.reject_beside("seeds", "traces")?;
+    let imported = imported_traces(args)?;
+    let (agg, horizon) = match &imported {
+        Some(set) => {
+            let report = plan_run(set, &cfg, seed0)?.run();
+            (AggregateReport::of(vec![report]), set.horizon())
         }
-        None => run_many(&cfg, seed0, seeds, SimDuration::days(days)),
+        None => {
+            let horizon = SimDuration::days(args.get_positive("days", 60)?);
+            let seeds = args.get_positive("seeds", 1)?;
+            (run_many(&cfg, seed0, seeds, horizon), horizon)
+        }
     };
 
-    println!("scope:      {}", cfg.scope.label());
-    println!(
+    let _ = writeln!(out, "scope:      {}", cfg.scope.label());
+    let _ = writeln!(
+        out,
         "policy:     {policy}   mechanism: {mechanism}",
         mechanism = cfg.mechanism
     );
     if stability > 0.0 {
-        println!("stability:  weight {stability}");
+        let _ = writeln!(out, "stability:  weight {stability}");
     }
     if cfg.faults.enabled() {
-        println!("faults:     uniform rate {fault_rate}");
+        let _ = writeln!(out, "faults:     uniform rate {fault_rate}");
     }
     if cfg.storms.enabled() {
-        println!("storms:     intensity {storm_intensity}");
+        let _ = writeln!(out, "storms:     intensity {storm_intensity}");
     }
-    println!("runs:       {} x {} days\n", agg.runs.len(), days);
-    println!(
+    let _ = writeln!(
+        out,
+        "runs:       {} x {} days\n",
+        agg.runs.len(),
+        horizon.as_days_f64()
+    );
+    let _ = writeln!(
+        out,
         "normalized cost:   {:.1}% of on-demand  (min {:.1}%, max {:.1}%)",
         agg.normalized_cost_pct(),
         agg.normalized_cost.min * 100.0,
         agg.normalized_cost.max * 100.0
     );
-    println!(
+    let _ = writeln!(
+        out,
         "unavailability:    {:.5}%  (~{:.1} s downtime/month)",
         agg.unavailability_pct(),
         slo::downtime_per_month(agg.unavailability.mean)
     );
-    println!(
+    let _ = writeln!(
+        out,
         "four nines:        {}",
         if slo::meets_nines(agg.unavailability.mean, 4) {
             "met"
@@ -259,19 +338,26 @@ pub fn run(args: &Args) -> Result<(), String> {
             "MISSED"
         }
     );
-    println!(
+    let _ = writeln!(
+        out,
         "migrations/hour:   {:.4} forced, {:.4} planned+reverse",
         agg.forced_per_hour.mean, agg.planned_reverse_per_hour.mean
     );
-    println!("time on spot:      {:.1}%", agg.spot_fraction.mean * 100.0);
+    let _ = writeln!(
+        out,
+        "time on spot:      {:.1}%",
+        agg.spot_fraction.mean * 100.0
+    );
     if cfg.faults.enabled() {
         let sum = |f: fn(&RunReport) -> u32| agg.runs.iter().map(f).sum::<u32>();
-        println!(
+        let _ = writeln!(
+            out,
             "injected faults:   {} refused requests, {} unwarned revocations,",
             sum(|r| r.request_faults),
             sum(|r| r.unwarned_revocations)
         );
-        println!(
+        let _ = writeln!(
+            out,
             "                   {} checkpoint failures, {} live-migration aborts",
             sum(|r| r.ckpt_faults),
             sum(|r| r.live_aborts)
@@ -284,23 +370,28 @@ pub fn run(args: &Args) -> Result<(), String> {
     // observes), so the numbers above still describe it.
     let (trace, store_path, metrics) = (args.get("trace"), args.get("store"), args.has("metrics"));
     if trace.is_some() || store_path.is_some() || metrics {
-        let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
+        let set = match imported {
+            Some(set) => set,
+            None => TraceSet::generate(&Catalog::ec2_2015(), &cfg.candidates(), seed0, horizon),
+        };
         let (_, store) = record_run(&set, &cfg, seed0)?;
         let events = decode(&store)?;
         if let Some(path) = trace {
             let file = std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
-            let mut out = BufWriter::new(file);
-            write_jsonl(&mut out, events.iter().map(|se| (se.at, &se.event)))
-                .and_then(|()| out.flush())
+            let mut file = BufWriter::new(file);
+            write_jsonl(&mut file, events.iter().map(|se| (se.at, &se.event)))
+                .and_then(|()| file.flush())
                 .map_err(|e| format!("--trace {path}: {e}"))?;
-            println!(
+            let _ = writeln!(
+                out,
                 "\ntrace:             {} events -> {path} (seed {seed0}, JSONL)",
                 events.len()
             );
         }
         if let Some(path) = store_path {
             std::fs::write(path, store.bytes()).map_err(|e| format!("--store {path}: {e}"))?;
-            println!(
+            let _ = writeln!(
+                out,
                 "\nstore:             {} events in {} columnar blocks -> {path} \
                  (seed {seed0}; aggregate with `spothost query --store {path}`)",
                 store.events_written(),
@@ -308,14 +399,15 @@ pub fn run(args: &Args) -> Result<(), String> {
             );
         }
         if metrics {
-            println!("\nevent histograms (seed {seed0}):");
-            print!("{}", render_metrics(&events));
+            let _ = writeln!(out, "\nevent histograms (seed {seed0}):");
+            out.push_str(&render_metrics(&events));
         }
     }
     if args.has("cache-stats") {
         let s = spothost_market::TraceArena::global().stats();
-        println!("\ntrace arena (process-global cache):");
-        println!(
+        let _ = writeln!(out, "\ntrace arena (process-global cache):");
+        let _ = writeln!(
+            out,
             "  traces:   {} hits, {} misses ({} resident, {:.1} MB, {} evicted, cap {})",
             s.trace_hits,
             s.trace_misses,
@@ -328,7 +420,8 @@ pub fn run(args: &Args) -> Result<(), String> {
                 s.trace_capacity.to_string()
             }
         );
-        println!(
+        let _ = writeln!(
+            out,
             "  factors:  {} hits, {} misses",
             s.factor_hits, s.factor_misses
         );
@@ -341,8 +434,17 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
-    fn argv(items: &[&str]) -> crate::args::Args {
-        parse(&items.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    fn argv(items: &[&str]) -> Args {
+        parse(
+            &[SCENARIO, FLAGS],
+            &items.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        )
+        .unwrap()
+    }
+
+    fn run(args: &Args) -> Result<String, String> {
+        let mut out = String::new();
+        super::run(args, &mut out).map(|()| out)
     }
 
     #[test]
@@ -365,22 +467,22 @@ mod tests {
 
     #[test]
     fn scope_parsing() {
-        let (s, u) = parse_scope(&argv(&["--market", "us-west-1a/large"])).unwrap();
+        let (s, u) = scope_and_units(&argv(&["--market", "us-west-1a/large"])).unwrap();
         assert_eq!(
             s,
             MarketScope::Single(MarketId::new(Zone::UsWest1a, InstanceType::Large))
         );
         assert_eq!(u, 4);
-        let (s, u) = parse_scope(&argv(&["--scope", "zone:us-east-1b"])).unwrap();
+        let (s, u) = scope_and_units(&argv(&["--scope", "zone:us-east-1b"])).unwrap();
         assert_eq!(s, MarketScope::MultiMarket(Zone::UsEast1b));
         assert_eq!(u, 8);
-        let (s, _) = parse_scope(&argv(&["--scope", "regions:us-east-1a,eu-west-1a"])).unwrap();
         assert_eq!(
-            s,
+            parse_scope("regions:us-east-1a,eu-west-1a").unwrap(),
             MarketScope::MultiRegion(vec![Zone::UsEast1a, Zone::EuWest1a])
         );
-        assert!(parse_scope(&argv(&["--scope", "nope"])).is_err());
-        assert!(parse_scope(&argv(&["--scope", "zone:mars"])).is_err());
+        assert!(parse_scope("nope").is_err());
+        assert!(parse_scope("zone:mars").is_err());
+        assert!(parse_scope("regions:us-east-1a,mars").is_err());
     }
 
     #[test]

@@ -1,18 +1,54 @@
 //! `spothost-cli`'s argument handling, through the built binary.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const GOLDEN_COL: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/fleet_small.col"
+);
+
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
+        .args(args)
+        .output()
+        .expect("run spothost-cli")
+}
 
 /// A bad flag exits with code 2 and `message` on stderr, never a panic
 /// and never a vacuous or wrapped-around run.
 fn assert_rejected(args: &[&str], message: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
-        .args(args)
-        .output()
-        .expect("run spothost-cli");
+    let out = cli(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
     assert!(stderr.contains(message), "{args:?}: stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: printed before rejecting");
+}
+
+/// A fresh scratch directory of this test process.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("spothost-cli-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Two days of us-east-1a price history, written by `gen-traces` into
+/// `dir`.
+fn gen_traces(dir: &Path) -> String {
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    let out = cli(&[
+        "gen-traces",
+        "--days",
+        "2",
+        "--zone",
+        "us-east-1a",
+        "--out",
+        dir,
+    ]);
+    assert!(out.status.success(), "gen-traces failed");
+    dir.to_string()
 }
 
 #[test]
@@ -64,14 +100,8 @@ fn u32_counts_above_u32_max_are_rejected() {
 /// scope is a bad input: exit code 2 naming the market, never a panic.
 #[test]
 fn traces_missing_a_candidate_market_are_rejected() {
-    let dir = std::env::temp_dir().join(format!("spothost-cli-partial-{}", std::process::id()));
-    let dir_s = dir.to_str().expect("utf-8 temp dir");
-    let generated = Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
-        .args(["gen-traces", "--days", "3", "--zone", "us-east-1a"])
-        .args(["--out", dir_s])
-        .output()
-        .expect("run spothost-cli");
-    assert!(generated.status.success(), "gen-traces failed");
+    let dir = scratch("partial");
+    let dir_s = &gen_traces(&dir);
     // Keep only the large market: the zone scope's small, medium and
     // xlarge candidates are missing.
     for entry in std::fs::read_dir(&dir).expect("read trace dir") {
@@ -84,16 +114,9 @@ fn traces_missing_a_candidate_market_are_rejected() {
         }
     }
     for cmd in ["simulate", "timeline"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
-            .args([cmd, "--scope", "zone:us-east-1a", "--traces", dir_s])
-            .output()
-            .expect("run spothost-cli");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{cmd}: stderr: {stderr}");
-        assert!(!stderr.contains("panicked"), "{cmd}: stderr: {stderr}");
-        assert!(
-            stderr.contains("trace set missing candidate market us-east-1a/small"),
-            "{cmd}: stderr: {stderr}"
+        assert_rejected(
+            &[cmd, "--scope", "zone:us-east-1a", "--traces", dir_s],
+            "trace set missing candidate market us-east-1a/small",
         );
     }
     std::fs::remove_dir_all(&dir).expect("remove trace dir");
@@ -113,5 +136,363 @@ fn units_a_single_market_cannot_host_are_rejected() {
             &[cmd, "--market", "us-east-1a/large", "--units", "2"],
             "scope has no candidate markets for this capacity",
         );
+    }
+}
+
+/// A misspelled, misplaced, repeated or valueless flag is rejected before
+/// anything runs or is written, naming the flag.
+#[test]
+fn undeclared_repeated_and_valueless_flags_are_rejected() {
+    let dir = scratch("undeclared");
+    let store = dir.join("x.col");
+    let store = store.to_str().expect("utf-8 temp dir");
+    for (args, message) in [
+        (
+            &["simulate", "--days", "2", "--polcy", "reactive"][..],
+            "unknown flag --polcy (see spothost simulate --help)",
+        ),
+        (
+            &["timeline", "--days", "2", "--store", store],
+            "unknown flag --store",
+        ),
+        (&["jobs", "--units", "64"], "unknown flag --units"),
+        (
+            &["simulate", "--policy", "reactive", "--policy", "proactive"],
+            "--policy given twice",
+        ),
+        (
+            &["simulate", "--days", "2", "--verbose"],
+            "unknown flag --verbose",
+        ),
+        (&["markets", "--bogus", "x"], "unknown flag --bogus"),
+        (
+            &["query", "--store", GOLDEN_COL, "--outcomes"],
+            "unknown flag --outcomes",
+        ),
+        (
+            &["chaos", "--seconds", "1", "--policy", "reactive"],
+            "unknown flag --policy",
+        ),
+        (
+            &["simulate", "--days", "2", "--seed"],
+            "--seed expects a value",
+        ),
+        (
+            &["fleet-sim", "--store", "--days", "2"],
+            "--store expects a value, got '--days'",
+        ),
+    ] {
+        assert_rejected(args, message);
+    }
+    assert!(!Path::new(store).exists(), "a rejected run wrote {store}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag that another flag makes inapplicable would be dropped without
+/// a word, so the pair is rejected, naming both.
+#[test]
+fn flags_another_flag_makes_inapplicable_are_rejected() {
+    let dir = scratch("inapplicable");
+    let traces = &gen_traces(&dir.join("traces"));
+    let perfetto = dir.join("out.json");
+    let perfetto = perfetto.to_str().expect("utf-8 temp dir");
+    for (args, message) in [
+        (
+            &["simulate", "--days", "2", "--risk-budget", "x"][..],
+            "--risk-budget applies only to --policy adaptive, not proactive",
+        ),
+        (
+            &["simulate", "--policy", "reactive", "--bid-mult", "8"],
+            "--bid-mult applies only to --policy proactive, not reactive",
+        ),
+        (
+            &["timeline", "--policy", "adaptive", "--bid-mult", "2"],
+            "--bid-mult applies only to --policy proactive, not adaptive",
+        ),
+        (
+            &[
+                "simulate",
+                "--scope",
+                "zone:us-east-1a",
+                "--market",
+                "us-east-1b/large",
+            ],
+            "--market cannot be combined with --scope",
+        ),
+        (
+            &["simulate", "--traces", traces, "--seeds", "5"],
+            "--seeds cannot be combined with --traces",
+        ),
+        (
+            &["simulate", "--traces", traces, "--days", "2"],
+            "--days cannot be combined with --traces",
+        ),
+        (
+            &["timeline", "--traces", traces, "--days", "2"],
+            "--days cannot be combined with --traces",
+        ),
+        (
+            &[
+                "query",
+                "--store",
+                GOLDEN_COL,
+                "--perfetto",
+                perfetto,
+                "--agg",
+                "sum",
+            ],
+            "--agg cannot be combined with --perfetto",
+        ),
+        (
+            &["query", "--store", GOLDEN_COL, "--field", "cost"],
+            "--field applies only to an --agg other than count",
+        ),
+        (
+            &[
+                "query",
+                "--store",
+                GOLDEN_COL,
+                "--agg",
+                "p50",
+                "--buckets",
+                "5",
+            ],
+            "--buckets applies only to --agg hist, not p50",
+        ),
+    ] {
+        assert_rejected(args, message);
+    }
+    assert!(
+        !Path::new(perfetto).exists(),
+        "a rejected run wrote {perfetto}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An imported trace set fixes the horizon: `simulate` reports it and
+/// `timeline` draws it, whatever `--days` would default to.
+#[test]
+fn an_imported_trace_set_sets_the_horizon() {
+    let dir = scratch("horizon");
+    let traces = &gen_traces(&dir);
+    let stdout = |args: &[&str]| {
+        let out = cli(args);
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let report = stdout(&["simulate", "--traces", traces]);
+    assert!(report.contains("\nruns:       1 x 2 days\n"), "{report}");
+    let chart = stdout(&["timeline", "--traces", traces, "--width", "40"]);
+    assert!(
+        chart.starts_with("timeline 0d 00:00:00 .. 2d 00:00:00 (48.0h"),
+        "{chart}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each command's quick argv that exits 0. `TRACES` stands for a trace
+/// directory and `OUT` for an output directory.
+const BASES: [(&str, &[&str]); 9] = [
+    ("markets", &[]),
+    (
+        "gen-traces",
+        &["--days", "2", "--zone", "us-east-1a", "--out", "OUT"],
+    ),
+    ("analyze", &["--traces", "TRACES"]),
+    ("simulate", &["--days", "2"]),
+    ("timeline", &["--days", "2", "--width", "40"]),
+    ("chaos", &["--seconds", "0.1", "--days", "1"]),
+    (
+        "fleet-sim",
+        &[
+            "--vms",
+            "8",
+            "--users",
+            "500",
+            "--days",
+            "2",
+            "--seconds",
+            "900",
+            "--width",
+            "40",
+        ],
+    ),
+    ("jobs", &["--days", "2"]),
+    ("query", &["--store", GOLDEN_COL]),
+];
+
+/// Flags tried in another argv than their command's base: one in which
+/// they apply.
+const OWN_ARGV: [(&str, &str, &[&str]); 6] = [
+    (
+        "simulate",
+        "risk-budget",
+        &["--days", "2", "--policy", "adaptive"],
+    ),
+    ("simulate", "traces", &[]),
+    (
+        "timeline",
+        "risk-budget",
+        &["--days", "2", "--width", "40", "--policy", "adaptive"],
+    ),
+    ("timeline", "traces", &["--width", "40"]),
+    (
+        "query",
+        "field",
+        &["--store", GOLDEN_COL, "--agg", "sum", "--field", "cost"],
+    ),
+    (
+        "query",
+        "buckets",
+        &["--store", GOLDEN_COL, "--agg", "hist", "--field", "cost"],
+    ),
+];
+
+/// Value flags that name a path. Every other value flag is given
+/// `bogus`, which is neither a number nor a known name.
+const PATH_FLAGS: [&str; 5] = ["out", "traces", "trace", "store", "perfetto"];
+
+/// Every flag of every command's table is read: given a bad value it
+/// makes the command exit 2, where the argv without it exits 0, and a
+/// switch changes stdout. The commands and flags are read from
+/// `--help`, which renders the tables, so a table entry its command
+/// ignores fails here.
+#[test]
+fn every_declared_flag_is_read() {
+    let dir = scratch("every-flag");
+    let traces = gen_traces(&dir.join("traces"));
+    let file = dir.join("file");
+    std::fs::write(&file, "a regular file").expect("write a regular file");
+    let under_file = file.join("sub").to_str().expect("utf-8").to_string();
+    let out_dir = dir.join("out").to_str().expect("utf-8").to_string();
+    let expand = |argv: &[&str]| -> Vec<String> {
+        argv.iter()
+            .map(|a| match *a {
+                "TRACES" => traces.clone(),
+                "OUT" => out_dir.clone(),
+                a => a.to_string(),
+            })
+            .collect()
+    };
+    let run = |cmd: &str, argv: &[String]| {
+        cli(&[
+            &[cmd][..],
+            &argv.iter().map(String::as_str).collect::<Vec<_>>(),
+        ]
+        .concat())
+    };
+
+    let help = String::from_utf8(cli(&["--help"]).stdout).expect("utf-8 help");
+    let commands: Vec<&str> = help
+        .split_once("COMMANDS:\n")
+        .expect("a command list")
+        .1
+        .lines()
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().next().expect("a command name"))
+        .collect();
+    let listed: Vec<&str> = BASES.iter().map(|(c, _)| *c).collect();
+    assert_eq!(commands, listed, "a command without a base argv here");
+
+    let mut tried = Vec::new();
+    for (cmd, base) in BASES {
+        let help = String::from_utf8(cli(&[cmd, "--help"]).stdout).expect("utf-8 help");
+        // `  --name PLACEHOLDER  help`, or `  --name  help` for a switch.
+        for line in help.lines().filter_map(|l| l.strip_prefix("  --")) {
+            let usage = line.split_once("  ").expect("a help column").0;
+            let (flag, value) = match usage.split_once(' ') {
+                Some((flag, _)) => (flag, true),
+                None => (usage, false),
+            };
+            let own = OWN_ARGV.iter().find(|(c, f, _)| (*c, *f) == (cmd, flag));
+            let ok = expand(own.map_or(base, |(_, _, argv)| *argv));
+            let ok_run = run(cmd, &ok);
+            assert!(
+                ok_run.status.success(),
+                "{cmd} {ok:?}: stderr: {}",
+                String::from_utf8_lossy(&ok_run.stderr)
+            );
+            if !value {
+                let switched = run(cmd, &[ok.clone(), vec![format!("--{flag}")]].concat());
+                assert!(switched.status.success(), "{cmd} --{flag} failed");
+                assert_ne!(
+                    switched.stdout, ok_run.stdout,
+                    "{cmd}: --{flag} changes nothing"
+                );
+                tried.push((cmd, flag.to_string()));
+                continue;
+            }
+            let bad = if PATH_FLAGS.contains(&flag) {
+                under_file.as_str()
+            } else {
+                "bogus"
+            };
+            // The flag's value in the argv is replaced, or the flag added.
+            let mut argv = ok.clone();
+            match argv.iter().position(|a| *a == format!("--{flag}")) {
+                Some(i) => argv[i + 1] = bad.to_string(),
+                None => argv.extend([format!("--{flag}"), bad.to_string()]),
+            }
+            let out = run(cmd, &argv);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{cmd} {argv:?}: stderr: {stderr}"
+            );
+            assert!(stderr.contains(bad), "{cmd} {argv:?}: stderr: {stderr}");
+            assert!(
+                !stderr.contains("panicked"),
+                "{cmd} {argv:?}: stderr: {stderr}"
+            );
+            tried.push((cmd, flag.to_string()));
+        }
+    }
+    for (cmd, flag, _) in OWN_ARGV {
+        assert!(
+            tried.contains(&(cmd, flag.to_string())),
+            "{cmd} declares no --{flag}"
+        );
+    }
+    assert!(
+        tried.len() > 60,
+        "only {} flags found in --help",
+        tried.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closed the pipe has read all it wants: the first write
+/// fails with EPIPE, and the command exits 0 without a word.
+#[test]
+fn a_closed_stdout_pipe_ends_each_command_quietly() {
+    for args in [
+        &["markets"][..],
+        &["simulate", "--days", "2"],
+        &["timeline", "--days", "2"],
+        &[
+            "fleet-sim",
+            "--vms",
+            "8",
+            "--users",
+            "500",
+            "--days",
+            "2",
+            "--seconds",
+            "900",
+        ],
+        &["jobs", "--days", "2"],
+        &["query", "--store", GOLDEN_COL, "--group-by", "kind"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run spothost-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: stderr: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: stderr: {stderr}");
     }
 }

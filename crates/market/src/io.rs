@@ -189,9 +189,10 @@ pub fn write_trace_set(set: &TraceSet, dir: &Path) -> Result<(), TraceIoError> {
     Ok(())
 }
 
-/// Load a trace set from every `*.csv` in `dir`. All traces are clipped or
-/// extended (by their last price) to the shortest common horizon so the
-/// set is rectangular.
+/// Load a trace set from every `*.csv` in `dir`, in catalog order
+/// whatever the order of the directory's entries. All traces are clipped
+/// or extended (by their last price) to the shortest common horizon so
+/// the set is rectangular.
 pub fn read_trace_set(catalog: &Catalog, dir: &Path) -> Result<TraceSet, TraceIoError> {
     let mut parsed: Vec<(MarketId, PriceTrace)> = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| TraceIoError::Io(e.to_string()))?;
@@ -211,6 +212,7 @@ pub fn read_trace_set(catalog: &Catalog, dir: &Path) -> Result<TraceSet, TraceIo
     if parsed.is_empty() {
         return Err(TraceIoError::Empty);
     }
+    parsed.sort_by_key(|(m, _)| m.dense_index());
     let horizon = parsed
         .iter()
         .map(|(_, t)| t.end())
@@ -351,6 +353,9 @@ timestamp_ms,price
         for m in &markets {
             assert_eq!(loaded.trace(*m).unwrap(), set.trace(*m).unwrap(), "{m}");
         }
+        // Catalog order, not the directory's: `analyze` reports in it.
+        let order: Vec<MarketId> = loaded.iter().map(|(m, _)| m).collect();
+        assert_eq!(order, markets);
         std::fs::remove_dir_all(&dir).ok();
     }
 
