@@ -232,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_undeclared_repeated_and_positional_flags() {
+    fn rejects_undeclared_and_repeated_flags() {
         let err = |items: &[&str]| parse(TABLE, &argv(items)).unwrap_err();
         assert_eq!(err(&["--dayz", "3"]), "unknown flag --dayz");
         assert_eq!(err(&["--verbose"]), "unknown flag --verbose");
@@ -241,6 +241,11 @@ mod tests {
             err(&["--pessimistic", "--pessimistic"]),
             "--pessimistic given twice"
         );
+    }
+
+    #[test]
+    fn rejects_positional() {
+        let err = |items: &[&str]| parse(TABLE, &argv(items)).unwrap_err();
         assert_eq!(
             err(&["simulate"]),
             "unexpected positional argument 'simulate'"

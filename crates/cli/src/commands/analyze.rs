@@ -10,18 +10,14 @@ use std::path::Path;
 
 pub const FLAGS: &[Flag] = &[
     Flag::value("traces", "DIR", "trace directory, as gen-traces writes it"),
-    Flag::value(
-        "sample-mins",
-        "M",
-        "sampling step of the correlations, in minutes",
-    ),
+    Flag::value("sample-mins", "M", "correlation sampling step, in minutes"),
 ];
 
 pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let dir = args
         .get("traces")
         .ok_or("analyze requires --traces DIR (see gen-traces)")?;
-    let sample_mins = args.get_u64("sample-mins", 5)?;
+    let sample_mins = args.get_positive("sample-mins", 5)?;
     let catalog = Catalog::ec2_2015();
     let set =
         read_trace_set(&catalog, Path::new(dir)).map_err(|e| format!("--traces {dir}: {e}"))?;

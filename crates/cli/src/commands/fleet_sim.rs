@@ -28,17 +28,9 @@ pub const FLAGS: &[Flag] = &[
     POLICY,
     MECHANISM,
     STORM_INTENSITY,
-    Flag::value(
-        "target-util",
-        "T",
-        "per-VM bottleneck utilisation the autoscaler provisions for",
-    ),
+    Flag::value("target-util", "T", "per-VM utilisation to provision for"),
     WIDTH,
-    Flag::value(
-        "store",
-        "FILE",
-        "record every VM's telemetry stream into FILE as a columnar store",
-    ),
+    Flag::value("store", "FILE", "record every VM's stream as a .col store"),
 ];
 
 /// Downsample a series to `width` columns, keeping each bucket's max

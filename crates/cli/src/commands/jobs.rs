@@ -25,27 +25,19 @@ pub const FLAGS: &[Flag] = &[
     Flag::value(
         "policy",
         "P",
-        "greedy-spot, checkpoint-spot, on-demand-fallback, or all side by side",
+        "greedy-spot, checkpoint-spot, on-demand-fallback or all",
     ),
     Flag::value("market", "M", "spot market of the workers, zone/size"),
     Flag::value("workers", "N", "worker slots"),
     DAYS,
     SEED,
     Flag::value("mean-runtime-h", "H", "mean job runtime, in hours"),
-    Flag::value(
-        "mean-arrival-h",
-        "H",
-        "mean time between job arrivals, in hours",
-    ),
+    Flag::value("mean-arrival-h", "H", "mean hours between job arrivals"),
     Flag::value("slack", "F", "deadline as a multiple of the job's runtime"),
     FAULT_RATE,
     STORM_INTENSITY,
-    Flag::switch("outcomes", "print each policy's worst per-job lines"),
-    Flag::value(
-        "store",
-        "FILE",
-        "record the job lifecycle events into FILE as a columnar store",
-    ),
+    Flag::switch("outcomes", "print each policy's worst jobs"),
+    Flag::value("store", "FILE", "record the job events as a columnar store"),
 ];
 
 fn parse_policies(s: &str) -> Result<Vec<JobPolicy>, String> {
@@ -74,12 +66,14 @@ fn config_from(args: &Args) -> Result<JobsConfig, String> {
     }
     cfg.mean_runtime = SimDuration::hours(1).mul_f64(runtime_h);
     cfg.mean_interarrival = SimDuration::hours(1).mul_f64(arrival_h);
+    // Zero keeps the fault-free and storm-free defaults; any other value,
+    // a negative or NaN one too, goes through `cfg.validate()` below.
     let rate = args.get_f64("fault-rate", 0.0)?;
-    if rate > 0.0 {
+    if rate != 0.0 {
         cfg.faults = FaultConfig::uniform(rate);
     }
     let storm = args.get_f64("storm-intensity", 0.0)?;
-    if storm > 0.0 {
+    if storm != 0.0 {
         cfg.storms = StormConfig::intensity(storm);
     }
     cfg.validate()?;
@@ -212,6 +206,9 @@ mod tests {
         assert!(run(&["--market", "nowhere/huge"]).is_err());
         assert!(run(&["--mean-runtime-h", "0"]).is_err());
         assert!(run(&["--slack", "-2"]).is_err());
+        assert!(run(&["--fault-rate", "-1"]).is_err());
+        assert!(run(&["--storm-intensity", "-0.5"]).is_err());
+        assert!(run(&["--fault-rate", "NaN"]).is_err());
     }
 
     #[test]

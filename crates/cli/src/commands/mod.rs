@@ -11,35 +11,17 @@ pub mod timeline;
 use crate::args::Flag;
 
 // Flags that several commands take, declared once.
-pub(crate) const DAYS: Flag = Flag::value("days", "D", "simulated days");
-pub(crate) const SEED: Flag = Flag::value(
-    "seed",
-    "N",
-    "seed; a fixed seed gives byte-identical output",
-);
-pub(crate) const WIDTH: Flag = Flag::value("width", "COLS", "chart width in columns, 10 to 500");
-pub(crate) const SCOPE: Flag = Flag::value(
-    "scope",
-    "S",
-    "zone:Z for every market of a zone, or regions:Z1,Z2 for several zones",
-);
-pub(crate) const POLICY: Flag = Flag::value(
+pub const DAYS: Flag = Flag::value("days", "D", "simulated days");
+pub const SEED: Flag = Flag::value("seed", "N", "seed; the same seed gives the same output");
+pub const WIDTH: Flag = Flag::value("width", "COLS", "chart width in columns, 10 to 500");
+pub const SCOPE: Flag = Flag::value("scope", "S", "all markets of zone:Z or of regions:Z1,Z2");
+pub const POLICY: Flag = Flag::value(
     "policy",
     "P",
-    "bidding policy: proactive, adaptive, reactive, pure-spot or on-demand",
+    "proactive, adaptive, reactive, pure-spot or on-demand",
 );
-pub(crate) const MECHANISM: Flag = Flag::value(
-    "mechanism",
-    "M",
-    "migration mechanisms: ckpt, ckpt-lr, ckpt-live or ckpt-lr-live",
-);
-pub(crate) const FAULT_RATE: Flag = Flag::value(
-    "fault-rate",
-    "R",
-    "inject provider and mechanism faults uniformly at rate R in [0, 1]",
-);
-pub(crate) const STORM_INTENSITY: Flag = Flag::value(
-    "storm-intensity",
-    "X",
-    "correlated failure storms at severity X in [0, 1]; 0 is no storms",
-);
+pub const MECHANISM: Flag =
+    Flag::value("mechanism", "M", "ckpt, ckpt-lr, ckpt-live or ckpt-lr-live");
+pub const FAULT_RATE: Flag = Flag::value("fault-rate", "R", "fault injection rate R in [0, 1]");
+pub const STORM_INTENSITY: Flag =
+    Flag::value("storm-intensity", "X", "storm severity, 0 (none) to 1");

@@ -18,35 +18,19 @@ use spothost_market::time::SimTime;
 use std::fmt::Write as _;
 
 pub const FLAGS: &[Flag] = &[
-    Flag::value(
-        "store",
-        "FILE",
-        "columnar store to read, as simulate, fleet-sim or jobs --store write it",
-    ),
+    Flag::value("store", "FILE", "columnar store to read"),
     Flag::value("from-h", "H", "only events at or after hour H"),
     Flag::value("to-h", "H", "only events before hour H"),
-    Flag::value("kind", "K,..", "only events of these kinds"),
+    Flag::value("kind", "K,..", "only events of these kinds, such as outage"),
     Flag::value("market", "M", "only events of market M, zone/size"),
     Flag::value("zone", "Z", "only events of zone Z"),
-    Flag::value("vm", "N", "only events of the VM spawned N-th"),
-    Flag::value(
-        "agg",
-        "A",
-        "count, sum, mean, p50, p90, p99 or hist of the selection",
-    ),
-    Flag::value(
-        "field",
-        "F",
-        "field that --agg aggregates: cost, bid, risk, lease_hours, outage_s, ...",
-    ),
+    Flag::value("vm", "N", "only events of the N-th VM spawned"),
+    Flag::value("agg", "A", "count, sum, mean, p50, p90, p99 or hist"),
+    Flag::value("field", "F", "field --agg reads, such as cost or outage_s"),
     Flag::value("group-by", "G", "none, kind, market, zone or vm"),
     Flag::value("buckets", "N", "buckets of --agg hist"),
     Flag::switch("stats", "print each block's header"),
-    Flag::value(
-        "perfetto",
-        "OUT",
-        "export the selection as a Chrome/Perfetto trace to OUT, in place of --agg",
-    ),
+    Flag::value("perfetto", "OUT", "write the selection as a Perfetto trace"),
 ];
 
 fn field_names() -> String {
@@ -123,7 +107,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     if agg != "hist" && args.given("buckets") {
         return Err(format!("--buckets applies only to --agg hist, not {agg}"));
     }
-    let buckets = args.get_u64("buckets", 10)? as usize;
+    let buckets = args.get_positive("buckets", 10)? as usize;
 
     let sel = reader.select(&pred).map_err(|e| format!("{path}: {e}"))?;
     let vms = reader.vms();

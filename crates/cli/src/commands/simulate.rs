@@ -19,59 +19,29 @@ use std::sync::Arc;
 
 /// The scenario flags `simulate` and `timeline` both take: what
 /// [`build_cfg`] reads, plus the imported history of `--traces`.
-pub(crate) const SCENARIO: &[Flag] = &[
-    Flag::value("market", "M", "one spot market to run on, zone/size"),
+pub const SCENARIO: &[Flag] = &[
+    Flag::value("market", "M", "one spot market, zone/size"),
     SCOPE,
     POLICY,
-    Flag::value(
-        "bid-mult",
-        "X",
-        "proactive policy's bid as a multiple of the on-demand price, >= 1",
-    ),
-    Flag::value(
-        "risk-budget",
-        "P",
-        "adaptive policy's tolerated P(revocation within the next hour), in (0, 1)",
-    ),
+    Flag::value("bid-mult", "X", "proactive bid / on-demand price, >= 1"),
+    Flag::value("risk-budget", "P", "adaptive bids' hourly revocation risk"),
     MECHANISM,
     Flag::switch("pessimistic", "use the pessimistic migration parameters"),
-    Flag::value(
-        "stability",
-        "W",
-        "weight of the penalty on volatile markets",
-    ),
+    Flag::value("stability", "W", "penalty weight on volatile markets"),
     Flag::value("units", "U", "capacity units of the service: 1, 2, 4 or 8"),
     FAULT_RATE,
     STORM_INTENSITY,
-    Flag::value(
-        "traces",
-        "DIR",
-        "run against imported price history (see gen-traces); it fixes the horizon",
-    ),
+    Flag::value("traces", "DIR", "imported price history (sets the horizon)"),
 ];
 
 pub const FLAGS: &[Flag] = &[
     DAYS,
-    Flag::value("seeds", "N", "number of runs, with seeds from --seed on"),
+    Flag::value("seeds", "N", "runs, with seeds from --seed on"),
     Flag::value("seed", "N", "seed of the first run"),
-    Flag::value(
-        "trace",
-        "FILE",
-        "stream the first run's event timeline to FILE as JSONL",
-    ),
-    Flag::value(
-        "store",
-        "FILE",
-        "record the first run into FILE as a columnar store (see query)",
-    ),
-    Flag::switch(
-        "metrics",
-        "print the first run's outage, migration, lease and cost histograms",
-    ),
-    Flag::switch(
-        "cache-stats",
-        "print the trace arena's hit, miss and residency counters",
-    ),
+    Flag::value("trace", "FILE", "write the first run's events as JSONL"),
+    Flag::value("store", "FILE", "record the first run as a columnar store"),
+    Flag::switch("metrics", "print histograms of the first run's events"),
+    Flag::switch("cache-stats", "print the trace arena's counters"),
 ];
 
 pub(crate) fn parse_policy(s: &str) -> Result<BiddingPolicy, String> {

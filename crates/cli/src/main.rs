@@ -19,7 +19,7 @@ mod commands;
 
 use args::{Args, Table};
 use commands::simulate::SCENARIO;
-use commands::*;
+use commands::{analyze, chaos, fleet_sim, gen_traces, jobs, markets, query, simulate, timeline};
 
 /// A `spothost` command: its flag table, one line about it, and the
 /// function that writes its report.
@@ -101,7 +101,7 @@ fn main() {
 fn run(argv: &[String], out: &mut String) -> Result<(), String> {
     let name = argv.first().map_or("--help", String::as_str);
     if matches!(name, "--help" | "-h" | "help") {
-        out.push_str(&usage());
+        usage(out);
         return Ok(());
     }
     let cmd = COMMANDS
@@ -111,12 +111,12 @@ fn run(argv: &[String], out: &mut String) -> Result<(), String> {
     let rest = &argv[1..];
     if rest.iter().any(|a| a == "--help") {
         out.push_str(&format!("spothost {name} — {}\n\n", cmd.about));
-        if cmd.flags.is_empty() {
-            out.push_str("takes no flags\n");
+        out.push_str(if cmd.flags.is_empty() {
+            "takes no flags\n"
         } else {
-            out.push_str("FLAGS:\n");
-            out.push_str(&args::render_help(cmd.flags));
-        }
+            "FLAGS:\n"
+        });
+        out.push_str(&args::render_help(cmd.flags));
         return Ok(());
     }
     let args =
@@ -124,8 +124,9 @@ fn run(argv: &[String], out: &mut String) -> Result<(), String> {
     (cmd.run)(&args, out)
 }
 
-fn usage() -> String {
-    let mut text = String::from(
+/// `spothost --help`: one line about each command.
+fn usage(out: &mut String) {
+    out.push_str(
         "spothost — always-on services on cloud spot markets (HPDC'15 reproduction)\n\n\
          USAGE: spothost <command> [--flag VALUE | --switch]...\n\nCOMMANDS:\n",
     );
@@ -135,8 +136,7 @@ fn usage() -> String {
         .max()
         .unwrap_or_default();
     for c in &COMMANDS {
-        text.push_str(&format!("  {:<width$}  {}\n", c.name, c.about));
+        out.push_str(&format!("  {:<width$}  {}\n", c.name, c.about));
     }
-    text.push_str("\n`spothost <command> --help` lists a command's flags.\n");
-    text
+    out.push_str("\n`spothost <command> --help` lists a command's flags.\n");
 }

@@ -75,6 +75,33 @@ fn zero_seeds_is_rejected() {
     );
 }
 
+/// A zero sampling step would panic the correlation sampler, and zero
+/// histogram buckets would silently become one.
+#[test]
+fn zero_sampling_step_and_bucket_count_are_rejected() {
+    let dir = scratch("zero-step");
+    let traces = &gen_traces(&dir);
+    assert_rejected(
+        &["analyze", "--traces", traces, "--sample-mins", "0"],
+        "--sample-mins must be >= 1",
+    );
+    assert_rejected(
+        &[
+            "query",
+            "--store",
+            GOLDEN_COL,
+            "--agg",
+            "hist",
+            "--field",
+            "cost",
+            "--buckets",
+            "0",
+        ],
+        "--buckets must be >= 1",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A count held in a `u32` must not wrap: 2^32 + 1 workers is an
 /// argument error, not a run with one worker.
 #[test]
