@@ -2,22 +2,23 @@
 
 use std::io::{ErrorKind, Write};
 
-/// Write `text` to stdout and flush it. A reader that closed the pipe
-/// early (`| head`, a pager quit) has read all it wants, so the process
-/// then exits 0 quietly, where `print!` would panic. Any other write
-/// error ends the process with exit code 2 and the error on stderr.
+/// Write `text` to stdout and flush it, where `print!` would panic on a
+/// write error. A reader that closed the pipe early (`| head`, a pager
+/// quit) has read all it wants, so that is no error: the rest of the
+/// text is dropped quietly, and the process keeps its own exit status,
+/// 0 for a run that succeeded. Any other write error ends the process
+/// with exit code 2 and the error on stderr.
 pub fn write(text: &str) {
     let mut stdout = std::io::stdout().lock();
-    let Err(e) = stdout
+    match stdout
         .write_all(text.as_bytes())
         .and_then(|()| stdout.flush())
-    else {
-        return;
-    };
-    drop(stdout);
-    if e.kind() == ErrorKind::BrokenPipe {
-        std::process::exit(0);
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            drop(stdout);
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(2);
+        }
+        _ => {}
     }
-    eprintln!("error: writing stdout: {e}");
-    std::process::exit(2);
 }

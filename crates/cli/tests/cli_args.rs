@@ -489,10 +489,23 @@ fn every_declared_flag_is_read() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A reader that closed the pipe has read all it wants: the first write
-/// fails with EPIPE, and the command exits 0 without a word.
+/// Run `spothost-cli` with its stdout a pipe whose reader is already
+/// closed, so that its first write fails with EPIPE.
+fn into_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("run spothost-cli")
+}
+
+/// A reader that closed the pipe has read all it wants: that is no
+/// error, so a run that succeeds exits 0 without a word, and one that
+/// fails still exits 2 with its error.
 #[test]
-fn a_closed_stdout_pipe_ends_each_command_quietly() {
+fn a_closed_stdout_pipe_is_not_an_error() {
     for args in [
         &["markets"][..],
         &["simulate", "--days", "2"],
@@ -511,15 +524,22 @@ fn a_closed_stdout_pipe_ends_each_command_quietly() {
         &["jobs", "--days", "2"],
         &["query", "--store", GOLDEN_COL, "--group-by", "kind"],
     ] {
-        let (reader, writer) = std::io::pipe().expect("create a pipe");
-        drop(reader);
-        let out = Command::new(env!("CARGO_BIN_EXE_spothost-cli"))
-            .args(args)
-            .stdout(writer)
-            .output()
-            .expect("run spothost-cli");
+        let out = into_closed_pipe(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{args:?}: stderr: {stderr}");
         assert!(stderr.is_empty(), "{args:?}: stderr: {stderr}");
     }
+    let dir = scratch("closed-pipe");
+    let file = dir.join("file");
+    std::fs::write(&file, "a regular file").expect("write a regular file");
+    let store = file.join("x.col");
+    let store = store.to_str().expect("utf-8 temp dir");
+    let out = into_closed_pipe(&["simulate", "--days", "2", "--store", store]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: --store {store}: ")),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
