@@ -29,7 +29,8 @@ use std::time::Instant;
 /// memory instead of accumulating every (seed, market) trace generated.
 const DEFAULT_TRACE_CAP: u64 = 64;
 
-/// The flags, one line each, for `--help` and a run without experiments.
+/// `repro`'s usage and flags, for `--help` and for a run that names no
+/// experiment.
 fn usage() -> String {
     format!(
         "usage: repro [--quick] [--list] [--csv DIR] [--trace DIR] [--trace-cap N] \
