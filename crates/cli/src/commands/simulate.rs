@@ -115,16 +115,13 @@ pub(crate) fn build_cfg(args: &Args) -> Result<SchedulerConfig, String> {
             ));
         }
     }
-    // Out-of-range values surface through `cfg.validate()` below as
-    // errors, never as panics.
-    match &mut policy {
-        BiddingPolicy::Proactive { bid_mult } => {
-            *bid_mult = args.get_f64("bid-mult", *bid_mult)?;
-        }
-        BiddingPolicy::Adaptive { risk_budget } => {
-            *risk_budget = args.get_f64("risk-budget", *risk_budget)?;
-        }
-        _ => {}
+    // Per-policy tuning knobs. Out-of-range values surface through
+    // `cfg.validate()` below as errors, never as panics.
+    if let BiddingPolicy::Proactive { bid_mult } = &mut policy {
+        *bid_mult = args.get_f64("bid-mult", *bid_mult)?;
+    }
+    if let BiddingPolicy::Adaptive { risk_budget } = &mut policy {
+        *risk_budget = args.get_f64("risk-budget", *risk_budget)?;
     }
     let mechanism = parse_mechanism(args.get_or("mechanism", "ckpt-lr-live"))?;
     let stability = args.get_f64("stability", 0.0)?;
