@@ -37,28 +37,42 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     }
 }
 
-/// Linear-interpolated percentile, `p` in `[0, 100]`. Sorts a copy.
+/// Linear-interpolated percentile, `p` in `[0, 100]`. Selects the two
+/// order statistics it reads from a copy, in linear time, instead of
+/// sorting it.
 ///
 /// NaN handling: inputs are ordered by IEEE 754 `totalOrder` (`total_cmp`),
 /// which places NaN above every finite value (and -NaN below), so the
 /// function never panics on NaN — a NaN in the sample surfaces as the top
 /// percentiles going NaN rather than as a crash mid-report. Callers that
-/// must exclude NaN should filter before calling.
+/// must exclude NaN should filter before calling. `total_cmp` calls two
+/// values equal only when their bits are, so the result does not depend
+/// on which of equal values the selection picks.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
     if xs.is_empty() {
         return 0.0;
     }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    if v.len() == 1 {
-        return v[0];
+    if xs.len() == 1 {
+        return xs[0];
     }
+    let mut v = xs.to_vec();
     let rank = p / 100.0 * (v.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    v[lo] + (v[hi] - v[lo]) * frac
+    let (_, &mut at_lo, above) = v.select_nth_unstable_by(lo, f64::total_cmp);
+    // `hi` is `lo` or `lo + 1`; order statistic `lo + 1` is the least
+    // value above `lo`.
+    let at_hi = if hi == lo {
+        at_lo
+    } else {
+        *above
+            .iter()
+            .min_by(|a, b| a.total_cmp(b))
+            .expect("hi < len, so values lie above lo")
+    };
+    at_lo + (at_hi - at_lo) * frac
 }
 
 /// Pinball (quantile) loss of predicting `pred` for quantile level `q`
@@ -152,6 +166,7 @@ pub fn auc(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mean_and_std() {
@@ -242,6 +257,56 @@ mod tests {
         let xs = [5.0, -1.0, 2.0];
         assert_eq!(percentile(&xs, 0.0), -1.0);
         assert_eq!(percentile(&xs, 100.0), 5.0);
+    }
+
+    /// The percentile as it was computed before order-statistic
+    /// selection: from a fully sorted copy.
+    fn sorted_percentile(xs: &[f64], p: f64) -> f64 {
+        let mut v = xs.to_vec();
+        v.sort_by(|a, b| a.total_cmp(b));
+        if v.len() == 1 {
+            return v[0];
+        }
+        let rank = p / 100.0 * (v.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        v[lo] + (v[hi] - v[lo]) * (rank - lo as f64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn percentile_is_bit_identical_to_the_sorted_reference(
+            picks in prop::collection::vec((0..16usize, -1e3..1e3f64), 1..40),
+            whole_p in 0..101u32,
+            any_p in 0.0..100.0f64,
+            use_whole in prop::bool::ANY,
+        ) {
+            // Specials, repeated freely, so samples hold NaN of both signs,
+            // both zeros, both infinities and duplicates.
+            const SPECIAL: [f64; 8] = [
+                f64::NAN,
+                -f64::NAN,
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.0,
+                f64::MIN_POSITIVE,
+            ];
+            let xs: Vec<f64> = picks
+                .iter()
+                .map(|&(i, x)| SPECIAL.get(i).copied().unwrap_or(x))
+                .collect();
+            let p = if use_whole { f64::from(whole_p) } else { any_p };
+            prop_assert_eq!(
+                percentile(&xs, p).to_bits(),
+                sorted_percentile(&xs, p).to_bits(),
+                "p = {}, xs = {:?}",
+                p,
+                xs
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! CLI's surface is small and the workspace keeps its dependency set
 //! minimal (see DESIGN.md).
 
+use spothost_market::time::SimDuration;
 use std::collections::BTreeMap;
 
 /// One flag of a command: `--name VALUE`, or the switch `--name`.
@@ -145,6 +146,23 @@ impl Args {
         }
     }
 
+    /// A `--key` counting `unit`s of simulated time, such as `--days`:
+    /// zero, or a count whose milliseconds overflow `u64`, is an argument
+    /// error, not an empty or wrapped-around duration.
+    pub fn get_duration(
+        &self,
+        key: &str,
+        default: u64,
+        unit: SimDuration,
+    ) -> Result<SimDuration, String> {
+        let n = self.get_positive(key, default)?;
+        let max = u64::MAX / unit.as_millis();
+        if n > max {
+            return Err(format!("--{key} must be <= {max}, got {n}"));
+        }
+        Ok(SimDuration::millis(n * unit.as_millis()))
+    }
+
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.get(key) {
             None => Ok(default),
@@ -277,6 +295,26 @@ mod tests {
         assert_eq!(
             a.get_positive("days", 7).unwrap_err(),
             "--days must be >= 1"
+        );
+        let day = SimDuration::days(1);
+        let a = parsed(&["--days", "213503982334", "--seed", "213503982335"]);
+        assert_eq!(
+            a.get_duration("days", 1, day).unwrap().as_millis(),
+            213503982334 * 86_400_000
+        );
+        assert_eq!(
+            a.get_duration("seed", 1, day).unwrap_err(),
+            "--seed must be <= 213503982334, got 213503982335"
+        );
+        let a = parsed(&["--days", "0", "--seed", "18446744073709551616"]);
+        assert_eq!(
+            a.get_duration("days", 7, day).unwrap_err(),
+            "--days must be >= 1"
+        );
+        assert!(a.get_duration("seed", 1, day).is_err());
+        assert_eq!(
+            parsed(&[]).get_duration("days", 7, day).unwrap(),
+            SimDuration::days(7)
         );
         let a = parsed(&["--vms", "4294967295", "--units", "4294967296"]);
         assert_eq!(a.get_u32("vms", 1).unwrap(), u32::MAX);

@@ -17,7 +17,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let dir = args
         .get("traces")
         .ok_or("analyze requires --traces DIR (see gen-traces)")?;
-    let sample_mins = args.get_positive("sample-mins", 5)?;
+    let dt = args.get_duration("sample-mins", 5, SimDuration::minutes(1))?;
     let catalog = Catalog::ec2_2015();
     let set =
         read_trace_set(&catalog, Path::new(dir)).map_err(|e| format!("--traces {dir}: {e}"))?;
@@ -50,7 +50,6 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let _ = writeln!(out, "{}", t.render());
 
     // Correlations where we have whole zones.
-    let dt = SimDuration::minutes(sample_mins);
     for zone in Zone::ALL {
         let markets: Vec<MarketId> = MarketId::all_in_zone(zone)
             .into_iter()

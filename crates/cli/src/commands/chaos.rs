@@ -180,8 +180,8 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
         return Err(format!("--seconds must be positive, got {budget_s}"));
     }
     let seed = args.get_u64("seed", 0)?;
-    let days = args.get_positive("days", 7)?;
-    let horizon = SimDuration::days(days);
+    let horizon = args.get_duration("days", 7, SimDuration::days(1))?;
+    let days = horizon.as_days_f64();
 
     let _ = writeln!(
         out,

@@ -90,8 +90,8 @@ fn day_axis(cols: usize, days: f64) -> String {
 pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let max_vms = args.get_u32("vms", 200)?;
     let min_vms = args.get_u32("min-vms", 2)?;
-    let interval_s = args.get_positive("seconds", 300)?;
-    let days = args.get_positive("days", 7)?;
+    let control_interval = args.get_duration("seconds", 300, SimDuration::secs(1))?;
+    let horizon = args.get_duration("days", 7, SimDuration::days(1))?;
     let seed = args.get_u64("seed", 0)?;
     let target_util = args.get_f64("target-util", 0.6)?;
     let storm = args.get_f64("storm-intensity", 0.0)?;
@@ -111,7 +111,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
         },
         min_vms,
         max_vms,
-        control_interval: SimDuration::secs(interval_s),
+        control_interval,
         target_utilization: target_util,
         ..FleetSimConfig::default()
     };
@@ -120,7 +120,6 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     }
     cfg.validate()?;
 
-    let horizon = SimDuration::days(days);
     // With --store, every spawned VM streams its telemetry into the
     // columnar store tagged by spawn index; the sink only observes, so
     // the report is identical to the uninstrumented run (test-pinned in

@@ -17,20 +17,20 @@ pub const FLAGS: &[Flag] = &[
 
 pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let seed = args.get_u64("seed", 0)?;
-    let days = args.get_positive("days", 28)?;
+    let horizon = args.get_duration("days", 28, SimDuration::days(1))?;
     let dir = args.get_or("out", "traces");
     let markets = match args.get("zone") {
         None => MarketId::all(),
         Some(z) => MarketId::all_in_zone(parse_zone(z)?),
     };
     let catalog = Catalog::ec2_2015();
-    let set = TraceSet::generate(&catalog, &markets, seed, SimDuration::days(days));
+    let set = TraceSet::generate(&catalog, &markets, seed, horizon);
     write_trace_set(&set, Path::new(dir)).map_err(|e| format!("--out {dir}: {e}"))?;
     let _ = writeln!(
         out,
         "wrote {} traces ({} days, seed {}) to {}/",
         set.len(),
-        days,
+        horizon.as_days_f64(),
         seed,
         dir
     );

@@ -113,12 +113,12 @@ fn write_worst_outcomes(out: &mut String, run: &JobsRunResult, n: usize) {
 
 pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let policies = parse_policies(args.get_or("policy", "all"))?;
-    let days = args.get_positive("days", 14)?;
+    let horizon = args.get_duration("days", 14, SimDuration::days(1))?;
+    let days = horizon.as_days_f64();
     let seed = args.get_u64("seed", 0)?;
     let outcomes = args.has("outcomes");
     let base = config_from(args)?;
 
-    let horizon = SimDuration::days(days);
     let traces = TraceSet::generate(&Catalog::ec2_2015(), &[base.market], seed, horizon);
     let mut scratch = JobsScratch::new();
 

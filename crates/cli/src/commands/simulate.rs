@@ -256,7 +256,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
             (AggregateReport::of(vec![report]), set.horizon())
         }
         None => {
-            let horizon = SimDuration::days(args.get_positive("days", 60)?);
+            let horizon = args.get_duration("days", 60, SimDuration::days(1))?;
             let seeds = args.get_positive("seeds", 1)?;
             (run_many(&cfg, seed0, seeds, horizon), horizon)
         }

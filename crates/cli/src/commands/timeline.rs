@@ -23,7 +23,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let set = match imported_traces(args)? {
         Some(set) => set,
         None => {
-            let horizon = SimDuration::days(args.get_positive("days", 14)?);
+            let horizon = args.get_duration("days", 14, SimDuration::days(1))?;
             TraceSet::generate(&Catalog::ec2_2015(), &cfg.candidates(), seed, horizon)
         }
     };

@@ -67,6 +67,48 @@ fn zero_days_is_rejected_by_every_command() {
     }
 }
 
+/// A duration flag whose milliseconds overflow `u64` is an argument
+/// error naming the largest accepted value, not a wrapped-around horizon,
+/// control interval or sampling step. (The largest accepted value itself
+/// is not run: it would simulate about 585 million years.)
+#[test]
+fn durations_whose_milliseconds_overflow_are_rejected() {
+    let dir = scratch("overflow");
+    let traces = &gen_traces(&dir.join("traces"));
+    let out_dir = dir.join("out");
+    let out_dir = out_dir.to_str().expect("utf-8 temp dir");
+    let days = "213503982335";
+    for args in [
+        &["simulate", "--days", days][..],
+        &["timeline", "--days", days],
+        &["jobs", "--days", days],
+        &["chaos", "--days", days, "--seconds", "1"],
+        &["gen-traces", "--days", days, "--out", out_dir],
+        &["fleet-sim", "--days", days],
+    ] {
+        assert_rejected(args, "--days must be <= 213503982334, got 213503982335");
+    }
+    assert_rejected(
+        &["fleet-sim", "--seconds", "18446744073709552", "--days", "1"],
+        "--seconds must be <= 18446744073709551, got 18446744073709552",
+    );
+    assert_rejected(
+        &[
+            "analyze",
+            "--traces",
+            traces,
+            "--sample-mins",
+            "307445734561826",
+        ],
+        "--sample-mins must be <= 307445734561825, got 307445734561826",
+    );
+    assert!(
+        !Path::new(out_dir).exists(),
+        "gen-traces wrote before rejecting"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn zero_seeds_is_rejected() {
     assert_rejected(

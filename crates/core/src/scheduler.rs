@@ -31,6 +31,7 @@ use crate::capacity::servers_needed;
 use crate::config::SchedulerConfig;
 use crate::policy::BiddingPolicy;
 use crate::report::RunReport;
+use crate::strategy::MarketScope;
 use spothost_cloudsim::{
     CloudProvider, EventQueue, InstanceId, InstanceState, RequestError, StartupModel,
     TerminationReason,
@@ -48,6 +49,7 @@ use spothost_virt::{
     lazy_restore, plan_migration, plan_migration_live_aborted, standard_restore, MechanismCombo,
     MigrationContext, MigrationKind, MigrationTiming, RestoreOutcome, VirtParams, VmSpec,
 };
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -269,10 +271,43 @@ struct Candidate {
     /// `None` unless the adaptive policy's forecaster produced the bid.
     risk: Option<f64>,
     /// The candidate's zone is inside a storm episode right now. Storming
-    /// candidates carry a full baseline-rate score surcharge and sort
+    /// candidates carry a full baseline-rate score surcharge and rank
     /// after every calm candidate, so recovery prefers markets outside
     /// the storming scope.
     storm: bool,
+}
+
+/// The market ranking, stated once: the cheapest `score` first; in a
+/// multi-market or multi-region scope, a score tie goes to the calmer
+/// candidate by the risk key `risk.unwrap_or(prior) + storm`; any tie
+/// left keeps candidate order. [`SimRun::best_spot`] takes the first of
+/// equal minima and [`SimRun::ranked_spots`] sorts stably, so both keep
+/// that last rule.
+#[derive(Debug, Clone, Copy)]
+struct SpotRank {
+    /// Score ties break by risk. False in a single-market scope, which has
+    /// nothing to reorder: its runs stay bit-identical whether or not a
+    /// forecaster is attached.
+    by_risk: bool,
+    /// The risk charged to a candidate whose forecaster has no estimate.
+    prior: f64,
+}
+
+impl SpotRank {
+    fn cmp(&self, a: &Candidate, b: &Candidate) -> Ordering {
+        let by_score = a.score.total_cmp(&b.score);
+        if !self.by_risk {
+            return by_score;
+        }
+        by_score.then_with(|| self.risk_key(a).total_cmp(&self.risk_key(b)))
+    }
+
+    /// A storming zone is charged a full unit of risk on top of any
+    /// forecast, so among equal scores calm zones rank first. With no
+    /// forecaster attached every calm key is 0.
+    fn risk_key(&self, c: &Candidate) -> f64 {
+        c.risk.unwrap_or(self.prior) + if c.storm { 1.0 } else { 0.0 }
+    }
 }
 
 /// Per-market online forecaster state for the adaptive policy (`None` on
@@ -368,13 +403,17 @@ pub struct SimRun<'t, S: Sink = NullSink> {
     /// trailing week its price spent above its on-demand price. Empty
     /// unless `stability_weight` is positive.
     windows: Vec<TrailingWindow<'t>>,
+    /// The spot candidates of the decision being made. Recycled through
+    /// [`SimScratch`], so a decision allocates nothing.
+    spots: Vec<Candidate>,
     /// Telemetry sink (the default `NullSink` compiles to nothing).
     sink: S,
 }
 
 /// Reusable per-worker scratch state for [`SimRun`]: the event queue's
-/// heap allocation and the adaptive policy's forecaster buffers survive
-/// from one run to the next instead of being reallocated per run.
+/// heap allocation, the adaptive policy's forecaster buffers and the spot
+/// candidate buffer survive from one run to the next instead of being
+/// reallocated per run.
 ///
 /// Determinism contract: a run built with [`SimRun::with_scratch`] on
 /// previously used scratch is bit-identical to one built on
@@ -385,6 +424,7 @@ pub struct SimRun<'t, S: Sink = NullSink> {
 pub struct SimScratch {
     queue: EventQueue<Ev>,
     forecasters: Vec<MarketForecaster>,
+    spots: Vec<Candidate>,
 }
 
 impl SimScratch {
@@ -393,6 +433,7 @@ impl SimScratch {
         SimScratch {
             queue: EventQueue::with_capacity(1024),
             forecasters: Vec::new(),
+            spots: Vec::new(),
         }
     }
 }
@@ -515,8 +556,11 @@ impl<'t> SimRun<'t, NullSink> {
         let SimScratch {
             mut queue,
             mut forecasters,
+            mut spots,
         } = scratch;
         queue.reset();
+        spots.clear();
+        spots.reserve_exact(plan.candidates.len());
         let covered = "the plan checked every candidate's trace";
         let forecast = match cfg.policy {
             BiddingPolicy::Adaptive { risk_budget } => Some(ForecastState {
@@ -571,6 +615,7 @@ impl<'t> SimRun<'t, NullSink> {
             boot_blocked_since: None,
             forecast,
             windows,
+            spots,
             sink: NullSink,
         }
     }
@@ -599,6 +644,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             boot_blocked_since: self.boot_blocked_since,
             forecast: self.forecast,
             windows: self.windows,
+            spots: self.spots,
             sink,
         }
     }
@@ -615,8 +661,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
     }
 
     /// [`SimRun::run`], additionally handing back the run's scratch state
-    /// (event-queue heap, forecaster buffers) for reuse by the caller's
-    /// next [`SimRun::with_scratch`].
+    /// (event-queue heap, forecaster and candidate buffers) for reuse by
+    /// the caller's next [`SimRun::with_scratch`].
     pub fn run_reclaim(mut self) -> (RunReport, SimScratch) {
         self.begin();
         self.step_until(SimTime::MAX);
@@ -740,7 +786,12 @@ impl<'t, S: Sink> SimRun<'t, S> {
             .forecast
             .map(|fs| fs.per_market.into_iter().map(|(_, f)| f).collect())
             .unwrap_or_default();
-        (report, SimScratch { queue, forecasters })
+        let scratch = SimScratch {
+            queue,
+            forecasters,
+            spots: self.spots,
+        };
+        (report, scratch)
     }
 
     /// True while the hosted service is actually up: `Active`, or mid
@@ -1070,14 +1121,14 @@ impl<'t, S: Sink> SimRun<'t, S> {
         }
     }
 
-    /// All spot candidates currently requestable (price at or below the
-    /// policy bid), cheapest score first, optionally excluding the current
-    /// market. The sort is stable, so ties keep forecast-ranked order
-    /// (adaptive: calmer market first) and candidate-list order otherwise.
-    fn ranked_spots(&mut self, exclude: Option<MarketId>) -> Vec<Candidate> {
+    /// Collect into `self.spots`, in candidate order, every spot candidate
+    /// currently requestable (price at or below the policy bid),
+    /// optionally excluding the current market, and return the ranking
+    /// that orders them.
+    fn collect_spots(&mut self, exclude: Option<MarketId>) -> SpotRank {
         self.feed_forecasters();
         let catalog = self.provider.traces().catalog();
-        let mut ranked = Vec::new();
+        self.spots.clear();
         // By index: the stability penalty advances candidate `i`'s window.
         for i in 0..self.plan.candidates.len() {
             let m = self.plan.candidates[i];
@@ -1121,7 +1172,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             let score = rate
                 + self.stability_penalty(i)
                 + if storm { self.plan.baseline_rate } else { 0.0 };
-            ranked.push(Candidate {
+            self.spots.push(Candidate {
                 market: m,
                 bid,
                 score,
@@ -1139,7 +1190,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
         // (warmup, or no forecaster attached) there is nothing to rank
         // against; the prior stays zero and the scoring is bit-identical
         // to the fixed-policy path.
-        let max_measured = ranked
+        let max_measured = self
+            .spots
             .iter()
             .filter_map(|c| c.risk)
             .fold(f64::NAN, f64::max);
@@ -1149,24 +1201,30 @@ impl<'t, S: Sink> SimRun<'t, S> {
             let floor = self.forecast.as_ref().map_or(0.0, |fs| fs.risk_budget);
             max_measured.max(floor)
         };
-        for c in &mut ranked {
+        for c in &mut self.spots {
             c.score += c.risk.unwrap_or(prior) * self.plan.baseline_rate;
         }
-        // Forecast-driven pre-ordering (no-op for single-market scopes
-        // and whenever no forecaster is attached: every key is then 0).
-        // A storming zone is charged a full unit of risk on top of any
-        // forecast, so calm zones always pre-rank ahead of storming ones.
-        self.plan.cfg.scope.rank_by_risk(&mut ranked, |c| {
-            c.risk.unwrap_or(prior) + if c.storm { 1.0 } else { 0.0 }
-        });
-        ranked.sort_by(|a, b| a.score.total_cmp(&b.score));
+        SpotRank {
+            by_risk: !matches!(self.plan.cfg.scope, MarketScope::Single(_)),
+            prior,
+        }
+    }
+
+    /// Every spot candidate currently requestable, best first (see
+    /// [`SpotRank`]), optionally excluding the current market. For the
+    /// callers that look past the first choice; each hands the buffer back
+    /// to `self.spots` when done with it.
+    fn ranked_spots(&mut self, exclude: Option<MarketId>) -> Vec<Candidate> {
+        let rank = self.collect_spots(exclude);
+        let mut ranked = std::mem::take(&mut self.spots);
+        ranked.sort_by(|a, b| rank.cmp(a, b));
         ranked
     }
 
-    /// Cheapest spot candidate currently requestable, optionally excluding
-    /// the current market.
+    /// The first of [`SimRun::ranked_spots`], found without sorting.
     fn best_spot(&mut self, exclude: Option<MarketId>) -> Option<Candidate> {
-        self.ranked_spots(exclude).into_iter().next()
+        let rank = self.collect_spots(exclude);
+        self.spots.iter().min_by(|a, b| rank.cmp(a, b)).copied()
     }
 
     /// Stability-aware penalty on candidate `i` (§8 future work): the
@@ -1328,8 +1386,9 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// Request the cheapest attractive spot market, walking down the
     /// ranking past capacity faults.
     fn try_request_initial_spot(&mut self) -> SpotAttempt {
-        let mut faulted = false;
-        for c in self.ranked_spots(None) {
+        let ranked = self.ranked_spots(None);
+        let mut attempt = SpotAttempt::Unattractive;
+        for c in &ranked {
             if self.plan.cfg.policy.uses_on_demand_fallback() && c.score >= self.plan.baseline_rate
             {
                 break; // ranked: everything further is unattractive too
@@ -1345,20 +1404,18 @@ impl<'t, S: Sink> SimRun<'t, S> {
                             ready_at: ready,
                         }),
                     });
-                    return SpotAttempt::Requested;
+                    attempt = SpotAttempt::Requested;
+                    break;
                 }
                 Err(RequestError::InsufficientCapacity(_)) => {
                     self.acc.request_faults += 1;
-                    faulted = true;
+                    attempt = SpotAttempt::Faulted;
                 }
                 Err(_) => {}
             }
         }
-        if faulted {
-            SpotAttempt::Faulted
-        } else {
-            SpotAttempt::Unattractive
-        }
+        self.spots = ranked;
+        attempt
     }
 
     fn request_initial_od(&mut self) {
@@ -1474,13 +1531,15 @@ impl<'t, S: Sink> SimRun<'t, S> {
         } else {
             // Pure-spot: the cheapest calm-zone market, if any.
             let now = self.now;
-            let calm = self.ranked_spots(Some(lease.market)).into_iter().find(|c| {
+            let ranked = self.ranked_spots(Some(lease.market));
+            let calm = ranked.iter().copied().find(|c| {
                 c.market.zone != zone
                     && self
                         .storms
                         .as_mut()
                         .is_none_or(|s| !s.is_storming(c.market.zone, now))
             });
+            self.spots = ranked;
             match calm {
                 Some(c) => Some(c),
                 None => return, // nowhere to go: ride the storm
@@ -2160,22 +2219,18 @@ impl<'t, S: Sink> SimRun<'t, S> {
             Err(true) => {
                 let first = c.market;
                 let exclude = from.is_spot.then_some(from.market);
-                for cand in self.ranked_spots(exclude) {
-                    if cand.market == first {
-                        continue;
+                let ranked = self.ranked_spots(exclude);
+                // Still require each fallback to beat its zone's on-demand
+                // rate — otherwise staying put (or the caller's on-demand
+                // plan) is the better move.
+                let pending = ranked.iter().find_map(|&cand| {
+                    if cand.market == first || cand.score >= self.od_rate(cand.market.zone) {
+                        return None;
                     }
-                    // Still require each fallback to beat its zone's
-                    // on-demand rate — otherwise staying put (or the
-                    // caller's on-demand plan) is the better move.
-                    if cand.score >= self.od_rate(cand.market.zone) {
-                        continue;
-                    }
-                    match self.try_spot_request(cand) {
-                        Ok(p) => return Some(p),
-                        Err(_) => continue,
-                    }
-                }
-                None
+                    self.try_spot_request(cand).ok()
+                });
+                self.spots = ranked;
+                pending
             }
         }
     }
@@ -2391,13 +2446,10 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// price comparison — while the service is down, any server beats
     /// none.
     fn try_acquire_any_spot(&mut self) -> Option<Pending> {
-        for c in self.ranked_spots(None) {
-            match self.try_spot_request(c) {
-                Ok(p) => return Some(p),
-                Err(_) => continue,
-            }
-        }
-        None
+        let ranked = self.ranked_spots(None);
+        let pending = ranked.iter().find_map(|&c| self.try_spot_request(c).ok());
+        self.spots = ranked;
+        pending
     }
 
     // --- end of run ---------------------------------------------------------
@@ -2481,12 +2533,14 @@ fn compute_lead(vparams: &VirtParams, candidates: &[MarketId]) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::MarketScope;
+    use crate::capacity::SUPPORTED_UNITS;
+    use proptest::prelude::*;
     use spothost_faults::FaultConfig;
     use spothost_market::catalog::Catalog;
     use spothost_market::gen::TraceSet;
     use spothost_market::model::SpotModelParams;
-    use spothost_market::types::{InstanceType, Zone};
+    use spothost_market::trace::{PricePoint, PriceTrace};
+    use spothost_market::types::InstanceType;
     use spothost_virt::MechanismCombo;
 
     fn market() -> MarketId {
@@ -2528,7 +2582,7 @@ mod tests {
         // an unknown market outrank a known, cheap, low-measured-risk
         // one. A cold forecast must be charged a conservative prior (the
         // max measured rival risk, floored at the risk budget) instead.
-        use spothost_market::trace::{PricePoint, PriceTrace, Segment};
+        use spothost_market::trace::Segment;
         let catalog = Catalog::ec2_2015();
         let a = MarketId::new(Zone::UsEast1a, InstanceType::Small);
         let b = MarketId::new(Zone::UsEast1a, InstanceType::Medium);
@@ -2567,6 +2621,207 @@ mod tests {
             ranked[0].market, a,
             "cold market must not beat the cheap low-measured-risk one"
         );
+    }
+
+    /// A candidate for the comparator tests; `bid` tags its position.
+    fn cand(tag: f64, score: f64, risk: Option<f64>, storm: bool) -> Candidate {
+        Candidate {
+            market: market(),
+            bid: tag,
+            score,
+            risk,
+            storm,
+        }
+    }
+
+    #[test]
+    fn ranking_breaks_score_ties_by_risk_in_multi_scopes_only() {
+        let items = [
+            cand(0.0, 1.0, Some(0.3), false),
+            cand(1.0, 1.0, Some(0.1), false),
+            cand(2.0, 1.0, None, false),
+            cand(3.0, 1.0, Some(0.0), true),
+            cand(4.0, 0.5, Some(0.9), true),
+        ];
+        let ranked = |rank: SpotRank| {
+            let mut v = items.to_vec();
+            v.sort_by(|a, b| rank.cmp(a, b));
+            let best = items.iter().min_by(|a, b| rank.cmp(a, b)).map(|c| c.bid);
+            assert_eq!(best, Some(v[0].bid), "best and ranked agree");
+            v.iter().map(|c| c.bid).collect::<Vec<_>>()
+        };
+        let single = SpotRank {
+            by_risk: false,
+            prior: 0.2,
+        };
+        assert_eq!(
+            ranked(single),
+            [4.0, 0.0, 1.0, 2.0, 3.0],
+            "a single scope never reorders by risk"
+        );
+        // The unknown risk reads as the prior; storming adds a unit.
+        let multi = |prior| SpotRank {
+            by_risk: true,
+            prior,
+        };
+        assert_eq!(ranked(multi(0.2)), [4.0, 1.0, 2.0, 0.0, 3.0]);
+        assert_eq!(ranked(multi(0.4)), [4.0, 1.0, 0.0, 2.0, 3.0]);
+        // Equal keys keep candidate order, in the sort and in the argmin.
+        let twins = [
+            cand(0.0, 1.0, None, false),
+            cand(1.0, 1.0, Some(0.2), false),
+        ];
+        for rank in [single, multi(0.2)] {
+            for pair in [twins, [twins[1], twins[0]]] {
+                let best = pair.iter().min_by(|a, b| rank.cmp(a, b));
+                assert_eq!(best.map(|c| c.bid), Some(pair[0].bid));
+            }
+        }
+    }
+
+    /// A candidate's bits, for comparisons that must be exact.
+    fn bits(c: &Candidate) -> (MarketId, u64, u64, Option<u64>, bool) {
+        (
+            c.market,
+            c.bid.to_bits(),
+            c.score.to_bits(),
+            c.risk.map(f64::to_bits),
+            c.storm,
+        )
+    }
+
+    /// The order `ranked_spots` produced before [`SpotRank`]: a stable
+    /// sort by the risk key in multi-market and multi-region scopes, then
+    /// a stable sort by score, with the prior derived as the scheduler
+    /// derives it.
+    fn two_sort_reference(
+        collected: &[Candidate],
+        multi: bool,
+        risk_budget: f64,
+    ) -> Vec<Candidate> {
+        let measured = collected
+            .iter()
+            .filter_map(|c| c.risk)
+            .fold(f64::NAN, f64::max);
+        let prior = if measured.is_nan() {
+            0.0
+        } else {
+            measured.max(risk_budget)
+        };
+        let key = |c: &Candidate| c.risk.unwrap_or(prior) + if c.storm { 1.0 } else { 0.0 };
+        let mut v = collected.to_vec();
+        if multi {
+            v.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        }
+        v.sort_by(|a, b| a.score.total_cmp(&b.score));
+        v
+    }
+
+    /// Piecewise-flat traces whose aggregate rates come from a few
+    /// fractions of the zone's on-demand rate, so candidates' scores often
+    /// tie exactly: each size's server count is a power of two.
+    fn tied_traces(candidates: &[MarketId], units: u32, seed: u64, days: u64) -> TraceSet {
+        let catalog = Catalog::ec2_2015();
+        let horizon = SimDuration::days(days);
+        let end = SimTime::ZERO + horizon;
+        let mut state = seed;
+        let mut draw = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let traces = candidates
+            .iter()
+            .map(|&m| {
+                let od = catalog.on_demand_price(MarketId::new(m.zone, InstanceType::XLarge));
+                let n = f64::from(servers_needed(units, m.itype));
+                let points = (0..days * 4)
+                    .map(|k| PricePoint {
+                        at: SimTime::ZERO + SimDuration::hours(6 * k),
+                        price: [0.125, 0.25, 0.5, 2.0][draw(4) as usize] * od / n,
+                    })
+                    .collect();
+                (m, PriceTrace::new(points, end))
+            })
+            .collect();
+        TraceSet::from_traces(&catalog, traces, horizon)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn best_spot_is_the_first_of_the_two_sort_ranking(
+            scope_kind in 0..3usize,
+            scope_pick in 0..16usize,
+            units_pick in 0..4usize,
+            policy_kind in 0..3usize,
+            storms in prop::bool::ANY,
+            weighted in prop::bool::ANY,
+            tied in prop::bool::ANY,
+            seed in 0..4u64,
+            exclude_pick in 0..20usize,
+            steps in prop::collection::vec(1..40u64, 1..10),
+        ) {
+            let days = 12;
+            let scope = match scope_kind {
+                0 => MarketScope::Single(MarketId::all()[scope_pick]),
+                1 => MarketScope::MultiMarket(Zone::ALL[scope_pick % 4]),
+                // A non-empty zone subset, by bit mask.
+                _ => MarketScope::MultiRegion(
+                    (0..4)
+                        .filter(|b| (scope_pick % 15 + 1) & (1 << b) != 0)
+                        .map(|b| Zone::ALL[b])
+                        .collect(),
+                ),
+            };
+            let multi = scope_kind != 0;
+            let mut c = match &scope {
+                MarketScope::Single(m) => SchedulerConfig::single_market(*m),
+                _ => SchedulerConfig::multi(scope.clone())
+                    .with_capacity_units(SUPPORTED_UNITS[units_pick]),
+            };
+            let risk_budget = 0.05;
+            c = c.with_policy(match policy_kind {
+                0 => BiddingPolicy::Reactive,
+                1 => BiddingPolicy::proactive_default(),
+                _ => BiddingPolicy::Adaptive { risk_budget },
+            });
+            if storms {
+                c = c.with_storms(spothost_faults::StormConfig::intensity(0.8));
+            }
+            if weighted {
+                c = c.with_stability_weight(0.5);
+            }
+            let candidates = c.candidates();
+            let ts = if tied {
+                tied_traces(&candidates, c.capacity_units, seed, days)
+            } else {
+                TraceSet::generate(&Catalog::ec2_2015(), &candidates, seed, SimDuration::days(days))
+            };
+            let budget = if policy_kind == 2 { risk_budget } else { 0.0 };
+            let exclude = candidates.get(exclude_pick).copied();
+            let mut run = SimRun::new(&ts, &c, seed);
+            run.begin();
+            let mut t = SimTime::ZERO;
+            for h in steps {
+                t += SimDuration::hours(h);
+                if !run.step_until(t) {
+                    break;
+                }
+                for ex in [None, exclude] {
+                    run.collect_spots(ex);
+                    let reference = two_sort_reference(&run.spots, multi, budget);
+                    let ranked = run.ranked_spots(ex);
+                    let best = run.best_spot(ex);
+                    prop_assert_eq!(
+                        ranked.iter().map(bits).collect::<Vec<_>>(),
+                        reference.iter().map(bits).collect::<Vec<_>>()
+                    );
+                    prop_assert_eq!(best.as_ref().map(bits), ranked.first().map(bits));
+                }
+            }
+        }
     }
 
     #[test]

@@ -70,19 +70,6 @@ impl MarketScope {
         out
     }
 
-    /// Forecast-driven ordering hook for multi-market and multi-region
-    /// scopes: stable-sort `items` by ascending `risk` so that when the
-    /// scheduler's cost-based ranking ties, the *calmer* market wins.
-    /// Single-market scopes have nothing to reorder, so this is a no-op
-    /// there — keeping single-market runs bit-identical whether or not a
-    /// forecaster is attached.
-    pub fn rank_by_risk<T>(&self, items: &mut [T], mut risk: impl FnMut(&T) -> f64) {
-        if matches!(self, MarketScope::Single(_)) {
-            return;
-        }
-        items.sort_by(|a, b| risk(a).total_cmp(&risk(b)));
-    }
-
     /// The on-demand fallback market when the service currently sits in
     /// `zone`: one exact-fit server in the same zone (forced migrations are
     /// always local — the two-minute warning leaves no room for a WAN
@@ -177,17 +164,6 @@ mod tests {
         fwd.validate().unwrap();
         rev.validate().unwrap();
         assert!(MarketScope::MultiRegion(vec![]).validate().is_err());
-    }
-
-    #[test]
-    fn rank_by_risk_orders_multi_scopes_only() {
-        let mut items = vec![("a", 0.3), ("b", 0.1), ("c", 0.2)];
-        MarketScope::Single(MarketId::new(Zone::UsEast1a, InstanceType::Small))
-            .rank_by_risk(&mut items, |x| x.1);
-        assert_eq!(items[0].0, "a", "single scope must not reorder");
-        MarketScope::MultiMarket(Zone::UsEast1a).rank_by_risk(&mut items, |x| x.1);
-        let names: Vec<&str> = items.iter().map(|x| x.0).collect();
-        assert_eq!(names, ["b", "c", "a"]);
     }
 
     #[test]

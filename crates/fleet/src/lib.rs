@@ -15,5 +15,6 @@
 pub mod sim;
 
 pub use sim::{
-    run_fleet_sim, run_fleet_sim_with, FleetSample, FleetSim, FleetSimConfig, FleetSimReport,
+    run_fleet_sim, run_fleet_sim_with, FleetError, FleetSample, FleetSim, FleetSimConfig,
+    FleetSimReport,
 };

@@ -37,7 +37,7 @@
 use spothost_core::config::SchedulerConfig;
 use spothost_core::policy::BiddingPolicy;
 use spothost_core::report::RunReport;
-use spothost_core::scheduler::{RunPlan, SimRun, SimScratch};
+use spothost_core::scheduler::{PlanError, RunPlan, SimRun, SimScratch};
 use spothost_core::strategy::MarketScope;
 use spothost_core::telemetry::{NullSinkFactory, Sink, SinkFactory};
 use spothost_faults::StormConfig;
@@ -50,6 +50,7 @@ use spothost_workload::mva::{capacity_at_utilization, MvaTable};
 use spothost_workload::tpcw::{tpcw_network, NestedPenalties, Platform, TpcwConfig};
 use spothost_workload::traffic::{TrafficConfig, TrafficModel};
 use spothost_workload::ClosedNetwork;
+use std::fmt;
 use std::sync::Arc;
 
 /// Capacity units of each VM: one small server.
@@ -345,6 +346,27 @@ impl<S: Sink> VmSlot<'_, S> {
     }
 }
 
+/// Why a [`FleetSim`] cannot be built for a configuration and trace set.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FleetError {
+    /// [`FleetSimConfig::validate`] rejected the configuration.
+    InvalidConfig(String),
+    /// The per-VM run plan could not be built: the trace set misses a
+    /// market in scope.
+    Plan(PlanError),
+}
+
+impl fmt::Display for FleetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetError::InvalidConfig(e) => write!(f, "invalid fleet sim config: {e}"),
+            FleetError::Plan(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {}
+
 /// The fleet simulator. Borrows a caller-owned [`TraceSet`] so every VM
 /// shares the arena-backed market history; use [`run_fleet_sim`] for the
 /// generate-and-run convenience path.
@@ -393,8 +415,9 @@ pub struct FleetSim<'t, F: SinkFactory = NullSinkFactory> {
 // unchanged (mirroring `SimRun::new`).
 impl<'t> FleetSim<'t> {
     /// Build the fleet over a trace set covering every market in scope.
-    /// Panics on an invalid config (validate first for a soft error) or
-    /// on a trace set that misses a market in scope.
+    /// Panics on an invalid config or on a trace set that misses a market
+    /// in scope; [`FleetSim::try_with_sinks`] returns both as a
+    /// [`FleetError`] instead.
     pub fn new(cfg: FleetSimConfig, traces: &'t TraceSet, seed: u64) -> Self {
         FleetSim::with_sinks(cfg, traces, seed, NullSinkFactory)
     }
@@ -406,22 +429,29 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
     /// so the factory can tag each stream with the VM it came from.
     /// Panics like [`FleetSim::new`].
     pub fn with_sinks(cfg: FleetSimConfig, traces: &'t TraceSet, seed: u64, sinks: F) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid fleet sim config: {e}");
-        }
+        Self::try_with_sinks(cfg, traces, seed, sinks).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FleetSim::with_sinks`], returning a [`FleetError`] for an invalid
+    /// configuration or a trace set that misses a market in scope.
+    pub fn try_with_sinks(
+        cfg: FleetSimConfig,
+        traces: &'t TraceSet,
+        seed: u64,
+        sinks: F,
+    ) -> Result<Self, FleetError> {
+        cfg.validate().map_err(FleetError::InvalidConfig)?;
         let horizon = SimTime::ZERO + traces.horizon();
         let traffic = TrafficModel::new(cfg.traffic.clone(), seed, traces.horizon());
         let per_vm_cap = capacity_at_utilization(&cfg.per_vm_network, cfg.target_utilization);
-        let plan = match RunPlan::new(traces, &cfg.scheduler_config(traces, seed)) {
-            Ok(plan) => Arc::new(plan),
-            Err(e) => panic!("{e}"),
-        };
+        let plan =
+            RunPlan::new(traces, &cfg.scheduler_config(traces, seed)).map_err(FleetError::Plan)?;
         let mva = MvaTable::new(&cfg.per_vm_network);
         let baseline_rate = cfg.scope().baseline_rate(traces.catalog(), VM_UNITS);
-        FleetSim {
+        Ok(FleetSim {
             cfg,
             sinks,
-            plan,
+            plan: Arc::new(plan),
             mva,
             traffic,
             seed,
@@ -445,7 +475,7 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             utilization_seconds: 0.0,
             worst_p99_s: 0.0,
             peak_desired: 0,
-        }
+        })
     }
 
     /// Run the whole simulation and report.
@@ -702,6 +732,71 @@ mod tests {
             },
             ..FleetSimConfig::default()
         }
+    }
+
+    /// A day of price history for us-east-1a's markets only.
+    fn east_traces() -> TraceSet {
+        let markets = spothost_market::types::MarketId::all_in_zone(Zone::UsEast1a);
+        TraceSet::generate(&Catalog::ec2_2015(), &markets, 1, SimDuration::days(1))
+    }
+
+    /// `small_cfg` over us-east-1a and eu-west-1a: `east_traces` lacks
+    /// eu-west-1a's small market.
+    fn two_zone_cfg() -> FleetSimConfig {
+        FleetSimConfig {
+            zones: vec![Zone::UsEast1a, Zone::EuWest1a],
+            ..small_cfg()
+        }
+    }
+
+    #[test]
+    fn invalid_configs_and_missing_markets_are_typed_errors() {
+        let traces = east_traces();
+        let build =
+            |cfg: FleetSimConfig| FleetSim::try_with_sinks(cfg, &traces, 1, NullSinkFactory).err();
+        let err = build(FleetSimConfig {
+            min_vms: 0,
+            ..small_cfg()
+        })
+        .expect("min_vms 0 is invalid");
+        assert_eq!(
+            err,
+            FleetError::InvalidConfig("min_vms must be >= 1".into())
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid fleet sim config: min_vms must be >= 1"
+        );
+        let err = build(two_zone_cfg()).expect("eu-west-1a has no trace");
+        let missing = spothost_market::types::MarketId::new(
+            Zone::EuWest1a,
+            spothost_market::types::InstanceType::Small,
+        );
+        assert_eq!(err, FleetError::Plan(PlanError::MissingTrace(missing)));
+        assert_eq!(
+            err.to_string(),
+            "trace set missing candidate market eu-west-1a/small"
+        );
+        assert!(
+            build(small_cfg()).is_none(),
+            "a covered, valid fleet builds"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fleet sim config: min_vms must be >= 1")]
+    fn new_panics_on_an_invalid_config_as_before() {
+        let cfg = FleetSimConfig {
+            min_vms: 0,
+            ..small_cfg()
+        };
+        FleetSim::new(cfg, &east_traces(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace set missing candidate market eu-west-1a/small")]
+    fn with_sinks_panics_on_a_missing_market_as_before() {
+        FleetSim::with_sinks(two_zone_cfg(), &east_traces(), 1, NullSinkFactory);
     }
 
     #[test]
