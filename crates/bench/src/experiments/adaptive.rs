@@ -7,10 +7,11 @@
 //!    (cheapest ladder bid whose predicted hourly revocation probability
 //!    clears a risk budget) match the cost of the best fixed multiple
 //!    while staying inside the four-nines availability budget?
-//! 2. Are the online quantile forecasts behind that decision actually
-//!    calibrated? A walk-forward backtest (train on a prefix, score the
-//!    suffix, reveal history only after scoring) reports pinball loss
-//!    and empirical coverage per quantile level.
+//! 2. Do online window quantiles of the same price history calibrate?
+//!    A walk-forward backtest (train on a prefix, score the suffix,
+//!    reveal history only after scoring) reports pinball loss and
+//!    empirical coverage per quantile level. The bid decision itself
+//!    reads the excursion model, not these quantiles.
 //!
 //! All policies for a given size share the same generated traces
 //! (`run_grid` pairs them per seed), so cost deltas are paired
@@ -43,7 +44,7 @@ pub struct AdaptiveCell {
     pub agg: AggregateReport,
 }
 
-/// Walk-forward calibration of the forecaster on one market's trace.
+/// Walk-forward calibration of the window quantile on one market's trace.
 #[derive(Debug, Clone)]
 pub struct Calibration {
     pub size: InstanceType,

@@ -71,7 +71,11 @@ pub fn run(settings: &ExpSettings) -> Fig8 {
                 multi_cost_pct: multi[0].normalized_cost_pct(),
                 avg_single_unavail_pct: avg_unavail,
                 multi_unavail_pct: multi[0].unavailability_pct(),
-                intra_zone_correlation: stats::avg_intra_zone_correlation(&set, zone),
+                intra_zone_correlation: stats::avg_intra_zone_correlation(
+                    &set,
+                    zone,
+                    stats::CORRELATION_GRID,
+                ),
             }
         })
         .collect();

@@ -21,6 +21,17 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
     let catalog = Catalog::ec2_2015();
     let set =
         read_trace_set(&catalog, Path::new(dir)).map_err(|e| format!("--traces {dir}: {e}"))?;
+    // A Pearson correlation of two samples is ±1 by construction, and of
+    // one is no number at all: the step must fit twice into the horizon.
+    let minute = SimDuration::minutes(1).as_millis();
+    let max_step = set.horizon().as_millis().saturating_sub(1) / (2 * minute);
+    let step = dt.as_millis() / minute;
+    if step > max_step {
+        return Err(format!(
+            "--sample-mins must be <= {max_step} to take three samples of the {:.1}-day horizon, got {step}",
+            set.horizon().as_days_f64()
+        ));
+    }
 
     let _ = writeln!(
         out,
@@ -59,7 +70,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), String> {
             let _ = writeln!(
                 out,
                 "avg intra-zone correlation {zone}: {:.3}",
-                avg_intra_zone_correlation(&set, zone)
+                avg_intra_zone_correlation(&set, zone, dt)
             );
         }
     }

@@ -54,11 +54,12 @@ fn trial_cfg(state: &mut u64) -> SchedulerConfig {
         1 => MarketScope::MultiMarket(Zone::UsEast1a),
         _ => MarketScope::MultiRegion(vec![Zone::UsEast1a, Zone::UsWest1a]),
     };
-    let policy = match splitmix64(state) % 4 {
+    let policy = match splitmix64(state) % 5 {
         0 => BiddingPolicy::OnDemandOnly,
         1 => BiddingPolicy::PureSpot,
         2 => BiddingPolicy::Reactive,
-        _ => BiddingPolicy::proactive_default(),
+        3 => BiddingPolicy::proactive_default(),
+        _ => BiddingPolicy::adaptive_default(),
     };
     let mechanism = MechanismCombo::ALL[(splitmix64(state) % 4) as usize];
     // Weight the endpoints: zero intensity must be a perfect no-op and

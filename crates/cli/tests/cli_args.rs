@@ -144,6 +144,40 @@ fn zero_sampling_step_and_bucket_count_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `analyze --sample-mins` samples every correlation it prints at the
+/// step, and a step that leaves fewer than three samples in the horizon
+/// (where a Pearson correlation is ±1 or 0 by construction) is an
+/// argument error naming the largest step that leaves three.
+#[test]
+fn sampling_step_must_leave_three_samples() {
+    let dir = scratch("sample-step");
+    let traces = &gen_traces(&dir);
+    for step in ["1440", "2879", "2880", "3000"] {
+        assert_rejected(
+            &["analyze", "--traces", traces, "--sample-mins", step],
+            &format!(
+                "--sample-mins must be <= 1439 to take three samples of the 2.0-day horizon, got {step}"
+            ),
+        );
+    }
+    let correlations = |step: &str| {
+        let out = cli(&["analyze", "--traces", traces, "--sample-mins", step]);
+        assert!(out.status.success(), "--sample-mins {step} failed");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        let lines: Vec<String> = stdout
+            .lines()
+            .filter(|l| l.contains("correlation"))
+            .map(str::to_string)
+            .collect();
+        assert_eq!(lines.len(), 2, "{stdout}");
+        lines
+    };
+    let (fine, coarse) = (correlations("5"), correlations("1439"));
+    assert_ne!(fine[0], coarse[0], "the zone average ignores the step");
+    assert_ne!(fine[1], coarse[1], "the pairwise line ignores the step");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A count held in a `u32` must not wrap: 2^32 + 1 workers is an
 /// argument error, not a run with one worker.
 #[test]

@@ -1138,7 +1138,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             let pon = catalog.on_demand_price(m);
             // Adaptive: per-market forecast decision (cheapest ladder bid
             // within the risk budget). Other policies: the fixed rule.
-            let (bid, risk) = match &self.forecast {
+            let (bid, risk) = match &mut self.forecast {
                 Some(fs) => {
                     let d = fs.per_market[i]
                         .1

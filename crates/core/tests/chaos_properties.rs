@@ -81,6 +81,7 @@ fn arb_policy() -> impl Strategy<Value = BiddingPolicy> {
         Just(BiddingPolicy::PureSpot),
         Just(BiddingPolicy::Reactive),
         Just(BiddingPolicy::proactive_default()),
+        Just(BiddingPolicy::adaptive_default()),
     ]
 }
 

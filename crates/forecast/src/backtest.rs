@@ -1,19 +1,21 @@
-//! Walk-forward backtest: how well do the online quantile forecasts
-//! actually calibrate on a price trace?
+//! Walk-forward backtest: how well do online window quantiles calibrate
+//! on a price trace?
 //!
-//! The harness replays a trace the way the scheduler would see it: feed
-//! the forecaster the training prefix, then march an evaluation grid
-//! across the suffix — at each grid point predict the price quantiles,
-//! score them against the price realized one step later, and only then
-//! reveal that step's history to the model. No future data ever reaches
-//! an estimator before it is scored against it.
+//! The harness feeds a [`WindowQuantile`] the way an online consumer
+//! would see the trace: feed the training prefix, then march an
+//! evaluation grid across the suffix — at each grid point predict the
+//! price quantiles, score them against the price realized one step later,
+//! and only then reveal that step's history to the estimator. No future
+//! data ever reaches it before it is scored against it. No bid decision
+//! reads a quantile: the adaptive bid rule reads the excursion model, so
+//! this estimator lives here, fed only by the backtest.
 //!
 //! Scoring follows standard quantile-forecast practice: pinball loss
 //! (the proper scoring rule for quantiles) plus empirical coverage (a
 //! `q`-quantile forecast should cover the target a `q` fraction of the
 //! time when calibrated).
 
-use crate::forecaster::{ForecastParams, MarketForecaster};
+use crate::quantile::WindowQuantile;
 use spothost_analysis::{empirical_coverage, mean, pinball_loss};
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::trace::PriceTrace;
@@ -21,9 +23,11 @@ use spothost_market::trace::PriceTrace;
 /// Walk-forward evaluation settings.
 #[derive(Debug, Clone)]
 pub struct BacktestParams {
-    /// Forecaster configuration under test.
-    pub forecast: ForecastParams,
-    /// Trace prefix fed to the model before any scoring.
+    /// Trailing window of the quantile estimator under test.
+    pub quantile_window: SimDuration,
+    /// Hard cap on the runs the estimator stores.
+    pub max_runs: usize,
+    /// Trace prefix fed to the estimator before any scoring.
     pub train: SimDuration,
     /// Evaluation grid spacing; also the prediction horizon (predict at
     /// `t`, score against the price at `t + step`).
@@ -35,7 +39,8 @@ pub struct BacktestParams {
 impl Default for BacktestParams {
     fn default() -> Self {
         BacktestParams {
-            forecast: ForecastParams::default(),
+            quantile_window: SimDuration::days(2),
+            max_runs: 4096,
             train: SimDuration::days(3),
             step: SimDuration::hours(1),
             quantiles: vec![0.5, 0.9, 0.99],
@@ -74,12 +79,12 @@ impl BacktestReport {
     }
 }
 
-/// Run a walk-forward backtest of the quantile forecaster over `trace`.
+/// Run a walk-forward backtest of the window quantile over `trace`.
 ///
 /// Returns `None` when the trace is too short to score even one grid
 /// point after the training prefix.
 pub fn walk_forward(trace: &PriceTrace, params: &BacktestParams) -> Option<BacktestReport> {
-    let mut model = MarketForecaster::new(params.forecast);
+    let mut model = WindowQuantile::new(params.quantile_window, params.max_runs);
     let train_end = SimTime::ZERO + params.train;
     if train_end + params.step > trace.end() {
         return None;

@@ -1,5 +1,4 @@
-//! Per-market forecaster: the estimators bundled together, plus the
-//! adaptive bid rule.
+//! Per-market forecaster: the excursion model plus the adaptive bid rule.
 //!
 //! A [`MarketForecaster`] is fed the market's price history incrementally
 //! (each segment exactly once, in order) and answers the scheduler's
@@ -12,9 +11,7 @@
 //! fallback doesn't eat the savings. Hence a small risk budget and a
 //! conservative fallback to the cap whenever the model lacks data.
 
-use crate::ewma::Ewma;
 use crate::excursion::ExcursionModel;
-use crate::quantile::WindowQuantile;
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::trace::Segment;
 
@@ -23,10 +20,6 @@ use spothost_market::trace::Segment;
 /// price dynamics).
 #[derive(Debug, Clone, Copy)]
 pub struct ForecastParams {
-    /// Half-life of the EWMA mean/variance estimate.
-    pub ewma_half_life: SimDuration,
-    /// Trailing window for the quantile estimator.
-    pub quantile_window: SimDuration,
     /// Trailing window for the excursion-frequency model.
     pub excursion_window: SimDuration,
     /// Excursion lookahead — "within the next hour" per the bid question.
@@ -40,15 +33,13 @@ pub struct ForecastParams {
     /// migration — the excursion frequency alone cannot see it coming,
     /// so the margin buys tail room the history cannot testify to.
     pub tail_margin: f64,
-    /// Hard cap on stored runs per estimator.
+    /// Hard cap on the runs the excursion model stores.
     pub max_runs: usize,
 }
 
 impl Default for ForecastParams {
     fn default() -> Self {
         ForecastParams {
-            ewma_half_life: SimDuration::hours(12),
-            quantile_window: SimDuration::days(2),
             excursion_window: SimDuration::days(3),
             lookahead: SimDuration::hours(1),
             warmup: SimDuration::days(1),
@@ -78,58 +69,41 @@ pub const BID_LADDER: [f64; 7] = [1.1, 1.3, 1.6, 2.0, 2.5, 3.0, 4.0];
 #[derive(Debug, Clone)]
 pub struct MarketForecaster {
     params: ForecastParams,
-    ewma: Ewma,
-    quantile: WindowQuantile,
     excursion: ExcursionModel,
-    /// How far the price history has been fed, so callers can request
-    /// exactly the missing `[fed_to, now)` span next time.
-    fed_to: SimTime,
 }
 
 impl MarketForecaster {
     pub fn new(params: ForecastParams) -> Self {
         MarketForecaster {
-            ewma: Ewma::new(params.ewma_half_life),
-            quantile: WindowQuantile::new(params.quantile_window, params.max_runs),
             excursion: ExcursionModel::new(
                 params.excursion_window,
                 params.lookahead,
                 params.max_runs,
             ),
             params,
-            fed_to: SimTime::ZERO,
         }
     }
 
     /// Reinitialise in place to the state of `MarketForecaster::new(params)`,
-    /// keeping the estimators' grown buffers. A reset forecaster answers
+    /// keeping the model's grown buffers. A reset forecaster answers
     /// every query bit-identically to a fresh one, which is what lets
     /// sweep workers reuse forecaster scratch across simulation runs.
     pub fn reset(&mut self, params: ForecastParams) {
-        self.ewma.reset(params.ewma_half_life);
-        self.quantile.reset(params.quantile_window, params.max_runs);
         self.excursion
             .reset(params.excursion_window, params.lookahead, params.max_runs);
         self.params = params;
-        self.fed_to = SimTime::ZERO;
     }
 
-    /// Fold one constant-price segment into every estimator. Segments
-    /// must arrive in time order and must not overlap previously fed
-    /// history (each observation counts once).
+    /// Fold one constant-price segment into the model. Segments must
+    /// arrive in time order and must not overlap previously fed history
+    /// (each observation counts once).
     pub fn feed(&mut self, seg: Segment) {
-        if seg.end <= seg.start {
-            return;
-        }
-        self.ewma.feed(seg);
-        self.quantile.feed(seg);
         self.excursion.feed(seg);
-        self.fed_to = self.fed_to.max(seg.end);
     }
 
     /// End of the fed history; the caller owes the span `[fed_to, now)`.
     pub fn fed_to(&self) -> SimTime {
-        self.fed_to
+        self.excursion.frontier()
     }
 
     pub fn params(&self) -> &ForecastParams {
@@ -141,23 +115,8 @@ impl MarketForecaster {
         self.excursion.observed() >= self.params.warmup
     }
 
-    /// Time-decayed mean price; `None` before the first segment.
-    pub fn mean(&self) -> Option<f64> {
-        self.ewma.mean()
-    }
-
-    /// Time-decayed price standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.ewma.std_dev()
-    }
-
-    /// Duration-weighted price quantile over the trailing window.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.quantile.quantile(q)
-    }
-
     /// Estimated P(price > bid within the next lookahead).
-    pub fn prob_above(&self, bid: f64) -> f64 {
+    pub fn prob_above(&mut self, bid: f64) -> f64 {
         self.excursion.prob_above(bid)
     }
 
@@ -167,7 +126,12 @@ impl MarketForecaster {
     /// clamped to `max_bid`; the cap itself is the last resort. Until the
     /// model is warmed up, bids the cap outright (matching the paper's
     /// fixed policy) and reports no risk estimate.
-    pub fn decide_bid(&self, on_demand_price: f64, max_bid: f64, risk_budget: f64) -> BidDecision {
+    pub fn decide_bid(
+        &mut self,
+        on_demand_price: f64,
+        max_bid: f64,
+        risk_budget: f64,
+    ) -> BidDecision {
         if !self.warmed_up() {
             return BidDecision {
                 bid: max_bid,
@@ -224,7 +188,7 @@ mod tests {
 
     #[test]
     fn cold_model_bids_the_cap() {
-        let f = MarketForecaster::new(ForecastParams::default());
+        let mut f = MarketForecaster::new(ForecastParams::default());
         let d = f.decide_bid(1.0, 4.0, 0.01);
         assert_eq!(d.bid, 4.0);
         assert_eq!(d.predicted_risk, None);
@@ -232,7 +196,7 @@ mod tests {
 
     #[test]
     fn calm_market_gets_the_cheapest_ladder_bid() {
-        let f = warmed_calm();
+        let mut f = warmed_calm();
         assert!(f.warmed_up());
         let d = f.decide_bid(1.0, 4.0, 0.01);
         assert_eq!(d.bid, 1.1);
@@ -261,7 +225,7 @@ mod tests {
         // With the margin disabled, the excursion frequency alone
         // decides: 1.6 clears the spikes, and a generous budget even
         // tolerates the frequently-exceeded cheapest rung.
-        let flat = spiky(ForecastParams {
+        let mut flat = spiky(ForecastParams {
             tail_margin: 0.0,
             ..ForecastParams::default()
         });
@@ -295,12 +259,14 @@ mod tests {
     #[test]
     fn reset_matches_fresh_bit_for_bit() {
         let mut reused = MarketForecaster::new(ForecastParams::default());
-        // Dirty it with an arbitrary history, then reset.
+        // Dirty it with an arbitrary history and tracked bids, then reset.
         let mut t = 0u64;
         while t < 3 * 24 * 3600 {
             reused.feed(seg(t, t + 3600, 0.2 + (t % 7) as f64 * 0.1));
             t += 3600;
         }
+        reused.decide_bid(1.0, 4.0, 0.01);
+        reused.prob_above(0.4);
         reused.reset(ForecastParams::default());
         let mut fresh = MarketForecaster::new(ForecastParams::default());
         assert_eq!(reused.fed_to(), fresh.fed_to());
@@ -313,9 +279,6 @@ mod tests {
             fresh.feed(s);
             t += 1800;
         }
-        assert_eq!(reused.mean(), fresh.mean());
-        assert_eq!(reused.std_dev(), fresh.std_dev());
-        assert_eq!(reused.quantile(0.9), fresh.quantile(0.9));
         for bid in [0.1, 0.4, 0.9, 1.3] {
             assert_eq!(
                 reused.prob_above(bid).to_bits(),
@@ -331,7 +294,7 @@ mod tests {
 
     #[test]
     fn decide_is_deterministic() {
-        let (a, b) = (warmed_calm(), warmed_calm());
+        let (mut a, mut b) = (warmed_calm(), warmed_calm());
         assert_eq!(a.decide_bid(1.0, 4.0, 0.01), b.decide_bid(1.0, 4.0, 0.01));
     }
 }

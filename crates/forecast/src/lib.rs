@@ -6,22 +6,22 @@
 //! February-2015 traces by hand (§3.1, footnote 1) and ranks candidate
 //! markets by current price alone. This crate learns per-market price
 //! dynamics *online* — from exactly the piecewise-constant price history a
-//! real scheduler could observe — and feeds the scheduler:
+//! real scheduler could observe:
 //!
-//! * [`Ewma`] — a time-decayed mean/variance of the price,
-//! * [`WindowQuantile`] — a bounded sliding-window, duration-weighted
-//!   quantile estimator,
 //! * [`ExcursionModel`] — an excursion-frequency estimate of
-//!   P(price > b within the next lookahead) for a candidate bid b,
-//!
-//! combined per market by [`MarketForecaster`], which also implements the
-//! adaptive bid rule ([`MarketForecaster::decide_bid`]): the *cheapest*
-//! ladder bid whose predicted revocation probability clears a configured
-//! risk budget, clamped to the provider cap.
+//!   P(price > b within the next lookahead) for a candidate bid b, and
+//!   the window's highest price. It is the one estimator the bid rule
+//!   reads, and it keeps each asked bid's answer current as history is
+//!   fed (the update rule is in its module docs);
+//! * [`MarketForecaster`] — that model fed per market, plus the adaptive
+//!   bid rule ([`MarketForecaster::decide_bid`]): the *cheapest* ladder
+//!   bid whose predicted revocation probability clears a configured risk
+//!   budget, clamped to the provider cap.
 //!
 //! [`backtest`] is a walk-forward evaluation harness (train on a trace
 //! prefix, score on the suffix) reporting pinball loss and empirical
-//! coverage for quantile calibration; `spothost-bench`'s `adaptive`
+//! coverage of a [`WindowQuantile`], a duration-weighted sliding-window
+//! quantile that only the backtest feeds; `spothost-bench`'s `adaptive`
 //! experiment renders its summary.
 //!
 //! Everything here is deterministic: estimators are pure functions of the
@@ -33,13 +33,11 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod backtest;
-pub mod ewma;
 pub mod excursion;
 pub mod forecaster;
 pub mod quantile;
 
 pub use backtest::{walk_forward, BacktestParams, BacktestReport, QuantileScore};
-pub use ewma::Ewma;
 pub use excursion::ExcursionModel;
 pub use forecaster::{BidDecision, ForecastParams, MarketForecaster};
 pub use quantile::WindowQuantile;

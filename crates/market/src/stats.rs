@@ -46,9 +46,10 @@ pub fn trace_correlation(a: &PriceTrace, b: &PriceTrace, dt: SimDuration) -> f64
 /// generator's grid so no information is aliased away.
 pub const CORRELATION_GRID: SimDuration = SimDuration(5 * 60 * 1000);
 
-/// Average pairwise correlation among the markets of one zone
-/// (Figure 8(b)). Requires every size market of the zone in the set.
-pub fn avg_intra_zone_correlation(set: &TraceSet, zone: Zone) -> f64 {
+/// Average pairwise correlation among the markets of one zone that the
+/// set holds, each pair sampled every `dt` (Figure 8(b) uses
+/// [`CORRELATION_GRID`]).
+pub fn avg_intra_zone_correlation(set: &TraceSet, zone: Zone, dt: SimDuration) -> f64 {
     let markets: Vec<MarketId> = MarketId::all_in_zone(zone)
         .into_iter()
         .filter(|&m| set.trace(m).is_some())
@@ -60,7 +61,7 @@ pub fn avg_intra_zone_correlation(set: &TraceSet, zone: Zone) -> f64 {
             acc += trace_correlation(
                 set.trace(a).expect("filtered to present markets"),
                 set.trace(b).expect("filtered to present markets"),
-                CORRELATION_GRID,
+                dt,
             );
             n += 1;
         }
@@ -149,7 +150,7 @@ mod tests {
         // paper's Figures 8(b) and 9(b).
         let c = Catalog::ec2_2015();
         let set = TraceSet::generate(&c, &MarketId::all(), 31, SimDuration::days(45));
-        let intra = avg_intra_zone_correlation(&set, Zone::UsEast1a);
+        let intra = avg_intra_zone_correlation(&set, Zone::UsEast1a, CORRELATION_GRID);
         let cross = avg_cross_zone_correlation(&set, Zone::UsEast1a, Zone::EuWest1a);
         assert!(intra > cross, "intra {intra} <= cross {cross}");
         assert!(intra < 0.7, "intra-zone correlation too strong: {intra}");

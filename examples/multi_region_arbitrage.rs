@@ -23,7 +23,7 @@ fn main() {
         println!(
             "  intra-zone correlation {:<12} {:>6.3}",
             zone.name(),
-            stats::avg_intra_zone_correlation(&set, zone)
+            stats::avg_intra_zone_correlation(&set, zone, stats::CORRELATION_GRID)
         );
     }
     println!(
