@@ -54,19 +54,23 @@ fn build_predicate(args: &Args) -> Result<Predicate, String> {
     let mut pred = Predicate::any();
     let from_h = args.get_f64("from-h", 0.0)?;
     let to_h = args.get_f64("to-h", f64::INFINITY)?;
-    // `--to-h inf` is the open end; NaN fails every comparison, so it is
-    // rejected by name rather than slipping through as "no bound".
-    if !from_h.is_finite() || from_h < 0.0 || to_h.is_nan() || to_h < from_h {
+    let ms = |h: f64| (h * 3_600_000.0) as u64;
+    // The window is half-open, [from, to): an event at exactly hour H
+    // falls in the window that starts at H, so adjacent windows split a
+    // store. `--to-h inf` is the open end. NaN fails every comparison,
+    // so it is rejected by name rather than slipping through as "no
+    // bound", and so is a window without a millisecond in it.
+    let empty = to_h.is_finite() && ms(to_h) <= ms(from_h);
+    if !from_h.is_finite() || from_h < 0.0 || to_h.is_nan() || to_h < from_h || empty {
         return Err(format!("bad time range: --from-h {from_h} --to-h {to_h}"));
     }
     if from_h > 0.0 || to_h.is_finite() {
-        let from = SimTime::millis((from_h * 3_600_000.0) as u64);
         let to = if to_h.is_finite() {
-            SimTime::millis((to_h * 3_600_000.0) as u64)
+            SimTime::millis(ms(to_h) - 1)
         } else {
             SimTime::MAX
         };
-        pred = pred.with_time_range(from, to);
+        pred = pred.with_time_range(SimTime::millis(ms(from_h)), to);
     }
     if let Some(kinds) = args.get("kind") {
         for name in kinds.split(',') {
@@ -354,6 +358,28 @@ mod tests {
         assert!(err.contains("bad magic"), "unhelpful error: {err}");
     }
 
+    /// The events a `--from-h`/`--to-h` window of the CLI golden's fleet
+    /// store selects.
+    fn window_count(from_h: &str, to_h: &str) -> usize {
+        let store = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/fleet_small.col"
+        );
+        let out = run(&["--store", store, "--from-h", from_h, "--to-h", to_h]).unwrap();
+        let line = out.lines().find(|l| l.starts_with("selection:")).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn adjacent_windows_sum_to_the_whole() {
+        // Three events of the store lie at exactly 13 h (the window
+        // [13 h, 13 h + 1 ms)): each is counted in the later window only.
+        assert_eq!(window_count("13", "13.0000003"), 3);
+        let (first, second) = (window_count("0", "13"), window_count("13", "24"));
+        assert_eq!((first, second), (68, 104));
+        assert_eq!(first + second, window_count("0", "24"));
+    }
+
     #[test]
     fn bad_flags_are_errors_not_panics() {
         let path = fixture("errors");
@@ -366,6 +392,9 @@ mod tests {
         assert!(run(&["--store", store, "--agg", "sum", "--field", "nope"]).is_err());
         assert!(run(&["--store", store, "--group-by", "planet"]).is_err());
         assert!(run(&["--store", store, "--from-h", "5", "--to-h", "1"]).is_err());
+        // A half-open window with no millisecond in it selects nothing.
+        assert!(run(&["--store", store, "--from-h", "5", "--to-h", "5"]).is_err());
+        assert!(run(&["--store", store, "--to-h", "1e-9"]).is_err());
         // Non-finite bounds: NaN is no bound at all, and an infinite
         // start selects nothing; both are bad ranges, not silent answers.
         for bounds in [["--from-h", "nan"], ["--to-h", "nan"], ["--from-h", "inf"]] {

@@ -27,15 +27,30 @@
 //! the next one: one byte each.
 //!
 //! A column payload is field-major (struct-of-arrays): first the kind's
-//! timestamps as zigzag deltas chained from `min_t`, then each variant
-//! field as its own array — dictionary refs for instance ids, dense u8
-//! codes for markets/zones/enums, zigzag deltas *from the emission
-//! instant* for in-variant times, plain varints for durations, and raw
-//! little-endian bit patterns for `f64`s (bit-exact round-trip, NaN
-//! included). The fleet steps each VM to a control tick in turn, so the
-//! fleet-wide stream steps back in time by up to one control interval
-//! when it moves to the next VM; a zigzag delta keeps such a step as
-//! short as a forward one.
+//! timestamps as zigzag deltas chained from `min_t`, then each field of
+//! the kind's `TelemetryEvent` variant, in declaration order, as its own
+//! array. A field is stored by its type alone:
+//!
+//! - an instance id as a varint ref into the block's dictionary;
+//! - a market, a zone, a `bool` or a closed enum as one byte, its code
+//!   in `schema`;
+//! - an in-variant `SimTime` as a zigzag delta *from the emission
+//!   instant*;
+//! - a `SimDuration` or a `u32` as a varint;
+//! - an `f64` as its raw little-endian bits (bit-exact, NaN included);
+//! - an `Option<f64>` as one presence byte per row, then the bits of the
+//!   present values.
+//!
+//! That rule is the code: one codec per field type (the `Codec` trait)
+//! and one declaration, the `columns!` table below the codecs, that
+//! lists each kind's fields once and generates both the encoder and the
+//! decoder of every column. `tests/fixtures/all_kinds.col` pins the
+//! bytes of every kind.
+//!
+//! The fleet steps each VM to a control tick in turn, so the fleet-wide
+//! stream steps back in time by up to one control interval when it
+//! moves to the next VM; a zigzag delta keeps such a step as short as a
+//! forward one.
 //!
 //! Decode reverses every step: per-kind columns are rebuilt into typed
 //! events, then the kinds stream re-interleaves them (and the VM column
@@ -50,17 +65,17 @@
 //! [`seal`] and [`decode`] are one-block wrappers over them.
 
 use crate::read::StoredEvent;
-use crate::schema::{
-    denial_code, denial_from_code, fault_code, fault_from_code, instance_of, market_code,
-    market_from_code, markets_of, migkind_code, migkind_from_code, phase_code, phase_from_code,
-    state_code, state_from_code, termination_code, termination_from_code, zone_code,
-    zone_from_code, zones_of, EventKind,
-};
+use crate::schema::{instance_of, market_code, markets_of, zone_code, zones_of, ByteCode};
 use crate::varint::{write_f64_bits, write_i64, write_u64, Cursor};
-use crate::ColError;
-use spothost_cloudsim::InstanceId;
+use crate::{ColError, EventKind};
+use spothost_cloudsim::{InstanceId, TerminationReason};
+use spothost_faults::FaultKind;
 use spothost_market::time::{SimDuration, SimTime};
-use spothost_telemetry::{TelemetryEvent, TimedEvent};
+use spothost_market::types::{MarketId, Zone};
+use spothost_telemetry::{
+    DenialReason, MigrationPhase, SchedulerState, TelemetryEvent, TimedEvent,
+};
+use spothost_virt::MigrationKind;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -191,7 +206,7 @@ impl Encoder {
                 vm = se.vm;
                 self.vm_tags.push(vm_tag(vm));
             }
-            let kind = EventKind::of(ev).index();
+            let kind = ev.kind().index();
             kinds_bm |= 1 << kind;
             self.by_kind[kind].push(i);
             let (m1, m2) = markets_of(ev);
@@ -253,11 +268,7 @@ impl Encoder {
             }
         }
         // Kind stream.
-        buf.extend(
-            events
-                .iter()
-                .map(|se| EventKind::of(&se.event).index() as u8),
-        );
+        buf.extend(events.iter().map(|se| se.event.kind().index() as u8));
         // Per-kind columns.
         for kind in EventKind::ALL {
             let rows = &self.by_kind[kind.index()];
@@ -342,7 +353,7 @@ pub(crate) struct Decoder {
     vms: Vec<Option<u32>>,
     ts: Vec<u64>,
     /// The current column's varint, time and `f64` fields, one run of
-    /// `n` values per field (see [`fields`]).
+    /// values per field (see `Codec::Run`).
     nums: Vec<u64>,
     /// Each present kind's decoded events, in stream order.
     rows: [Vec<TimedEvent>; KINDS],
@@ -459,23 +470,6 @@ impl ExactSizeIterator for BlockEvents<'_> {}
 
 // ---- column codecs -------------------------------------------------------
 
-/// Emission-relative time: lossless over the full u64 range (wrapping),
-/// tiny for the near-past/near-future times variants actually carry.
-fn t_delta(buf: &mut Vec<u8>, field: SimTime, at: SimTime) {
-    write_i64(buf, field.as_millis().wrapping_sub(at.as_millis()) as i64);
-}
-
-fn dict_id(dict: &[u64], r: u64) -> Result<InstanceId, ColError> {
-    let i = usize::try_from(r).map_err(|_| ColError::Corrupt("dict ref overflow"))?;
-    dict.get(i)
-        .map(|&id| InstanceId(id))
-        .ok_or(ColError::Corrupt("dict ref out of range"))
-}
-
-fn u32_field(v: u64, what: &'static str) -> Result<u32, ColError> {
-    u32::try_from(v).map_err(|_| ColError::Corrupt(what))
-}
-
 /// Encode the timestamps column: zigzag deltas chained from `min_t`,
 /// so a step back in time costs what the same step forward does.
 fn encode_ts(buf: &mut Vec<u8>, times: impl Iterator<Item = SimTime>, min_t: u64) {
@@ -497,800 +491,307 @@ fn decode_ts(c: &mut Cursor<'_>, n: usize, min_t: u64, ts: &mut Vec<u64>) -> Res
     Ok(())
 }
 
-/// One `Option<f64>` column: a presence byte per row, then the bit
-/// patterns of the present values.
-fn encode_opt_f64(buf: &mut Vec<u8>, vals: impl Iterator<Item = Option<f64>> + Clone) {
-    for v in vals.clone() {
-        buf.push(u8::from(v.is_some()));
-    }
-    for v in vals.flatten() {
-        write_f64_bits(buf, v);
-    }
+/// How a column stores one field type. A column holds each field of its
+/// kind as one array over the kind's rows: `write` appends the array,
+/// `read` takes it back, and `get` builds one row's value from what
+/// `read` took. Every field is read before the first row is built, so
+/// byte arrays are used in place and the rest go to the decoder's
+/// `nums`.
+trait Codec: Sized {
+    /// What `read` takes: the field's bytes, or where its values start
+    /// in `nums`.
+    type Run<'a>: Copy;
+
+    /// Append the array of `rows`: each row's value, its emission
+    /// instant and its instance-id dictionary ref.
+    fn write(buf: &mut Vec<u8>, rows: impl Iterator<Item = (Self, SimTime, u32)> + Clone);
+
+    /// Take the array of rows emitted at `ts`.
+    fn read<'a>(
+        c: &mut Cursor<'a>,
+        ts: &[u64],
+        nums: &mut Vec<u64>,
+    ) -> Result<Self::Run<'a>, ColError>;
+
+    /// Row `i`'s value.
+    fn get(run: Self::Run<'_>, i: usize, nums: &[u64], dict: &[u64]) -> Result<Self, ColError>;
 }
 
-// Field readers: each appends one field's `n` values to `nums`.
-
-fn read_varints(c: &mut Cursor<'_>, n: usize, nums: &mut Vec<u64>) -> Result<(), ColError> {
+/// Append `n` varints to `nums`, returning where they start.
+fn read_varints(c: &mut Cursor<'_>, n: usize, nums: &mut Vec<u64>) -> Result<usize, ColError> {
+    let start = nums.len();
     for _ in 0..n {
         nums.push(c.u64()?);
     }
-    Ok(())
+    Ok(start)
 }
 
-/// In-variant times, as absolute ms: each row's zigzag delta from its
-/// emission instant `ts[i]`.
-fn read_times(c: &mut Cursor<'_>, ts: &[u64], nums: &mut Vec<u64>) -> Result<(), ColError> {
-    for &t in ts {
-        nums.push(t.wrapping_add(c.i64()? as u64));
+/// Markets, zones, `bool`s and the closed enums: one byte per row.
+impl<T: ByteCode> Codec for T {
+    type Run<'a> = &'a [u8];
+
+    fn write(buf: &mut Vec<u8>, rows: impl Iterator<Item = (T, SimTime, u32)> + Clone) {
+        buf.extend(rows.map(|(v, ..)| v.code()));
     }
-    Ok(())
-}
 
-fn read_f64s(c: &mut Cursor<'_>, n: usize, nums: &mut Vec<u64>) -> Result<(), ColError> {
-    for _ in 0..n {
-        nums.push(c.f64_bits()?.to_bits());
+    fn read<'a>(c: &mut Cursor<'a>, ts: &[u64], _: &mut Vec<u64>) -> Result<&'a [u8], ColError> {
+        c.bytes(ts.len())
     }
-    Ok(())
-}
 
-/// An `Option<f64>` column: returns the presence bytes and appends the
-/// bit pattern of each row (0 for absent rows).
-fn read_opt_f64s<'a>(
-    c: &mut Cursor<'a>,
-    n: usize,
-    nums: &mut Vec<u64>,
-) -> Result<&'a [u8], ColError> {
-    let flags = c.bytes(n)?;
-    for &f in flags {
-        nums.push(match f {
-            0 => 0,
-            1 => c.f64_bits()?.to_bits(),
-            _ => return Err(ColError::Corrupt("option flag out of range")),
-        });
+    fn get(run: &[u8], i: usize, _: &[u64], _: &[u64]) -> Result<T, ColError> {
+        T::from_code(run[i])
     }
-    Ok(flags)
 }
 
-fn opt_f64(flag: u8, bits: u64) -> Option<f64> {
-    (flag != 0).then_some(f64::from_bits(bits))
+/// Instance ids: a varint ref into the block's dictionary. The encoder
+/// looks up each event's one instance id (`instance_of`) and hands its
+/// ref along with the row.
+impl Codec for InstanceId {
+    type Run<'a> = usize;
+
+    fn write(buf: &mut Vec<u8>, rows: impl Iterator<Item = (InstanceId, SimTime, u32)> + Clone) {
+        for (_, _, dref) in rows {
+            write_u64(buf, u64::from(dref));
+        }
+    }
+
+    fn read(c: &mut Cursor<'_>, ts: &[u64], nums: &mut Vec<u64>) -> Result<usize, ColError> {
+        read_varints(c, ts.len(), nums)
+    }
+
+    fn get(run: usize, i: usize, nums: &[u64], dict: &[u64]) -> Result<InstanceId, ColError> {
+        let r =
+            usize::try_from(nums[run + i]).map_err(|_| ColError::Corrupt("dict ref overflow"))?;
+        dict.get(r)
+            .map(|&id| InstanceId(id))
+            .ok_or(ColError::Corrupt("dict ref out of range"))
+    }
 }
 
-/// The `K` fields a column's readers appended to `nums`, `n` values each.
-fn fields<const K: usize>(nums: &[u64], n: usize) -> [&[u64]; K] {
-    std::array::from_fn(|j| &nums[j * n..(j + 1) * n])
+/// In-variant times: a zigzag delta from the row's emission instant,
+/// tiny for the near past and future that variants carry, and lossless
+/// over the whole `u64` range (wrapping).
+impl Codec for SimTime {
+    type Run<'a> = usize;
+
+    fn write(buf: &mut Vec<u8>, rows: impl Iterator<Item = (SimTime, SimTime, u32)> + Clone) {
+        for (v, at, _) in rows {
+            write_i64(buf, v.as_millis().wrapping_sub(at.as_millis()) as i64);
+        }
+    }
+
+    fn read(c: &mut Cursor<'_>, ts: &[u64], nums: &mut Vec<u64>) -> Result<usize, ColError> {
+        let start = nums.len();
+        for &t in ts {
+            nums.push(t.wrapping_add(c.i64()? as u64));
+        }
+        Ok(start)
+    }
+
+    fn get(run: usize, i: usize, nums: &[u64], _: &[u64]) -> Result<SimTime, ColError> {
+        Ok(SimTime(nums[run + i]))
+    }
 }
 
-/// Write `kind`'s column: timestamps, then each variant field as its own
-/// array, each a pass over the kind's rows (`idx` into `events`, in
-/// stream order; `refs[i]` is event `i`'s dictionary ref). The
-/// `unreachable!` arms state that `idx` holds only `kind`.
-fn encode_column(
-    buf: &mut Vec<u8>,
-    kind: EventKind,
-    events: &[StoredEvent],
-    idx: &[usize],
-    refs: &[u32],
-    min_t: u64,
-) {
-    let evs = || {
-        idx.iter()
-            .map(|&i| ((&events[i].at, &events[i].event), u64::from(refs[i])))
+/// Durations: a varint of milliseconds.
+impl Codec for SimDuration {
+    type Run<'a> = usize;
+
+    fn write(buf: &mut Vec<u8>, rows: impl Iterator<Item = (SimDuration, SimTime, u32)> + Clone) {
+        for (v, ..) in rows {
+            write_u64(buf, v.as_millis());
+        }
+    }
+
+    fn read(c: &mut Cursor<'_>, ts: &[u64], nums: &mut Vec<u64>) -> Result<usize, ColError> {
+        read_varints(c, ts.len(), nums)
+    }
+
+    fn get(run: usize, i: usize, nums: &[u64], _: &[u64]) -> Result<SimDuration, ColError> {
+        Ok(SimDuration(nums[run + i]))
+    }
+}
+
+/// Job ids and attempts: a varint.
+impl Codec for u32 {
+    type Run<'a> = usize;
+
+    fn write(buf: &mut Vec<u8>, rows: impl Iterator<Item = (u32, SimTime, u32)> + Clone) {
+        for (v, ..) in rows {
+            write_u64(buf, u64::from(v));
+        }
+    }
+
+    fn read(c: &mut Cursor<'_>, ts: &[u64], nums: &mut Vec<u64>) -> Result<usize, ColError> {
+        read_varints(c, ts.len(), nums)
+    }
+
+    fn get(run: usize, i: usize, nums: &[u64], _: &[u64]) -> Result<u32, ColError> {
+        u32::try_from(nums[run + i]).map_err(|_| ColError::Corrupt("varint overflows u32"))
+    }
+}
+
+/// `f64`s: the raw little-endian bit pattern, so NaN payloads and
+/// signed zeros round-trip.
+impl Codec for f64 {
+    type Run<'a> = usize;
+
+    fn write(buf: &mut Vec<u8>, rows: impl Iterator<Item = (f64, SimTime, u32)> + Clone) {
+        for (v, ..) in rows {
+            write_f64_bits(buf, v);
+        }
+    }
+
+    fn read(c: &mut Cursor<'_>, ts: &[u64], nums: &mut Vec<u64>) -> Result<usize, ColError> {
+        let start = nums.len();
+        for _ in ts {
+            nums.push(c.f64_bits()?.to_bits());
+        }
+        Ok(start)
+    }
+
+    fn get(run: usize, i: usize, nums: &[u64], _: &[u64]) -> Result<f64, ColError> {
+        Ok(f64::from_bits(nums[run + i]))
+    }
+}
+
+/// `Option<f64>`s: a presence byte per row, then the bit patterns of the
+/// present values.
+impl Codec for Option<f64> {
+    type Run<'a> = (&'a [u8], usize);
+
+    fn write(buf: &mut Vec<u8>, rows: impl Iterator<Item = (Option<f64>, SimTime, u32)> + Clone) {
+        buf.extend(rows.clone().map(|(v, ..)| u8::from(v.is_some())));
+        for v in rows.filter_map(|(v, ..)| v) {
+            write_f64_bits(buf, v);
+        }
+    }
+
+    fn read<'a>(
+        c: &mut Cursor<'a>,
+        ts: &[u64],
+        nums: &mut Vec<u64>,
+    ) -> Result<(&'a [u8], usize), ColError> {
+        let flags = c.bytes(ts.len())?;
+        let start = nums.len();
+        for &f in flags {
+            nums.push(match f {
+                0 => 0,
+                1 => c.f64_bits()?.to_bits(),
+                _ => return Err(ColError::Corrupt("option flag out of range")),
+            });
+        }
+        Ok((flags, start))
+    }
+
+    fn get(
+        (flags, run): (&[u8], usize),
+        i: usize,
+        nums: &[u64],
+        _: &[u64],
+    ) -> Result<Option<f64>, ColError> {
+        Ok((flags[i] != 0).then_some(f64::from_bits(nums[run + i])))
+    }
+}
+
+/// Generates [`encode_column`] and [`decode_column`] from one layout per
+/// kind: its variant's fields, each as one array stored by its type's
+/// [`Codec`], after the kind's timestamps.
+macro_rules! columns {
+    ($($kind:ident { $($field:ident: $ty:ty),+ $(,)? })+) => {
+        /// Write `kind`'s column: timestamps, then each field's array.
+        /// `idx` holds the kind's rows (indices into `events`, in stream
+        /// order) and `refs[i]` is event `i`'s dictionary ref.
+        fn encode_column(
+            buf: &mut Vec<u8>,
+            kind: EventKind,
+            events: &[StoredEvent],
+            idx: &[usize],
+            refs: &[u32],
+            min_t: u64,
+        ) {
+            encode_ts(buf, idx.iter().map(|&i| events[i].at), min_t);
+            let rows = idx.iter().map(|&i| (&events[i], refs[i]));
+            match kind {
+                $(EventKind::$kind => {$(
+                    <$ty as Codec>::write(buf, rows.clone().map(|(se, dref)| {
+                        let TelemetryEvent::$kind { $field, .. } = se.event else {
+                            unreachable!("bucketed by kind")
+                        };
+                        ($field, se.at, dref)
+                    }));
+                )+})+
+            }
+        }
+
+        /// Decode `kind`'s column (after its timestamps `ts`) into `out`:
+        /// every field's array first, then one event per row.
+        fn decode_column(
+            c: &mut Cursor<'_>,
+            kind: EventKind,
+            ts: &[u64],
+            dict: &[u64],
+            nums: &mut Vec<u64>,
+            out: &mut Vec<TimedEvent>,
+        ) -> Result<(), ColError> {
+            nums.clear();
+            match kind {
+                $(EventKind::$kind => {
+                    $(let $field = <$ty as Codec>::read(c, ts, nums)?;)+
+                    for (i, &t) in ts.iter().enumerate() {
+                        let event = TelemetryEvent::$kind {
+                            $($field: <$ty as Codec>::get($field, i, nums, dict)?,)+
+                        };
+                        out.push((SimTime(t), event));
+                    }
+                })+
+            }
+            Ok(())
+        }
     };
-    encode_ts(buf, evs().map(|((t, _), _)| *t), min_t);
-    match kind {
-        EventKind::BidPlaced => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::BidPlaced {
-                        market,
-                        bid,
-                        predicted_risk,
-                    } => (market_code(*market), *bid, *predicted_risk),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            buf.extend(rows().map(|r| r.0));
-            encode_opt_f64(buf, rows().map(|r| r.1));
-            encode_opt_f64(buf, rows().map(|r| r.2));
-        }
-        EventKind::LeaseGranted => {
-            let rows = || {
-                evs().map(|((t, ev), dref)| match ev {
-                    TelemetryEvent::LeaseGranted {
-                        market,
-                        spot,
-                        ready_at,
-                        ..
-                    } => (dref, market_code(*market), *spot, *ready_at, *t),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, r.0);
-            }
-            buf.extend(rows().map(|r| r.1));
-            buf.extend(rows().map(|r| u8::from(r.2)));
-            for r in rows() {
-                t_delta(buf, r.3, r.4);
-            }
-        }
-        EventKind::LeaseDenied => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::LeaseDenied {
-                        market,
-                        spot,
-                        reason,
-                    } => (market_code(*market), *spot, denial_code(*reason)),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            buf.extend(rows().map(|r| r.0));
-            buf.extend(rows().map(|r| u8::from(r.1)));
-            buf.extend(rows().map(|r| r.2));
-        }
-        EventKind::LeaseActivated | EventKind::UnwarnedDeath => {
-            let rows = || {
-                evs().map(|((_, ev), dref)| match ev {
-                    TelemetryEvent::LeaseActivated { market, .. }
-                    | TelemetryEvent::UnwarnedDeath { market, .. } => (dref, market_code(*market)),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, r.0);
-            }
-            buf.extend(rows().map(|r| r.1));
-        }
-        EventKind::ActivationFailed => {
-            let rows = || {
-                evs().map(|((_, ev), dref)| match ev {
-                    TelemetryEvent::ActivationFailed { market, doomed, .. } => {
-                        (dref, market_code(*market), *doomed)
-                    }
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, r.0);
-            }
-            buf.extend(rows().map(|r| r.1));
-            buf.extend(rows().map(|r| u8::from(r.2)));
-        }
-        EventKind::LeaseClosed => {
-            let rows = || {
-                evs().map(|((t, ev), dref)| match ev {
-                    TelemetryEvent::LeaseClosed {
-                        market,
-                        spot,
-                        reason,
-                        start,
-                        end,
-                        cost,
-                        ..
-                    } => (
-                        dref,
-                        market_code(*market),
-                        *spot,
-                        termination_code(*reason),
-                        *start,
-                        *end,
-                        *cost,
-                        *t,
-                    ),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, r.0);
-            }
-            buf.extend(rows().map(|r| r.1));
-            buf.extend(rows().map(|r| u8::from(r.2)));
-            buf.extend(rows().map(|r| r.3));
-            for r in rows() {
-                t_delta(buf, r.4, r.7);
-            }
-            for r in rows() {
-                t_delta(buf, r.5, r.7);
-            }
-            for r in rows() {
-                write_f64_bits(buf, r.6);
-            }
-        }
-        EventKind::PriceCrossing | EventKind::RevocationWarning => {
-            let rows = || {
-                evs().map(|((t, ev), dref)| match ev {
-                    TelemetryEvent::PriceCrossing { market, at, .. } => {
-                        (dref, market_code(*market), *at, *t)
-                    }
-                    TelemetryEvent::RevocationWarning {
-                        market,
-                        terminate_at,
-                        ..
-                    } => (dref, market_code(*market), *terminate_at, *t),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, r.0);
-            }
-            buf.extend(rows().map(|r| r.1));
-            for r in rows() {
-                t_delta(buf, r.2, r.3);
-            }
-        }
-        EventKind::MigrationStarted => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::MigrationStarted { kind, from, to } => {
-                        (migkind_code(*kind), market_code(*from), market_code(*to))
-                    }
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            buf.extend(rows().map(|r| r.0));
-            buf.extend(rows().map(|r| r.1));
-            buf.extend(rows().map(|r| r.2));
-        }
-        EventKind::MigrationPhase => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::MigrationPhase { phase, duration } => {
-                        (phase_code(*phase), duration.as_millis())
-                    }
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            buf.extend(rows().map(|r| r.0));
-            for r in rows() {
-                write_u64(buf, r.1);
-            }
-        }
-        EventKind::MigrationCompleted => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::MigrationCompleted {
-                        kind,
-                        from,
-                        to,
-                        downtime,
-                        degraded,
-                    } => (
-                        migkind_code(*kind),
-                        market_code(*from),
-                        market_code(*to),
-                        downtime.as_millis(),
-                        degraded.as_millis(),
-                    ),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            buf.extend(rows().map(|r| r.0));
-            buf.extend(rows().map(|r| r.1));
-            buf.extend(rows().map(|r| r.2));
-            for r in rows() {
-                write_u64(buf, r.3);
-            }
-            for r in rows() {
-                write_u64(buf, r.4);
-            }
-        }
-        EventKind::MigrationAborted => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::MigrationAborted { kind, from } => {
-                        (migkind_code(*kind), market_code(*from))
-                    }
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            buf.extend(rows().map(|r| r.0));
-            buf.extend(rows().map(|r| r.1));
-        }
-        EventKind::Outage | EventKind::Degraded => {
-            let rows = || {
-                evs().map(|((t, ev), _)| match ev {
-                    TelemetryEvent::Outage { start, end }
-                    | TelemetryEvent::Degraded { start, end } => (*start, *end, *t),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                t_delta(buf, r.0, r.2);
-            }
-            for r in rows() {
-                t_delta(buf, r.1, r.2);
-            }
-        }
-        EventKind::ServiceUp => {
-            let rows = || {
-                evs().map(|((_, ev), dref)| match ev {
-                    TelemetryEvent::ServiceUp {
-                        market,
-                        spot,
-                        first,
-                        ..
-                    } => (dref, market_code(*market), *spot, *first),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, r.0);
-            }
-            buf.extend(rows().map(|r| r.1));
-            buf.extend(rows().map(|r| u8::from(r.2)));
-            buf.extend(rows().map(|r| u8::from(r.3)));
-        }
-        EventKind::FaultInjected => {
-            buf.extend(evs().map(|((_, ev), _)| match ev {
-                TelemetryEvent::FaultInjected { kind } => fault_code(*kind),
-                _ => unreachable!("bucketed by kind"),
-            }));
-        }
-        EventKind::BackoffScheduled => {
-            let rows = || {
-                evs().map(|((t, ev), _)| match ev {
-                    TelemetryEvent::BackoffScheduled { attempt, until } => (*attempt, *until, *t),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, u64::from(r.0));
-            }
-            for r in rows() {
-                t_delta(buf, r.1, r.2);
-            }
-        }
-        EventKind::StateChange => {
-            buf.extend(evs().map(|((_, ev), _)| match ev {
-                TelemetryEvent::StateChange { state } => state_code(*state),
-                _ => unreachable!("bucketed by kind"),
-            }));
-        }
-        EventKind::StormStarted | EventKind::StormEnded => {
-            buf.extend(evs().map(|((_, ev), _)| match ev {
-                TelemetryEvent::StormStarted { zone } | TelemetryEvent::StormEnded { zone } => {
-                    zone_code(*zone)
-                }
-                _ => unreachable!("bucketed by kind"),
-            }));
-        }
-        EventKind::QuotaExhausted => {
-            buf.extend(evs().map(|((_, ev), _)| match ev {
-                TelemetryEvent::QuotaExhausted { market } => market_code(*market),
-                _ => unreachable!("bucketed by kind"),
-            }));
-        }
-        EventKind::JobStarted => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::JobStarted { job, market, spot } => {
-                        (*job, market_code(*market), *spot)
-                    }
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, u64::from(r.0));
-            }
-            buf.extend(rows().map(|r| r.1));
-            buf.extend(rows().map(|r| u8::from(r.2)));
-        }
-        EventKind::JobCheckpointed => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::JobCheckpointed { job, duration } => {
-                        (*job, duration.as_millis())
-                    }
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, u64::from(r.0));
-            }
-            for r in rows() {
-                write_u64(buf, r.1);
-            }
-        }
-        EventKind::JobRestarted => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::JobRestarted { job, market, lost } => {
-                        (*job, market_code(*market), lost.as_millis())
-                    }
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, u64::from(r.0));
-            }
-            buf.extend(rows().map(|r| r.1));
-            for r in rows() {
-                write_u64(buf, r.2);
-            }
-        }
-        EventKind::JobFinished => {
-            let rows = || {
-                evs().map(|((_, ev), _)| match ev {
-                    TelemetryEvent::JobFinished { job, missed, cost } => (*job, *missed, *cost),
-                    _ => unreachable!("bucketed by kind"),
-                })
-            };
-            for r in rows() {
-                write_u64(buf, u64::from(r.0));
-            }
-            buf.extend(rows().map(|r| u8::from(r.1)));
-            for r in rows() {
-                write_f64_bits(buf, r.2);
-            }
-        }
-    }
 }
 
-/// Decode `kind`'s column (after its timestamps `ts`) into `out`: first
-/// every field, byte fields as slices of the column and the others into
-/// `nums`, then one event per row.
-fn decode_column(
-    c: &mut Cursor<'_>,
-    kind: EventKind,
-    ts: &[u64],
-    dict: &[u64],
-    nums: &mut Vec<u64>,
-    out: &mut Vec<TimedEvent>,
-) -> Result<(), ColError> {
-    let n = ts.len();
-    nums.clear();
-    let mut push = |i: usize, ev: TelemetryEvent| out.push((SimTime(ts[i]), ev));
-    match kind {
-        EventKind::BidPlaced => {
-            let markets = c.bytes(n)?;
-            let has_bid = read_opt_f64s(c, n, nums)?;
-            let has_risk = read_opt_f64s(c, n, nums)?;
-            let [bids, risks] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::BidPlaced {
-                        market: market_from_code(markets[i])?,
-                        bid: opt_f64(has_bid[i], bids[i]),
-                        predicted_risk: opt_f64(has_risk[i], risks[i]),
-                    },
-                );
-            }
-        }
-        EventKind::LeaseGranted => {
-            read_varints(c, n, nums)?;
-            let markets = c.bytes(n)?;
-            let spots = c.bytes(n)?;
-            read_times(c, ts, nums)?;
-            let [ids, ready] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::LeaseGranted {
-                        id: dict_id(dict, ids[i])?,
-                        market: market_from_code(markets[i])?,
-                        spot: spots[i] != 0,
-                        ready_at: SimTime(ready[i]),
-                    },
-                );
-            }
-        }
-        EventKind::LeaseDenied => {
-            let markets = c.bytes(n)?;
-            let spots = c.bytes(n)?;
-            let reasons = c.bytes(n)?;
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::LeaseDenied {
-                        market: market_from_code(markets[i])?,
-                        spot: spots[i] != 0,
-                        reason: denial_from_code(reasons[i])?,
-                    },
-                );
-            }
-        }
-        EventKind::LeaseActivated | EventKind::UnwarnedDeath => {
-            read_varints(c, n, nums)?;
-            let markets = c.bytes(n)?;
-            let [ids] = fields(nums, n);
-            for i in 0..n {
-                let id = dict_id(dict, ids[i])?;
-                let market = market_from_code(markets[i])?;
-                let ev = if kind == EventKind::LeaseActivated {
-                    TelemetryEvent::LeaseActivated { id, market }
-                } else {
-                    TelemetryEvent::UnwarnedDeath { id, market }
-                };
-                push(i, ev);
-            }
-        }
-        EventKind::ActivationFailed => {
-            read_varints(c, n, nums)?;
-            let markets = c.bytes(n)?;
-            let doomed = c.bytes(n)?;
-            let [ids] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::ActivationFailed {
-                        id: dict_id(dict, ids[i])?,
-                        market: market_from_code(markets[i])?,
-                        doomed: doomed[i] != 0,
-                    },
-                );
-            }
-        }
-        EventKind::LeaseClosed => {
-            read_varints(c, n, nums)?;
-            let markets = c.bytes(n)?;
-            let spots = c.bytes(n)?;
-            let reasons = c.bytes(n)?;
-            read_times(c, ts, nums)?;
-            read_times(c, ts, nums)?;
-            read_f64s(c, n, nums)?;
-            let [ids, starts, ends, costs] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::LeaseClosed {
-                        id: dict_id(dict, ids[i])?,
-                        market: market_from_code(markets[i])?,
-                        spot: spots[i] != 0,
-                        reason: termination_from_code(reasons[i])?,
-                        start: SimTime(starts[i]),
-                        end: SimTime(ends[i]),
-                        cost: f64::from_bits(costs[i]),
-                    },
-                );
-            }
-        }
-        EventKind::PriceCrossing | EventKind::RevocationWarning => {
-            read_varints(c, n, nums)?;
-            let markets = c.bytes(n)?;
-            read_times(c, ts, nums)?;
-            let [ids, whens] = fields(nums, n);
-            for i in 0..n {
-                let id = dict_id(dict, ids[i])?;
-                let market = market_from_code(markets[i])?;
-                let when = SimTime(whens[i]);
-                let ev = if kind == EventKind::PriceCrossing {
-                    TelemetryEvent::PriceCrossing {
-                        id,
-                        market,
-                        at: when,
-                    }
-                } else {
-                    TelemetryEvent::RevocationWarning {
-                        id,
-                        market,
-                        terminate_at: when,
-                    }
-                };
-                push(i, ev);
-            }
-        }
-        EventKind::MigrationStarted => {
-            let kinds = c.bytes(n)?;
-            let froms = c.bytes(n)?;
-            let tos = c.bytes(n)?;
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::MigrationStarted {
-                        kind: migkind_from_code(kinds[i])?,
-                        from: market_from_code(froms[i])?,
-                        to: market_from_code(tos[i])?,
-                    },
-                );
-            }
-        }
-        EventKind::MigrationPhase => {
-            let phases = c.bytes(n)?;
-            read_varints(c, n, nums)?;
-            let [durs] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::MigrationPhase {
-                        phase: phase_from_code(phases[i])?,
-                        duration: SimDuration(durs[i]),
-                    },
-                );
-            }
-        }
-        EventKind::MigrationCompleted => {
-            let kinds = c.bytes(n)?;
-            let froms = c.bytes(n)?;
-            let tos = c.bytes(n)?;
-            read_varints(c, n, nums)?;
-            read_varints(c, n, nums)?;
-            let [downs, degs] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::MigrationCompleted {
-                        kind: migkind_from_code(kinds[i])?,
-                        from: market_from_code(froms[i])?,
-                        to: market_from_code(tos[i])?,
-                        downtime: SimDuration(downs[i]),
-                        degraded: SimDuration(degs[i]),
-                    },
-                );
-            }
-        }
-        EventKind::MigrationAborted => {
-            let kinds = c.bytes(n)?;
-            let froms = c.bytes(n)?;
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::MigrationAborted {
-                        kind: migkind_from_code(kinds[i])?,
-                        from: market_from_code(froms[i])?,
-                    },
-                );
-            }
-        }
-        EventKind::Outage | EventKind::Degraded => {
-            read_times(c, ts, nums)?;
-            read_times(c, ts, nums)?;
-            let [starts, ends] = fields(nums, n);
-            for i in 0..n {
-                let (start, end) = (SimTime(starts[i]), SimTime(ends[i]));
-                let ev = if kind == EventKind::Outage {
-                    TelemetryEvent::Outage { start, end }
-                } else {
-                    TelemetryEvent::Degraded { start, end }
-                };
-                push(i, ev);
-            }
-        }
-        EventKind::ServiceUp => {
-            read_varints(c, n, nums)?;
-            let markets = c.bytes(n)?;
-            let spots = c.bytes(n)?;
-            let firsts = c.bytes(n)?;
-            let [ids] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::ServiceUp {
-                        id: dict_id(dict, ids[i])?,
-                        market: market_from_code(markets[i])?,
-                        spot: spots[i] != 0,
-                        first: firsts[i] != 0,
-                    },
-                );
-            }
-        }
-        EventKind::FaultInjected => {
-            for (i, &k) in c.bytes(n)?.iter().enumerate() {
-                push(
-                    i,
-                    TelemetryEvent::FaultInjected {
-                        kind: fault_from_code(k)?,
-                    },
-                );
-            }
-        }
-        EventKind::BackoffScheduled => {
-            read_varints(c, n, nums)?;
-            read_times(c, ts, nums)?;
-            let [attempts, untils] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::BackoffScheduled {
-                        attempt: u32_field(attempts[i], "attempt overflows u32")?,
-                        until: SimTime(untils[i]),
-                    },
-                );
-            }
-        }
-        EventKind::StateChange => {
-            for (i, &s) in c.bytes(n)?.iter().enumerate() {
-                push(
-                    i,
-                    TelemetryEvent::StateChange {
-                        state: state_from_code(s)?,
-                    },
-                );
-            }
-        }
-        EventKind::StormStarted | EventKind::StormEnded => {
-            for (i, &z) in c.bytes(n)?.iter().enumerate() {
-                let zone = zone_from_code(z)?;
-                let ev = if kind == EventKind::StormStarted {
-                    TelemetryEvent::StormStarted { zone }
-                } else {
-                    TelemetryEvent::StormEnded { zone }
-                };
-                push(i, ev);
-            }
-        }
-        EventKind::QuotaExhausted => {
-            for (i, &m) in c.bytes(n)?.iter().enumerate() {
-                push(
-                    i,
-                    TelemetryEvent::QuotaExhausted {
-                        market: market_from_code(m)?,
-                    },
-                );
-            }
-        }
-        EventKind::JobStarted => {
-            read_varints(c, n, nums)?;
-            let markets = c.bytes(n)?;
-            let spots = c.bytes(n)?;
-            let [jobs] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::JobStarted {
-                        job: u32_field(jobs[i], "job id overflows u32")?,
-                        market: market_from_code(markets[i])?,
-                        spot: spots[i] != 0,
-                    },
-                );
-            }
-        }
-        EventKind::JobCheckpointed => {
-            read_varints(c, n, nums)?;
-            read_varints(c, n, nums)?;
-            let [jobs, durs] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::JobCheckpointed {
-                        job: u32_field(jobs[i], "job id overflows u32")?,
-                        duration: SimDuration(durs[i]),
-                    },
-                );
-            }
-        }
-        EventKind::JobRestarted => {
-            read_varints(c, n, nums)?;
-            let markets = c.bytes(n)?;
-            read_varints(c, n, nums)?;
-            let [jobs, losts] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::JobRestarted {
-                        job: u32_field(jobs[i], "job id overflows u32")?,
-                        market: market_from_code(markets[i])?,
-                        lost: SimDuration(losts[i]),
-                    },
-                );
-            }
-        }
-        EventKind::JobFinished => {
-            read_varints(c, n, nums)?;
-            let missed = c.bytes(n)?;
-            read_f64s(c, n, nums)?;
-            let [jobs, costs] = fields(nums, n);
-            for i in 0..n {
-                push(
-                    i,
-                    TelemetryEvent::JobFinished {
-                        job: u32_field(jobs[i], "job id overflows u32")?,
-                        missed: missed[i] != 0,
-                        cost: f64::from_bits(costs[i]),
-                    },
-                );
-            }
-        }
+// The column layout of every kind: its `TelemetryEvent` variant's fields
+// in declaration order. `tests/fixtures/all_kinds.col` pins the bytes.
+columns! {
+    BidPlaced { market: MarketId, bid: Option<f64>, predicted_risk: Option<f64> }
+    LeaseGranted { id: InstanceId, market: MarketId, spot: bool, ready_at: SimTime }
+    LeaseDenied { market: MarketId, spot: bool, reason: DenialReason }
+    LeaseActivated { id: InstanceId, market: MarketId }
+    ActivationFailed { id: InstanceId, market: MarketId, doomed: bool }
+    LeaseClosed {
+        id: InstanceId, market: MarketId, spot: bool, reason: TerminationReason,
+        start: SimTime, end: SimTime, cost: f64,
     }
-    Ok(())
+    PriceCrossing { id: InstanceId, market: MarketId, at: SimTime }
+    RevocationWarning { id: InstanceId, market: MarketId, terminate_at: SimTime }
+    UnwarnedDeath { id: InstanceId, market: MarketId }
+    MigrationStarted { kind: MigrationKind, from: MarketId, to: MarketId }
+    MigrationPhase { phase: MigrationPhase, duration: SimDuration }
+    MigrationCompleted {
+        kind: MigrationKind, from: MarketId, to: MarketId,
+        downtime: SimDuration, degraded: SimDuration,
+    }
+    MigrationAborted { kind: MigrationKind, from: MarketId }
+    Outage { start: SimTime, end: SimTime }
+    Degraded { start: SimTime, end: SimTime }
+    ServiceUp { id: InstanceId, market: MarketId, spot: bool, first: bool }
+    FaultInjected { kind: FaultKind }
+    BackoffScheduled { attempt: u32, until: SimTime }
+    StateChange { state: SchedulerState }
+    StormStarted { zone: Zone }
+    StormEnded { zone: Zone }
+    QuotaExhausted { market: MarketId }
+    JobStarted { job: u32, market: MarketId, spot: bool }
+    JobCheckpointed { job: u32, duration: SimDuration }
+    JobRestarted { job: u32, market: MarketId, lost: SimDuration }
+    JobFinished { job: u32, missed: bool, cost: f64 }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spothost_market::types::{InstanceType, MarketId, Zone};
-    use spothost_telemetry::SchedulerState;
+    use spothost_market::types::InstanceType;
 
     fn m(i: usize) -> MarketId {
         MarketId::new(Zone::ALL[i % 4], InstanceType::ALL[i % 4])

@@ -58,7 +58,7 @@ mod varint;
 pub use block::BlockMeta;
 pub use query::{Field, GroupBy, Predicate};
 pub use read::{ColReader, Selection, StoredEvent};
-pub use schema::EventKind;
+pub use spothost_telemetry::EventKind;
 pub use store::{ColumnarSink, ColumnarStore, DEFAULT_BLOCK_EVENTS, MAGIC};
 
 /// Errors from decoding a columnar file.

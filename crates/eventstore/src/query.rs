@@ -15,7 +15,8 @@
 
 use crate::block::BlockMeta;
 use crate::read::StoredEvent;
-use crate::schema::{market_code, markets_of, zone_code, zones_of, EventKind};
+use crate::schema::{market_code, markets_of, zone_code, zones_of};
+use crate::EventKind;
 use spothost_analysis::{percentile, FixedHistogram};
 use spothost_market::time::SimTime;
 use spothost_market::types::{InstanceType, MarketId, Zone};
@@ -135,7 +136,7 @@ impl Predicate {
             return false;
         }
         if let Some(k) = self.kinds {
-            if k & (1 << EventKind::of(&se.event).index()) == 0 {
+            if k & (1 << se.event.kind().index()) == 0 {
                 return false;
             }
         }
@@ -309,7 +310,7 @@ impl GroupBy {
     pub fn key(self, se: &StoredEvent) -> String {
         match self {
             GroupBy::None => "all".to_string(),
-            GroupBy::Kind => EventKind::of(&se.event).name().to_string(),
+            GroupBy::Kind => se.event.kind().name().to_string(),
             GroupBy::Market => match markets_of(&se.event).0 {
                 Some(m) => m.to_string(),
                 None => "-".to_string(),
@@ -331,7 +332,7 @@ impl GroupBy {
         const NO_MARKET: usize = Zone::ALL.len() * InstanceType::ALL.len();
         match self {
             GroupBy::None => GroupCode::Dense(0),
-            GroupBy::Kind => GroupCode::Dense(EventKind::of(&se.event).index()),
+            GroupBy::Kind => GroupCode::Dense(se.event.kind().index()),
             GroupBy::Market => GroupCode::Dense(
                 markets_of(&se.event)
                     .0

@@ -288,7 +288,7 @@ mod tests {
             .unwrap();
         assert_eq!(sel.blocks_decoded, 1);
         assert_eq!(sel.events.len(), 1);
-        assert_eq!(EventKind::of(&sel.events[0].event), EventKind::StormStarted);
+        assert_eq!(sel.events[0].event.kind(), EventKind::StormStarted);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The per-kind columnar schema: a dense [`EventKind`] discriminant for
-//! every `TelemetryEvent` variant, plus the small closed dictionaries
-//! (markets, zones, enum codes) column encoding relies on.
+//! The byte codes column encoding relies on: markets, zones, `bool`s
+//! and the closed enums each store one byte per field, through
+//! `ByteCode`; plus the market, zone and instance-id fields an event
+//! carries, which block headers and dictionaries are built from.
 //!
-//! All code tables here are *stable*: the on-disk format stores these
-//! indices, so new variants must be appended, never reordered.
+//! Every code here is stable: the on-disk format stores it, so a code
+//! is never changed or reused, as [`crate::EventKind`] indices are not.
 
 use crate::ColError;
 use spothost_cloudsim::{InstanceId, TerminationReason};
@@ -12,166 +13,9 @@ use spothost_market::types::{InstanceType, MarketId, Zone};
 use spothost_telemetry::{DenialReason, MigrationPhase, SchedulerState, TelemetryEvent};
 use spothost_virt::MigrationKind;
 
-/// Dense discriminant of a `TelemetryEvent` variant: the column family an
-/// event's fields land in, and the bit position in a block's kind bitmap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)] // variant meanings documented on `TelemetryEvent`
-pub enum EventKind {
-    BidPlaced,
-    LeaseGranted,
-    LeaseDenied,
-    LeaseActivated,
-    ActivationFailed,
-    LeaseClosed,
-    PriceCrossing,
-    RevocationWarning,
-    UnwarnedDeath,
-    MigrationStarted,
-    MigrationPhase,
-    MigrationCompleted,
-    MigrationAborted,
-    Outage,
-    Degraded,
-    ServiceUp,
-    FaultInjected,
-    BackoffScheduled,
-    StateChange,
-    StormStarted,
-    StormEnded,
-    QuotaExhausted,
-    JobStarted,
-    JobCheckpointed,
-    JobRestarted,
-    JobFinished,
-}
-
-impl EventKind {
-    /// Every kind, in stable column order (= bitmap bit order).
-    pub const ALL: [EventKind; 26] = [
-        EventKind::BidPlaced,
-        EventKind::LeaseGranted,
-        EventKind::LeaseDenied,
-        EventKind::LeaseActivated,
-        EventKind::ActivationFailed,
-        EventKind::LeaseClosed,
-        EventKind::PriceCrossing,
-        EventKind::RevocationWarning,
-        EventKind::UnwarnedDeath,
-        EventKind::MigrationStarted,
-        EventKind::MigrationPhase,
-        EventKind::MigrationCompleted,
-        EventKind::MigrationAborted,
-        EventKind::Outage,
-        EventKind::Degraded,
-        EventKind::ServiceUp,
-        EventKind::FaultInjected,
-        EventKind::BackoffScheduled,
-        EventKind::StateChange,
-        EventKind::StormStarted,
-        EventKind::StormEnded,
-        EventKind::QuotaExhausted,
-        EventKind::JobStarted,
-        EventKind::JobCheckpointed,
-        EventKind::JobRestarted,
-        EventKind::JobFinished,
-    ];
-
-    /// The kind of an event.
-    pub fn of(ev: &TelemetryEvent) -> EventKind {
-        match ev {
-            TelemetryEvent::BidPlaced { .. } => EventKind::BidPlaced,
-            TelemetryEvent::LeaseGranted { .. } => EventKind::LeaseGranted,
-            TelemetryEvent::LeaseDenied { .. } => EventKind::LeaseDenied,
-            TelemetryEvent::LeaseActivated { .. } => EventKind::LeaseActivated,
-            TelemetryEvent::ActivationFailed { .. } => EventKind::ActivationFailed,
-            TelemetryEvent::LeaseClosed { .. } => EventKind::LeaseClosed,
-            TelemetryEvent::PriceCrossing { .. } => EventKind::PriceCrossing,
-            TelemetryEvent::RevocationWarning { .. } => EventKind::RevocationWarning,
-            TelemetryEvent::UnwarnedDeath { .. } => EventKind::UnwarnedDeath,
-            TelemetryEvent::MigrationStarted { .. } => EventKind::MigrationStarted,
-            TelemetryEvent::MigrationPhase { .. } => EventKind::MigrationPhase,
-            TelemetryEvent::MigrationCompleted { .. } => EventKind::MigrationCompleted,
-            TelemetryEvent::MigrationAborted { .. } => EventKind::MigrationAborted,
-            TelemetryEvent::Outage { .. } => EventKind::Outage,
-            TelemetryEvent::Degraded { .. } => EventKind::Degraded,
-            TelemetryEvent::ServiceUp { .. } => EventKind::ServiceUp,
-            TelemetryEvent::FaultInjected { .. } => EventKind::FaultInjected,
-            TelemetryEvent::BackoffScheduled { .. } => EventKind::BackoffScheduled,
-            TelemetryEvent::StateChange { .. } => EventKind::StateChange,
-            TelemetryEvent::StormStarted { .. } => EventKind::StormStarted,
-            TelemetryEvent::StormEnded { .. } => EventKind::StormEnded,
-            TelemetryEvent::QuotaExhausted { .. } => EventKind::QuotaExhausted,
-            TelemetryEvent::JobStarted { .. } => EventKind::JobStarted,
-            TelemetryEvent::JobCheckpointed { .. } => EventKind::JobCheckpointed,
-            TelemetryEvent::JobRestarted { .. } => EventKind::JobRestarted,
-            TelemetryEvent::JobFinished { .. } => EventKind::JobFinished,
-        }
-    }
-
-    /// Stable column index in `0..26` (bit position in kind bitmaps).
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Inverse of [`EventKind::index`].
-    pub fn from_index(i: usize) -> Option<EventKind> {
-        EventKind::ALL.get(i).copied()
-    }
-
-    /// The same stable snake_case name `TelemetryEvent::name` exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::BidPlaced => "bid_placed",
-            EventKind::LeaseGranted => "lease_granted",
-            EventKind::LeaseDenied => "lease_denied",
-            EventKind::LeaseActivated => "lease_activated",
-            EventKind::ActivationFailed => "activation_failed",
-            EventKind::LeaseClosed => "lease_closed",
-            EventKind::PriceCrossing => "price_crossing",
-            EventKind::RevocationWarning => "revocation_warning",
-            EventKind::UnwarnedDeath => "unwarned_death",
-            EventKind::MigrationStarted => "migration_started",
-            EventKind::MigrationPhase => "migration_phase",
-            EventKind::MigrationCompleted => "migration_completed",
-            EventKind::MigrationAborted => "migration_aborted",
-            EventKind::Outage => "outage",
-            EventKind::Degraded => "degraded",
-            EventKind::ServiceUp => "service_up",
-            EventKind::FaultInjected => "fault_injected",
-            EventKind::BackoffScheduled => "backoff_scheduled",
-            EventKind::StateChange => "state_change",
-            EventKind::StormStarted => "storm_started",
-            EventKind::StormEnded => "storm_ended",
-            EventKind::QuotaExhausted => "quota_exhausted",
-            EventKind::JobStarted => "job_started",
-            EventKind::JobCheckpointed => "job_checkpointed",
-            EventKind::JobRestarted => "job_restarted",
-            EventKind::JobFinished => "job_finished",
-        }
-    }
-
-    /// Parse the snake_case export name (CLI `--kind` values).
-    pub fn parse(name: &str) -> Option<EventKind> {
-        EventKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-}
-
 /// Dictionary code of a market: its dense index in `0..16`.
 pub fn market_code(m: MarketId) -> u8 {
     m.dense_index() as u8
-}
-
-/// Inverse of [`market_code`].
-pub fn market_from_code(c: u8) -> Result<MarketId, ColError> {
-    let zones = Zone::ALL.len() as u8;
-    let types = InstanceType::ALL.len() as u8;
-    if c >= zones * types {
-        return Err(ColError::Corrupt("market code out of range"));
-    }
-    Ok(MarketId::new(
-        Zone::ALL[(c / types) as usize],
-        InstanceType::ALL[(c % types) as usize],
-    ))
 }
 
 /// Dictionary code of a zone.
@@ -179,142 +23,100 @@ pub fn zone_code(z: Zone) -> u8 {
     z.index() as u8
 }
 
-/// Inverse of [`zone_code`].
-pub fn zone_from_code(c: u8) -> Result<Zone, ColError> {
-    Zone::ALL
-        .get(c as usize)
-        .copied()
-        .ok_or(ColError::Corrupt("zone code out of range"))
+/// A value a column stores as one byte.
+pub(crate) trait ByteCode: Sized {
+    /// The value's byte.
+    fn code(self) -> u8;
+    /// The value of a byte; a byte no value has is corrupt.
+    fn from_code(c: u8) -> Result<Self, ColError>;
 }
 
-pub(crate) fn termination_code(r: TerminationReason) -> u8 {
-    match r {
-        TerminationReason::Revoked => 0,
-        TerminationReason::Voluntary => 1,
-        TerminationReason::FailedAllocation => 2,
+impl ByteCode for MarketId {
+    fn code(self) -> u8 {
+        market_code(self)
+    }
+
+    fn from_code(c: u8) -> Result<Self, ColError> {
+        let types = InstanceType::ALL.len() as u8;
+        if c >= Zone::ALL.len() as u8 * types {
+            return Err(ColError::Corrupt("market code out of range"));
+        }
+        Ok(MarketId::new(
+            Zone::ALL[(c / types) as usize],
+            InstanceType::ALL[(c % types) as usize],
+        ))
     }
 }
 
-pub(crate) fn termination_from_code(c: u8) -> Result<TerminationReason, ColError> {
-    Ok(match c {
-        0 => TerminationReason::Revoked,
-        1 => TerminationReason::Voluntary,
-        2 => TerminationReason::FailedAllocation,
-        _ => return Err(ColError::Corrupt("termination code out of range")),
-    })
-}
+impl ByteCode for Zone {
+    fn code(self) -> u8 {
+        zone_code(self)
+    }
 
-pub(crate) fn denial_code(r: DenialReason) -> u8 {
-    match r {
-        DenialReason::UnknownMarket => 0,
-        DenialReason::BidBelowPrice => 1,
-        DenialReason::BidAboveCap => 2,
-        DenialReason::InsufficientCapacity => 3,
-        DenialReason::QuotaExhausted => 4,
+    fn from_code(c: u8) -> Result<Self, ColError> {
+        Zone::ALL
+            .get(usize::from(c))
+            .copied()
+            .ok_or(ColError::Corrupt("zone code out of range"))
     }
 }
 
-pub(crate) fn denial_from_code(c: u8) -> Result<DenialReason, ColError> {
-    Ok(match c {
-        0 => DenialReason::UnknownMarket,
-        1 => DenialReason::BidBelowPrice,
-        2 => DenialReason::BidAboveCap,
-        3 => DenialReason::InsufficientCapacity,
-        4 => DenialReason::QuotaExhausted,
-        _ => return Err(ColError::Corrupt("denial code out of range")),
-    })
-}
+/// `false` is 0 and `true` is 1; any other byte reads as `true`.
+impl ByteCode for bool {
+    fn code(self) -> u8 {
+        u8::from(self)
+    }
 
-pub(crate) fn phase_code(p: MigrationPhase) -> u8 {
-    match p {
-        MigrationPhase::Prepare => 0,
-        MigrationPhase::LivePrecopy => 1,
-        MigrationPhase::CkptFlush => 2,
-        MigrationPhase::Restore => 3,
-        MigrationPhase::LazyFaultIn => 4,
+    fn from_code(c: u8) -> Result<Self, ColError> {
+        Ok(c != 0)
     }
 }
 
-pub(crate) fn phase_from_code(c: u8) -> Result<MigrationPhase, ColError> {
-    Ok(match c {
-        0 => MigrationPhase::Prepare,
-        1 => MigrationPhase::LivePrecopy,
-        2 => MigrationPhase::CkptFlush,
-        3 => MigrationPhase::Restore,
-        4 => MigrationPhase::LazyFaultIn,
-        _ => return Err(ColError::Corrupt("phase code out of range")),
-    })
+/// One code table per closed enum, listing each variant with its byte
+/// once; both directions of [`ByteCode`] are generated from it. The
+/// `match` in `code` is exhaustive, so a new variant does not compile
+/// until it has a code.
+macro_rules! code_tables {
+    ($($ty:ident, $what:literal { $($v:ident = $c:literal),+ $(,)? })+) => {$(
+        impl ByteCode for $ty {
+            fn code(self) -> u8 {
+                match self {
+                    $($ty::$v => $c,)+
+                }
+            }
+
+            fn from_code(c: u8) -> Result<Self, ColError> {
+                match c {
+                    $($c => Ok($ty::$v),)+
+                    _ => Err(ColError::Corrupt($what)),
+                }
+            }
+        }
+    )+};
 }
 
-pub(crate) fn state_code(s: SchedulerState) -> u8 {
-    match s {
-        SchedulerState::Boot => 0,
-        SchedulerState::Active => 1,
-        SchedulerState::Migrating => 2,
-        SchedulerState::Evacuating => 3,
-        SchedulerState::DownWaiting => 4,
-        SchedulerState::Restoring => 5,
-        SchedulerState::Reacquiring => 6,
+code_tables! {
+    TerminationReason, "termination code out of range" {
+        Revoked = 0, Voluntary = 1, FailedAllocation = 2,
     }
-}
-
-pub(crate) fn state_from_code(c: u8) -> Result<SchedulerState, ColError> {
-    Ok(match c {
-        0 => SchedulerState::Boot,
-        1 => SchedulerState::Active,
-        2 => SchedulerState::Migrating,
-        3 => SchedulerState::Evacuating,
-        4 => SchedulerState::DownWaiting,
-        5 => SchedulerState::Restoring,
-        6 => SchedulerState::Reacquiring,
-        _ => return Err(ColError::Corrupt("state code out of range")),
-    })
-}
-
-pub(crate) fn fault_code(k: FaultKind) -> u8 {
-    match k {
-        FaultKind::SpotCapacity => 0,
-        FaultKind::OdCapacity => 1,
-        FaultKind::StartupFailure => 2,
-        FaultKind::WarningMiss => 3,
-        FaultKind::WarningDelay => 4,
-        FaultKind::VolumeDelay => 5,
-        FaultKind::CkptWriteFail => 6,
-        FaultKind::LiveAbort => 7,
-        FaultKind::LazyStorm => 8,
+    DenialReason, "denial code out of range" {
+        UnknownMarket = 0, BidBelowPrice = 1, BidAboveCap = 2, InsufficientCapacity = 3,
+        QuotaExhausted = 4,
     }
-}
-
-pub(crate) fn fault_from_code(c: u8) -> Result<FaultKind, ColError> {
-    Ok(match c {
-        0 => FaultKind::SpotCapacity,
-        1 => FaultKind::OdCapacity,
-        2 => FaultKind::StartupFailure,
-        3 => FaultKind::WarningMiss,
-        4 => FaultKind::WarningDelay,
-        5 => FaultKind::VolumeDelay,
-        6 => FaultKind::CkptWriteFail,
-        7 => FaultKind::LiveAbort,
-        8 => FaultKind::LazyStorm,
-        _ => return Err(ColError::Corrupt("fault code out of range")),
-    })
-}
-
-pub(crate) fn migkind_code(k: MigrationKind) -> u8 {
-    match k {
-        MigrationKind::Forced => 0,
-        MigrationKind::Planned => 1,
-        MigrationKind::Reverse => 2,
+    MigrationPhase, "phase code out of range" {
+        Prepare = 0, LivePrecopy = 1, CkptFlush = 2, Restore = 3, LazyFaultIn = 4,
     }
-}
-
-pub(crate) fn migkind_from_code(c: u8) -> Result<MigrationKind, ColError> {
-    Ok(match c {
-        0 => MigrationKind::Forced,
-        1 => MigrationKind::Planned,
-        2 => MigrationKind::Reverse,
-        _ => return Err(ColError::Corrupt("migration kind code out of range")),
-    })
+    SchedulerState, "state code out of range" {
+        Boot = 0, Active = 1, Migrating = 2, Evacuating = 3, DownWaiting = 4, Restoring = 5,
+        Reacquiring = 6,
+    }
+    FaultKind, "fault code out of range" {
+        SpotCapacity = 0, OdCapacity = 1, StartupFailure = 2, WarningMiss = 3, WarningDelay = 4,
+        VolumeDelay = 5, CkptWriteFail = 6, LiveAbort = 7, LazyStorm = 8,
+    }
+    MigrationKind, "migration kind code out of range" {
+        Forced = 0, Planned = 1, Reverse = 2,
+    }
 }
 
 /// The market fields an event carries (`from`/`to` both count), for block
@@ -382,6 +184,7 @@ pub fn instance_of(ev: &TelemetryEvent) -> Option<InstanceId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventKind;
 
     #[test]
     fn kind_indices_are_dense_and_stable() {
@@ -399,38 +202,43 @@ mod tests {
         let ev = TelemetryEvent::StormStarted {
             zone: Zone::UsEast1a,
         };
-        assert_eq!(EventKind::of(&ev).name(), ev.name());
-        assert_eq!(EventKind::of(&ev), EventKind::StormStarted);
+        assert_eq!(ev.kind().name(), ev.name());
+        assert_eq!(ev.kind(), EventKind::StormStarted);
     }
 
     #[test]
     fn market_codes_roundtrip_all_sixteen() {
         for m in MarketId::all() {
-            assert_eq!(market_from_code(market_code(m)).unwrap(), m);
+            assert_eq!(MarketId::from_code(market_code(m)).unwrap(), m);
         }
-        assert!(market_from_code(16).is_err());
+        assert!(MarketId::from_code(16).is_err());
     }
 
     #[test]
     fn enum_codes_roundtrip() {
         for z in Zone::ALL {
-            assert_eq!(zone_from_code(zone_code(z)).unwrap(), z);
+            assert_eq!(Zone::from_code(zone_code(z)).unwrap(), z);
         }
         for c in 0..3 {
-            assert_eq!(termination_code(termination_from_code(c).unwrap()), c);
-            assert_eq!(migkind_code(migkind_from_code(c).unwrap()), c);
+            assert_eq!(TerminationReason::from_code(c).unwrap().code(), c);
+            assert_eq!(MigrationKind::from_code(c).unwrap().code(), c);
         }
         for c in 0..5 {
-            assert_eq!(denial_code(denial_from_code(c).unwrap()), c);
-            assert_eq!(phase_code(phase_from_code(c).unwrap()), c);
+            assert_eq!(DenialReason::from_code(c).unwrap().code(), c);
+            assert_eq!(MigrationPhase::from_code(c).unwrap().code(), c);
         }
         for c in 0..7 {
-            assert_eq!(state_code(state_from_code(c).unwrap()), c);
+            assert_eq!(SchedulerState::from_code(c).unwrap().code(), c);
         }
         for c in 0..9 {
-            assert_eq!(fault_code(fault_from_code(c).unwrap()), c);
+            assert_eq!(FaultKind::from_code(c).unwrap().code(), c);
         }
-        assert!(zone_from_code(4).is_err());
-        assert!(state_from_code(7).is_err());
+        assert!(Zone::from_code(4).is_err());
+        assert!(TerminationReason::from_code(3).is_err());
+        assert!(MigrationKind::from_code(3).is_err());
+        assert!(DenialReason::from_code(5).is_err());
+        assert!(MigrationPhase::from_code(5).is_err());
+        assert!(SchedulerState::from_code(7).is_err());
+        assert!(FaultKind::from_code(9).is_err());
     }
 }

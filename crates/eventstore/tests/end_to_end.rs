@@ -129,7 +129,7 @@ fn time_range_query_prunes_blocks() {
         .decode_all()
         .expect("decode")
         .into_iter()
-        .filter(|se| EventKind::of(&se.event) == EventKind::LeaseClosed)
+        .filter(|se| se.event.kind() == EventKind::LeaseClosed)
         .count();
     assert_eq!(closed.events.len(), brute);
 }

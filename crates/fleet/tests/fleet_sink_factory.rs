@@ -73,7 +73,7 @@ fn fleet_store_demultiplexes_per_vm_streams() {
         assert!(sel
             .events
             .iter()
-            .any(|se| EventKind::of(&se.event) == EventKind::StateChange));
+            .any(|se| se.event.kind() == EventKind::StateChange));
     }
 
     // A kind query across the whole fleet: every closed lease was

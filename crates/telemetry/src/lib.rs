@@ -43,7 +43,7 @@ pub mod recorder;
 pub mod sink;
 pub mod timeline;
 
-pub use event::{DenialReason, MigrationPhase, SchedulerState, TelemetryEvent};
+pub use event::{DenialReason, EventKind, MigrationPhase, SchedulerState, TelemetryEvent};
 pub use export::event_to_json;
 pub use recorder::Recorder;
 pub use sink::{NullSink, NullSinkFactory, Sink, SinkFactory};
