@@ -936,6 +936,28 @@ mod tests {
     }
 
     #[test]
+    fn bool_byte_above_one_is_corrupt() {
+        let mut payload = seal(&[StoredEvent {
+            vm: None,
+            at: SimTime::millis(5),
+            event: TelemetryEvent::ServiceUp {
+                id: InstanceId(1),
+                market: m(0),
+                spot: true,
+                first: false,
+            },
+        }]);
+        // `first` is the last column of the block's one kind.
+        let first = payload.last_mut().unwrap();
+        assert_eq!(*first, 0);
+        *first = 2;
+        assert!(matches!(
+            decode(&payload),
+            Err(ColError::Corrupt("bool code out of range"))
+        ));
+    }
+
+    #[test]
     fn header_count_beyond_payload_is_corrupt() {
         let mut payload = Vec::new();
         write_u64(&mut payload, 1 << 40); // count

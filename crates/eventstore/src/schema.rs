@@ -61,14 +61,18 @@ impl ByteCode for Zone {
     }
 }
 
-/// `false` is 0 and `true` is 1; any other byte reads as `true`.
+/// `false` is 0 and `true` is 1; any other byte is corrupt.
 impl ByteCode for bool {
     fn code(self) -> u8 {
         u8::from(self)
     }
 
     fn from_code(c: u8) -> Result<Self, ColError> {
-        Ok(c != 0)
+        match c {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(ColError::Corrupt("bool code out of range")),
+        }
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! Memory model: entries are `Arc`-shared; the resident cost is the sum
 //! of all distinct `(seed, horizon, market)` traces generated so far
-//! (~0.8 MB per market-seed at the paper's 60-day horizon). Callers
+//! (about 0.16 MB per market-seed at the paper's 60-day horizon). Callers
 //! running unbounded seed sweeps can drop the cache between phases with
 //! [`TraceArena::clear`], or — better — set a residency bound with
 //! [`TraceArena::set_trace_capacity`]: above the bound the arena evicts
@@ -60,8 +60,9 @@ pub struct ArenaStats {
     pub factor_misses: u64,
     /// Distinct traces resident in the arena.
     pub resident_traces: u64,
-    /// Price-point bytes held by resident traces (excludes map overhead
-    /// and the factor paths, which are transient by comparison).
+    /// Heap bytes held by resident traces, points and block maxima
+    /// ([`PriceTrace::heap_bytes`]); excludes map overhead and the factor
+    /// paths, which are transient by comparison.
     pub resident_bytes: u64,
     /// Traces evicted to honour the residency bound
     /// ([`TraceArena::set_trace_capacity`]).
@@ -103,11 +104,7 @@ impl Inner {
     /// Recompute the residency gauges after any insert or eviction.
     fn refresh_gauges(&mut self) {
         self.stats.resident_traces = self.traces.len() as u64;
-        self.stats.resident_bytes = self
-            .traces
-            .values()
-            .map(|t| std::mem::size_of_val(t.points()) as u64)
-            .sum();
+        self.stats.resident_bytes = self.traces.values().map(|t| t.heap_bytes() as u64).sum();
     }
 }
 

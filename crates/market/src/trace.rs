@@ -30,6 +30,10 @@ impl Segment {
     }
 }
 
+/// Points per block of [`PriceTrace`]'s block maxima. A cursor's crossing
+/// scan skips every block whose maximum cannot cross its threshold.
+const BLOCK: usize = 32;
+
 /// A complete spot-price history over `[0, end)`.
 ///
 /// Invariants (checked at construction):
@@ -39,7 +43,11 @@ impl Segment {
 /// * `end` at or after the last point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PriceTrace {
+    /// Held at exact capacity: a trace lives as long as its arena entry.
     points: Vec<PricePoint>,
+    /// The highest price of each run of [`BLOCK`] points, the last run
+    /// possibly shorter.
+    block_max: Vec<f64>,
     end: SimTime,
 }
 
@@ -47,6 +55,10 @@ impl PriceTrace {
     /// Build a trace, validating invariants. Panics on malformed input —
     /// traces are produced by generators under our control, so a violation
     /// is a programming error, not a recoverable condition.
+    ///
+    /// A `points` vector with spare capacity is copied once into an
+    /// exact-size one, so a generator may reserve a slot per candidate
+    /// change and drop repeated prices.
     pub fn new(points: Vec<PricePoint>, end: SimTime) -> Self {
         assert!(!points.is_empty(), "trace must have at least one point");
         assert_eq!(points[0].at, SimTime::ZERO, "trace must start at t=0");
@@ -68,7 +80,20 @@ impl PriceTrace {
             end > last || (points.len() == 1 && end >= SimTime::ZERO),
             "trace end must be after the last change"
         );
-        PriceTrace { points, end }
+        let points = if points.capacity() > points.len() {
+            points.as_slice().to_vec()
+        } else {
+            points
+        };
+        let block_max = points
+            .chunks(BLOCK)
+            .map(|b| b.iter().map(|p| p.price).fold(0.0, f64::max))
+            .collect();
+        PriceTrace {
+            points,
+            block_max,
+            end,
+        }
     }
 
     /// A trace that holds one constant price for the whole horizon.
@@ -92,6 +117,12 @@ impl PriceTrace {
 
     pub fn num_changes(&self) -> usize {
         self.points.len()
+    }
+
+    /// Heap bytes the trace holds: its points and its block maxima.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.points.as_slice())
+            + std::mem::size_of_val(self.block_max.as_slice())
     }
 
     /// Index of the segment containing `t` (last point with `at <= t`).
@@ -122,6 +153,9 @@ impl PriceTrace {
     /// a query at or past `end` yields `None` even though [`price_at`]
     /// extends the trace with its final value.
     ///
+    /// Walks point by point: the reference that
+    /// [`TraceCursor::next_time_above`]'s block skip is checked against.
+    ///
     /// [`price_at`]: PriceTrace::price_at
     pub fn next_time_above(&self, from: SimTime, threshold: f64) -> Option<SimTime> {
         // Clamp the `from` hit to the horizon exactly like later-segment
@@ -143,6 +177,29 @@ impl PriceTrace {
             i += 1;
         }
         None
+    }
+
+    /// Index of the first point at or after `start` priced `> threshold`:
+    /// the rest of `start`'s block point by point, then the first later
+    /// block whose maximum is above `threshold`.
+    fn first_above(&self, start: usize, threshold: f64) -> Option<usize> {
+        let pts = &self.points;
+        let block = start / BLOCK;
+        let rest = &pts[start..pts.len().min((block + 1) * BLOCK)];
+        if let Some(k) = rest.iter().position(|p| p.price > threshold) {
+            return Some(start + k);
+        }
+        let skipped = self
+            .block_max
+            .get(block + 1..)?
+            .iter()
+            .position(|&m| m > threshold)?;
+        let lo = (block + 1 + skipped) * BLOCK;
+        let k = pts[lo..]
+            .iter()
+            .position(|p| p.price > threshold)
+            .expect("a block whose maximum is above the threshold holds a point above it");
+        Some(lo + k)
     }
 
     /// Earliest instant `>= from` at which the price is `<= threshold`.
@@ -458,24 +515,31 @@ impl<'a> TraceCursor<'a> {
     /// is `> threshold`. Commits the cursor to `from`'s segment, then
     /// scans ahead *without* committing, so a later monotonic query from
     /// `from` onwards stays on the fast path.
+    ///
+    /// The scan ahead walks the rest of the segment's block, skips every
+    /// block whose maximum is not above `threshold`, and walks only the
+    /// first block whose maximum is, so it finds the point the stateless
+    /// walk finds; debug builds check every answer against that walk.
     pub fn next_time_above(&mut self, from: SimTime, threshold: f64) -> Option<SimTime> {
         if from >= self.trace.end {
             return None;
         }
-        let mut i = self.seek(from);
-        let pts = &self.trace.points;
-        if pts[i].price > threshold {
-            return Some(from);
-        }
-        i += 1;
-        while i < pts.len() {
-            if pts[i].price > threshold {
-                let at = pts[i].at;
-                return (at < self.trace.end).then_some(at);
-            }
-            i += 1;
-        }
-        None
+        let i = self.seek(from);
+        let trace = self.trace;
+        let found = if trace.points[i].price > threshold {
+            Some(from)
+        } else {
+            trace
+                .first_above(i + 1, threshold)
+                .map(|j| trace.points[j].at)
+                .filter(|&at| at < trace.end)
+        };
+        debug_assert_eq!(
+            found,
+            trace.next_time_above(from, threshold),
+            "block skip from {from} above {threshold}"
+        );
+        found
     }
 
     /// Feed every constant-price segment overlapping `[from, to)` to
@@ -728,6 +792,19 @@ mod tests {
             Some(SimTime::secs(20))
         );
         assert_eq!(c.next_time_above(SimTime::secs(60), 0.1), None);
+    }
+
+    #[test]
+    fn new_holds_exactly_its_points_and_one_maximum_per_block() {
+        let mut points = Vec::with_capacity(100);
+        points.extend((0..BLOCK as u64 + 1).map(|i| PricePoint {
+            at: SimTime::secs(i),
+            price: 1.0 + (i % 7) as f64,
+        }));
+        let t = PriceTrace::new(points, SimTime::secs(60));
+        assert_eq!(t.points.capacity(), BLOCK + 1);
+        assert_eq!(t.block_max, vec![7.0, 5.0]);
+        assert_eq!(t.heap_bytes(), (BLOCK + 1) * 16 + 2 * 8);
     }
 
     #[test]

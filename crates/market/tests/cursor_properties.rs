@@ -1,41 +1,69 @@
 //! Property tests pinning every `TraceCursor` query to its stateless
 //! `PriceTrace` counterpart on long traces. A query sequence mixes
 //! next-point steps, long forward jumps that make the cursor gallop,
-//! repeats, backward moves and times past the horizon, and interleaves
-//! all six cursor methods, so each seek starts from wherever the previous
-//! query committed the cursor. A second property pins `TrailingWindow`
-//! to `PriceTrace::fraction_above_in` over the trailing window it keeps.
+//! moves to block edges and into the last block, repeats, backward moves
+//! and times past the horizon, and interleaves all six cursor methods, so
+//! each seek starts from wherever the previous query committed the
+//! cursor. A second property pins `TrailingWindow` to
+//! `PriceTrace::fraction_above_in` over the trailing window it keeps.
 
 use proptest::prelude::*;
 use spothost_market::time::{MILLIS_PER_HOUR, MILLIS_PER_MINUTE};
 use spothost_market::trace::{PricePoint, PriceTrace, Segment};
 use spothost_market::{SimDuration, SimTime};
 
-/// A random trace of up to about 2000 points. Dense traces change price
-/// up to 10 minutes apart, sparse ones up to 4 hours apart.
+/// Points per block of a trace's block maxima (`trace::BLOCK`), which
+/// `TraceCursor::next_time_above` skips by.
+const BLOCK: usize = 32;
+
+/// A random trace of up to about 2000 points, in one of three shapes.
+/// Dense traces change price up to 10 minutes apart and sparse ones up
+/// to 4 hours apart, both to prices drawn from 0.01–20. Calm traces,
+/// like the calibrated ones, change up to 10 minutes apart among four
+/// low prices, with a spike to 1.5–11 about once per hundred changes and
+/// one as the last change in half of them, so whole blocks sit at or
+/// below a threshold drawn from the trace.
 fn arb_trace() -> impl Strategy<Value = PriceTrace> {
     (
-        prop::bool::ANY,
+        0u8..3,
         prop::collection::vec((0.0f64..1.0, 0.01f64..20.0), 0..2000),
         0.01f64..20.0,
         1u64..2 * MILLIS_PER_HOUR,
+        prop::bool::ANY,
     )
-        .prop_map(|(dense, steps, p0, tail)| {
-            let max_gap = if dense {
-                10 * MILLIS_PER_MINUTE
-            } else {
+        .prop_map(|(shape, steps, p0, tail, spike_last)| {
+            let calm = shape == 2;
+            let max_gap = if shape == 1 {
                 4 * MILLIS_PER_HOUR
+            } else {
+                10 * MILLIS_PER_MINUTE
+            };
+            let price = |p: f64| {
+                if !calm {
+                    p
+                } else if p < 0.2 {
+                    1.0 + 50.0 * p
+                } else {
+                    0.05 + 0.01 * (p / 5.0).floor()
+                }
             };
             let mut points = vec![PricePoint {
                 at: SimTime::ZERO,
-                price: p0,
+                price: price(p0),
             }];
             let mut t = 0u64;
-            for (gap, price) in steps {
+            for (gap, p) in steps {
                 t += 1 + (gap * max_gap as f64) as u64;
                 points.push(PricePoint {
                     at: SimTime::millis(t),
-                    price,
+                    price: price(p),
+                });
+            }
+            if calm && spike_last {
+                t += 1 + tail % max_gap;
+                points.push(PricePoint {
+                    at: SimTime::millis(t),
+                    price: 5.0,
                 });
             }
             PriceTrace::new(points, SimTime::millis(t + tail))
@@ -51,6 +79,12 @@ enum Move {
     NextPoint,
     /// `k` points ahead, anywhere inside the segment there.
     Jump(usize),
+    /// To the first point of the block `k` points ahead lies in, or to
+    /// the last point before it.
+    BlockEdge(usize),
+    /// Anywhere inside the last block, which is partial unless the
+    /// trace's length is a multiple of [`BLOCK`].
+    LastBlock,
     /// Back to a fraction of the previous query time.
     Back,
     /// Anywhere in `[0, 1.1 x end)`, so past the horizon too.
@@ -59,19 +93,22 @@ enum Move {
 
 /// Mostly next-point steps and long jumps.
 fn arb_move() -> impl Strategy<Value = Move> {
-    (0u8..10, 8usize..2000).prop_map(|(kind, k)| match kind {
+    (0u8..12, 8usize..2000).prop_map(|(kind, k)| match kind {
         0 => Move::Repeat,
         1..=4 => Move::NextPoint,
         5..=7 => Move::Jump(k),
-        8 => Move::Back,
+        8 => Move::BlockEdge(k),
+        9 => Move::LastBlock,
+        10 => Move::Back,
         _ => Move::Anywhere,
     })
 }
 
-/// One query: a move, a cursor method (0..6), and a fraction used for
-/// offsets, thresholds and window lengths.
-fn arb_query() -> impl Strategy<Value = (Move, u8, f64)> {
-    (arb_move(), 0u8..6, 0.0f64..1.0)
+/// One query: a move, a cursor method (0..6), a fraction used for
+/// offsets, thresholds and window lengths, and whether the threshold is
+/// the maximum of the block holding the price it is drawn from.
+fn arb_query() -> impl Strategy<Value = (Move, u8, f64, bool)> {
+    (arb_move(), 0u8..6, 0.0f64..1.0, prop::bool::ANY)
 }
 
 /// How one trailing-window query moves the query time forward.
@@ -131,7 +168,8 @@ proptest! {
         let end_ms = trace.end().as_millis();
         let mut c = trace.cursor();
         let mut t = SimTime::ZERO;
-        for (mv, method, frac) in queries {
+        let last_block = (pts.len() - 1) / BLOCK * BLOCK;
+        for (mv, method, frac, at_block_max) in queries {
             let i = pts.partition_point(|p| p.at <= t) - 1;
             // A time `frac` of the way through segment `j`.
             let inside = |j: usize| {
@@ -145,11 +183,25 @@ proptest! {
                     _ => SimTime::millis(t.as_millis() + (frac * MILLIS_PER_MINUTE as f64) as u64),
                 },
                 Move::Jump(k) => SimTime::millis(inside((i + k).min(pts.len() - 1))),
+                Move::BlockEdge(k) => {
+                    let first = ((i + k) / BLOCK * BLOCK).min(last_block);
+                    pts[if frac < 0.5 { first } else { first.saturating_sub(1) }].at
+                }
+                Move::LastBlock => SimTime::millis(inside(
+                    (last_block + (frac * (pts.len() - last_block) as f64) as usize).min(pts.len() - 1),
+                )),
                 Move::Back => SimTime::millis((frac * t.as_millis() as f64) as u64),
                 Move::Anywhere => SimTime::millis((frac * 1.1 * end_ms as f64) as u64),
             };
-            // A threshold among the trace's prices, so crossings happen.
-            let threshold = pts[(frac * pts.len() as f64) as usize].price;
+            // A threshold among the trace's prices, so crossings happen,
+            // or the maximum of a block, which must not cross itself.
+            let j = (frac * pts.len() as f64) as usize;
+            let threshold = if at_block_max {
+                let b = j / BLOCK * BLOCK;
+                pts[b..pts.len().min(b + BLOCK)].iter().map(|p| p.price).fold(0.0, f64::max)
+            } else {
+                pts[j].price
+            };
             match method {
                 0 => prop_assert_eq!(c.price_at(t), trace.price_at(t), "price_at {}", t),
                 1 => prop_assert_eq!(c.segment_at(t), segment_containing(&segs, t), "segment_at {}", t),
