@@ -3,7 +3,8 @@
 //! The CLI face of the chaos invariant harness
 //! (`crates/core/tests/chaos_properties.rs`): burn a wall-clock budget
 //! running randomized-but-reproducible storm x fault x policy x
-//! mechanism x scope x stability-weight configurations and verify, for
+//! mechanism x scope x stability-weight configurations, with the naive
+//! restart on or off, and verify, for
 //! every trial, that the scheduler
 //!
 //! * terminates with conserved accounting (downtime fits inside the
@@ -11,7 +12,8 @@
 //!   on-demand baseline),
 //! * is deterministic (a re-run with the same inputs is bit-identical),
 //! * replays exactly through telemetry (summing the recorded stream
-//!   reproduces cost and downtime bitwise, storm edges balance), and
+//!   reproduces cost and downtime bitwise, storm edges balance, and every
+//!   granted lease is settled exactly once), and
 //! * collapses to the storm-free baseline at zero intensity.
 //!
 //! Trials derive from `--seed` via splitmix64, so a failing trial number
@@ -23,6 +25,7 @@ use crate::commands::SEED;
 use spothost_core::prelude::*;
 use spothost_market::time::SimDuration;
 use spothost_market::types::{InstanceType, MarketId, Zone};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -81,12 +84,17 @@ fn trial_cfg(state: &mut u64) -> SchedulerConfig {
     let cfg = match &scope {
         MarketScope::Single(m) => SchedulerConfig::single_market(*m),
         _ => SchedulerConfig::multi(scope),
-    };
-    cfg.with_policy(policy)
-        .with_mechanism(mechanism)
-        .with_faults(faults)
-        .with_storms(storms)
-        .with_stability_weight(stability)
+    }
+    .with_policy(policy)
+    .with_mechanism(mechanism)
+    .with_faults(faults)
+    .with_storms(storms)
+    .with_stability_weight(stability);
+    if splitmix64(state).is_multiple_of(2) {
+        cfg.with_naive_restart()
+    } else {
+        cfg
+    }
 }
 
 fn check_conservation(r: &RunReport, horizon: SimDuration) -> Result<(), String> {
@@ -126,9 +134,17 @@ fn check_replay(cfg: &SchedulerConfig, seed: u64, horizon: SimDuration) -> Resul
     let mut cost = 0.0f64;
     let mut downtime_ms = 0u64;
     let mut open = [0i64; 4];
+    // Per lease id: (grants, settlements by LeaseClosed or
+    // ActivationFailed).
+    let mut leases: BTreeMap<u64, (u32, u32)> = BTreeMap::new();
     for (_, ev) in rec.events() {
         match ev {
-            TelemetryEvent::LeaseClosed { cost: c, .. } => cost += c,
+            TelemetryEvent::LeaseGranted { id, .. } => leases.entry(id.0).or_default().0 += 1,
+            TelemetryEvent::ActivationFailed { id, .. } => leases.entry(id.0).or_default().1 += 1,
+            TelemetryEvent::LeaseClosed { id, cost: c, .. } => {
+                cost += c;
+                leases.entry(id.0).or_default().1 += 1;
+            }
             TelemetryEvent::Outage { start, end } => {
                 downtime_ms += (*end - *start).as_millis();
             }
@@ -156,6 +172,11 @@ fn check_replay(cfg: &SchedulerConfig, seed: u64, horizon: SimDuration) -> Resul
     }
     if open.iter().any(|n| !(0..=1).contains(n)) {
         return Err(format!("unbalanced storm edges at horizon: {open:?}"));
+    }
+    if let Some((id, (granted, settled))) = leases.iter().find(|(_, &n)| n != (1, 1)) {
+        return Err(format!(
+            "lease {id}: granted {granted} times, settled {settled} times"
+        ));
     }
     Ok(())
 }

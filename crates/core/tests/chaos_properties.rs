@@ -1,7 +1,8 @@
 //! Chaos invariant harness: the scheduler must survive ANY storm.
 //!
 //! For randomized grids of storm configs x fault plans x policies x
-//! mechanisms x stability weights x seeds, a run must:
+//! mechanisms x stability weights x seeds, with the naive restart on or
+//! off, a run must:
 //!
 //! (a) terminate with conserved accounting — downtime and degraded time
 //!     fit inside the measured span, cost stays finite, non-negative and
@@ -12,7 +13,8 @@
 //!     one (no event-queue residue, no forecaster residue);
 //! (d) replay exactly through telemetry — summing the recorded stream
 //!     reproduces cost and downtime bitwise even with storm events
-//!     interleaved, and the storm edges themselves are well-formed;
+//!     interleaved, the storm edges themselves are well-formed, and every
+//!     granted lease is settled exactly once;
 //! (e) collapse to the storm-free baseline at zero intensity — a
 //!     zero-intensity config, and even a *built* but effect-free
 //!     schedule, never advances any RNG stream, so the report is
@@ -34,6 +36,7 @@ use spothost_market::gen::TraceSet;
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::types::{InstanceType, MarketId, Zone};
 use spothost_virt::MechanismCombo;
+use std::collections::BTreeMap;
 
 fn rate() -> impl Strategy<Value = f64> {
     (0u32..10, 0.0f64..0.5).prop_map(|(k, x)| if k == 0 { 0.0 } else { x })
@@ -182,14 +185,20 @@ fn base_cfg(
     policy: BiddingPolicy,
     mechanism: MechanismCombo,
     stability: f64,
+    naive: bool,
 ) -> SchedulerConfig {
     let cfg = match &scope {
         MarketScope::Single(m) => SchedulerConfig::single_market(*m),
         _ => SchedulerConfig::multi(scope),
-    };
-    cfg.with_policy(policy)
-        .with_mechanism(mechanism)
-        .with_stability_weight(stability)
+    }
+    .with_policy(policy)
+    .with_mechanism(mechanism)
+    .with_stability_weight(stability);
+    if naive {
+        cfg.with_naive_restart()
+    } else {
+        cfg
+    }
 }
 
 const HORIZON_DAYS: u64 = 7;
@@ -235,9 +244,10 @@ fn run_ticked(
 /// float in its shortest round-trip form, so equal renderings are equal
 /// bits.
 /// (d) Replay a recorded stream: ordered sums reproduce the report's
-/// cost and downtime bitwise, and storm edges are balanced per zone (at
+/// cost and downtime bitwise, storm edges are balanced per zone (at
 /// most one episode left open at the horizon, since a zone's episodes
-/// never overlap).
+/// never overlap), and every granted lease is settled exactly once, by a
+/// `LeaseClosed` or, when it never came up, an `ActivationFailed`.
 fn replay<'a>(
     report: &RunReport,
     events: impl Iterator<Item = &'a TimedEvent>,
@@ -245,9 +255,16 @@ fn replay<'a>(
     let mut cost = 0.0f64;
     let mut downtime_ms = 0u64;
     let mut open = [0i64; 4];
+    // Per lease id: (grants, settlements).
+    let mut leases: BTreeMap<u64, (u32, u32)> = BTreeMap::new();
     for (_, ev) in events {
         match ev {
-            TelemetryEvent::LeaseClosed { cost: c, .. } => cost += c,
+            TelemetryEvent::LeaseGranted { id, .. } => leases.entry(id.0).or_default().0 += 1,
+            TelemetryEvent::ActivationFailed { id, .. } => leases.entry(id.0).or_default().1 += 1,
+            TelemetryEvent::LeaseClosed { id, cost: c, .. } => {
+                cost += c;
+                leases.entry(id.0).or_default().1 += 1;
+            }
             TelemetryEvent::Outage { start, end } => {
                 downtime_ms += (*end - *start).as_millis();
             }
@@ -273,8 +290,13 @@ fn replay<'a>(
             report.downtime
         ));
     }
-    match open.iter().position(|n| !(0..=1).contains(n)) {
-        Some(z) => Err(format!("zone {z}: {} unbalanced storm edges", open[z])),
+    if let Some(z) = open.iter().position(|n| !(0..=1).contains(n)) {
+        return Err(format!("zone {z}: {} unbalanced storm edges", open[z]));
+    }
+    match leases.iter().find(|(_, &n)| n != (1, 1)) {
+        Some((id, (granted, settled))) => Err(format!(
+            "lease {id}: granted {granted} times, settled {settled} times"
+        )),
         None => Ok(()),
     }
 }
@@ -363,8 +385,9 @@ proptest! {
         mechanism in arb_mechanism(),
         seed in 0u64..1_000,
         stability in arb_stability(),
+        naive in prop::bool::ANY,
     ) {
-        let cfg = base_cfg(scope, policy, mechanism, stability)
+        let cfg = base_cfg(scope, policy, mechanism, stability, naive)
             .with_faults(faults)
             .with_storms(storms);
         cfg.validate().expect("chaos grid configs must validate");
@@ -394,15 +417,18 @@ proptest! {
         policy in arb_policy(),
         seed in 0u64..1_000,
         stability in arb_stability(),
+        naive in prop::bool::ANY,
     ) {
         // Dirty a scratch with a violent, unrelated run (full-intensity
-        // storms, a different scope, a different seed), then reuse it:
+        // storms, a different scope, a different seed, the other naive
+        // restart setting), then reuse it:
         // the report must be bit-identical to a fresh-scratch run.
         let dirty_cfg = base_cfg(
             MarketScope::MultiMarket(Zone::EuWest1a),
             BiddingPolicy::Reactive,
             MechanismCombo::ALL[0],
             32.0,
+            !naive,
         )
         .with_faults(FaultConfig::uniform(0.4))
         .with_storms(StormConfig::intensity(1.0));
@@ -420,6 +446,7 @@ proptest! {
             policy,
             MechanismCombo::ALL[3],
             stability,
+            naive,
         )
         .with_faults(faults)
         .with_storms(storms);
@@ -436,12 +463,14 @@ proptest! {
         policy in arb_policy(),
         seed in 0u64..1_000,
         stability in arb_stability(),
+        naive in prop::bool::ANY,
     ) {
         let cfg = base_cfg(
             MarketScope::MultiMarket(Zone::UsEast1a),
             policy,
             MechanismCombo::ALL[2],
             stability,
+            naive,
         )
         .with_faults(faults)
         .with_storms(storms);
@@ -463,9 +492,10 @@ proptest! {
         mechanism in arb_mechanism(),
         seed in 0u64..1_000,
         stability in arb_stability(),
+        naive in prop::bool::ANY,
     ) {
         let horizon = SimDuration::days(HORIZON_DAYS);
-        let base = base_cfg(scope, policy, mechanism, stability).with_faults(faults);
+        let base = base_cfg(scope, policy, mechanism, stability, naive).with_faults(faults);
         let plain = run_one(&base, seed, horizon);
         // A zero-intensity config builds no schedule at all...
         let zero = run_one(
@@ -493,12 +523,13 @@ proptest! {
         start_min in prop_oneof![Just(0u64), 0u64..HORIZON_DAYS * 24 * 60],
         seed in 0u64..1_000,
         stability in arb_stability(),
+        naive in prop::bool::ANY,
     ) {
         // (f) A fleet builds one schedule from its seed and hands it to
         // every run; a single-service run builds its own from its run
         // seed. With both seeds equal the two runs must not differ by a
         // bit, from any start (a mid-run spawn seeks the edge cursors).
-        let own = base_cfg(scope, policy, mechanism, stability)
+        let own = base_cfg(scope, policy, mechanism, stability, naive)
             .with_faults(faults)
             .with_storms(StormConfig::intensity(intensity));
         let traces = traces_for(&own, seed);
@@ -544,12 +575,13 @@ proptest! {
         release_frac in prop_oneof![Just(1.0f64), 0.0f64..1.0, 0.99f64..1.0],
         seed in 0u64..1_000,
         stability in arb_stability(),
+        naive in prop::bool::ANY,
     ) {
         // (g) Two twins tick every few seconds or minutes from the same
         // start, sometimes in the run's last three hours; one steps at
         // every tick, the other only when something is due. Both finish
         // at the same release tick, or at the horizon.
-        let cfg = base_cfg(scope, policy, mechanism, stability)
+        let cfg = base_cfg(scope, policy, mechanism, stability, naive)
             .with_faults(faults)
             .with_storms(storms);
         let traces = traces_for(&cfg, seed);
@@ -564,6 +596,24 @@ proptest! {
         let skipping = run_ticked(&traces, &cfg, seed, start, &ticks, release, true);
         prop_assert_eq!(every.0, skipping.0);
         prop_assert_eq!(rendered(&every.1), rendered(&skipping.1));
+    }
+}
+
+/// (d) holds when a revocation warning interrupts a planned move to
+/// on-demand under the naive restart: the move's target is settled, not
+/// left pending to the end of the run. Each of these 60-day storm runs
+/// has such a move.
+#[test]
+fn naive_restart_settles_an_interrupted_moves_target() {
+    let cfg = SchedulerConfig::single_market(MarketId::new(Zone::UsEast1a, InstanceType::Small))
+        .with_policy(BiddingPolicy::proactive_default())
+        .with_storms(StormConfig::intensity(0.6))
+        .with_naive_restart();
+    for seed in 0..3 {
+        let (report, rec) = run_one_recorded(&cfg, seed, SimDuration::days(60));
+        if let Err(e) = replay(&report, rec.events()) {
+            panic!("seed {seed}: {e}");
+        }
     }
 }
 
