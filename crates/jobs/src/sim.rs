@@ -37,6 +37,7 @@ use spothost_market::{Catalog, TraceSet};
 use spothost_telemetry::{NullSink, Sink, TelemetryEvent};
 use spothost_virt::{BoundedCheckpointer, VirtParams, VmSpec};
 use std::fmt;
+use std::marker::PhantomData;
 
 use crate::config::{JobPolicy, JobsConfig};
 use crate::report::JobsReport;
@@ -196,7 +197,7 @@ pub fn try_run_jobs_on<S: Sink>(
 
     scratch.forecaster.reset(ForecastParams::default());
     scratch.events.clear();
-    let mut ctx = Ctx::new(
+    let mut ctx = Ctx::<S>::new(
         cfg,
         traces,
         master_seed,
@@ -243,7 +244,9 @@ pub fn try_run_jobs_on<S: Sink>(
     })
 }
 
-struct Ctx<'a> {
+/// The state of one job run. `S` is the run's sink type: events are
+/// buffered only when it records them.
+struct Ctx<'a, S> {
     cfg: &'a JobsConfig,
     /// Every lease of every job is requested, activated, scheduled for
     /// revocation and billed here. Jobs run one after another, each from
@@ -275,9 +278,10 @@ struct Ctx<'a> {
     /// Consecutive denied requests of the current job (drives the
     /// backoff).
     denials: u32,
+    sink: PhantomData<fn(S)>,
 }
 
-impl<'a> Ctx<'a> {
+impl<'a, S: Sink> Ctx<'a, S> {
     /// The simulation state of one run: its provider, built the way the
     /// service scheduler builds one, and its storm schedule, built only
     /// when storms are enabled.
@@ -315,6 +319,7 @@ impl<'a> Ctx<'a> {
             obs_revocations: 0,
             obs_busy: SimDuration::ZERO,
             denials: 0,
+            sink: PhantomData,
         }
     }
 
@@ -342,8 +347,12 @@ impl<'a> Ctx<'a> {
             .min(TAU_MAX)
     }
 
+    /// Buffer one event for the sink. Behind a `NullSink` the guard is a
+    /// compile-time `false`, so nothing is recorded.
     fn emit(&mut self, at: SimTime, ev: TelemetryEvent) {
-        self.events.push((at, ev));
+        if S::ENABLED {
+            self.events.push((at, ev));
+        }
     }
 
     /// Does a checkpoint write at `at` fail? Never without faults.
@@ -741,6 +750,24 @@ mod tests {
     use spothost_cloudsim::{spot_lease_charge, REVOCATION_GRACE};
     use spothost_market::trace::{PricePoint, PriceTrace};
     use spothost_market::types::{InstanceType, Zone};
+    use spothost_telemetry::Recorder;
+
+    /// Behind a `NullSink` a run records nothing: the scratch's event
+    /// buffer is never grown.
+    #[test]
+    fn a_null_sink_run_buffers_no_events() {
+        let cfg = JobsConfig::new(JobPolicy::CheckpointSpot);
+        let traces = TraceSet::generate(
+            &Catalog::ec2_2015(),
+            &[cfg.market],
+            3,
+            SimDuration::days(14),
+        );
+        let mut scratch = JobsScratch::new();
+        let result = run_jobs_on(&cfg, &traces, 3, &mut NullSink, &mut scratch);
+        assert_eq!(result.outcomes.len(), 93);
+        assert_eq!(scratch.events.capacity(), 0);
+    }
 
     /// A checkpointing job's spot lease on a hand-made step trace, faults
     /// off: the price crosses every bid 59 min into the job's work. Work
@@ -773,7 +800,7 @@ mod tests {
         let trace = traces.trace(cfg.market).expect("built above");
         let mut scratch = JobsScratch::new();
         let (forecaster, events) = (&mut scratch.forecaster, &mut scratch.events);
-        let mut ctx = Ctx::new(&cfg, &traces, 1, forecaster, events);
+        let mut ctx = Ctx::<Recorder>::new(&cfg, &traces, 1, forecaster, events);
         ctx.provider = CloudProvider::new(&traces, 1).with_startup_model(startup);
         let tau = ctx.young_interval(ctx.hazard_per_hour(None));
         assert!(tau > crossing.since(ready), "one chunk, no periodic write");
