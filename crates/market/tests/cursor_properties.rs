@@ -77,11 +77,12 @@ enum Move {
     Repeat,
     /// To the next price change, or a little way into the segment.
     NextPoint,
-    /// `k` points ahead, anywhere inside the segment there.
-    Jump(usize),
-    /// To the first point of the block `k` points ahead lies in, or to
-    /// the last point before it.
-    BlockEdge(usize),
+    /// A fraction of the points left ahead, anywhere inside the segment
+    /// there.
+    Jump(f64),
+    /// To the first point of the block that a fraction of the points
+    /// left ahead lies in, or to the last point before it.
+    BlockEdge(f64),
     /// Anywhere inside the last block, which is partial unless the
     /// trace's length is a multiple of [`BLOCK`].
     LastBlock,
@@ -91,15 +92,18 @@ enum Move {
     Anywhere,
 }
 
-/// Mostly next-point steps and long jumps.
+/// Mostly next-point steps and jumps. The jumps cover a fraction of the
+/// points left and `Back` moves earlier twice as often as the other rare
+/// moves, so query times spread over the whole trace instead of piling
+/// up at its end.
 fn arb_move() -> impl Strategy<Value = Move> {
-    (0u8..12, 8usize..2000).prop_map(|(kind, k)| match kind {
+    (0u8..13, 0.0f64..1.0).prop_map(|(kind, f)| match kind {
         0 => Move::Repeat,
         1..=4 => Move::NextPoint,
-        5..=7 => Move::Jump(k),
-        8 => Move::BlockEdge(k),
+        5..=7 => Move::Jump(f),
+        8 => Move::BlockEdge(f),
         9 => Move::LastBlock,
-        10 => Move::Back,
+        10 | 11 => Move::Back,
         _ => Move::Anywhere,
     })
 }
@@ -176,15 +180,17 @@ proptest! {
                 let seg = segs[j];
                 seg.start.as_millis() + (frac * seg.duration().as_millis() as f64) as u64
             };
+            // The point a fraction `f` of the points left ahead.
+            let ahead = |f: f64| i + (f * (pts.len() - 1 - i) as f64) as usize;
             t = match mv {
                 Move::Repeat => t,
                 Move::NextPoint => match pts.get(i + 1) {
                     Some(p) if frac < 0.5 => p.at,
                     _ => SimTime::millis(t.as_millis() + (frac * MILLIS_PER_MINUTE as f64) as u64),
                 },
-                Move::Jump(k) => SimTime::millis(inside((i + k).min(pts.len() - 1))),
-                Move::BlockEdge(k) => {
-                    let first = ((i + k) / BLOCK * BLOCK).min(last_block);
+                Move::Jump(f) => SimTime::millis(inside(ahead(f))),
+                Move::BlockEdge(f) => {
+                    let first = (ahead(f) / BLOCK * BLOCK).min(last_block);
                     pts[if frac < 0.5 { first } else { first.saturating_sub(1) }].at
                 }
                 Move::LastBlock => SimTime::millis(inside(
