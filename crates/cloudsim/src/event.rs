@@ -1,103 +1,68 @@
 //! A generic discrete-event queue.
 //!
-//! A thin, allocation-friendly min-heap keyed by `(SimTime, sequence)`.
-//! The sequence number makes ordering of simultaneous events deterministic
-//! (FIFO among equal timestamps), which keeps whole simulations bit-for-bit
+//! A vector kept sorted latest-first, so the earliest event is the last
+//! entry. A simulation run holds only a few pending events at a time, and
+//! the event it pushes is usually the earliest, so most pushes are an
+//! append and every pop is a `Vec::pop`. Events at equal timestamps pop in
+//! push order (FIFO), which keeps whole simulations bit-for-bit
 //! reproducible across runs and platforms.
 
 use spothost_market::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A deterministic discrete-event queue.
 ///
 /// Events are not cancellable; consumers that need cancellation attach a
 /// generation counter to their event payloads and drop stale events on pop
 /// (see `spothost-core`'s scheduler). This keeps the queue trivially
-/// correct and O(log n) per operation.
+/// correct: a push costs a binary search and a shift of the events due
+/// before it, a pop O(1).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+    /// Pending events, latest first.
+    events: Vec<(SimTime, E)>,
 }
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-        }
+        EventQueue { events: Vec::new() }
     }
 
     /// Schedule `event` at `at`. Events pushed with equal timestamps pop in
-    /// push order.
+    /// push order: a push lands after every later event and before every
+    /// event pending at the same time.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, event }));
+        let i = self.events.partition_point(|&(t, _)| t > at);
+        self.events.insert(i, (at, event));
+        debug_assert!(
+            self.events.windows(2).all(|w| w[0].0 >= w[1].0),
+            "event queue out of order after a push at {at:?}"
+        );
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        self.events.pop()
     }
 
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.events.last().map(|&(t, _)| t)
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 
+    /// Drop every pending event, keeping the allocation. The order of
+    /// later pops depends only on the events pushed since, so a cleared
+    /// queue behaves bit-identically to a freshly constructed one, which
+    /// lets scratch state be reused across simulation runs.
     pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Empty the queue *and* rewind the sequence counter, keeping the
-    /// heap's allocation. A reset queue behaves bit-identically to a
-    /// freshly constructed one — required when scratch state is reused
-    /// across simulation runs, because the sequence counter breaks ties
-    /// between simultaneous events and must restart from the same value.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
+        self.events.clear();
     }
 }
 
@@ -148,16 +113,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_behaves_like_fresh() {
+    fn clear_behaves_like_fresh() {
         let mut q = EventQueue::new();
         let t = SimTime::secs(1);
         q.push(t, 1);
         q.push(t, 2);
         q.pop();
-        q.reset();
+        q.clear();
         assert!(q.is_empty());
-        // Ties after a reset pop in push order starting from seq 0 —
-        // exactly as on a fresh queue.
+        // Ties after a clear pop in push order, exactly as on a fresh
+        // queue.
         let mut fresh = EventQueue::new();
         for i in 0..5 {
             q.push(t, i);
@@ -166,15 +131,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(q.pop(), fresh.pop());
         }
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.push(SimTime::secs(1), 2);
-        q.clear();
-        assert!(q.is_empty());
     }
 
     #[test]

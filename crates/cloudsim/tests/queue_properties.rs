@@ -4,8 +4,38 @@
 use proptest::prelude::*;
 use spothost_cloudsim::EventQueue;
 use spothost_market::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 proptest! {
+    #[test]
+    fn pops_as_a_heap_keyed_by_time_and_push_index(
+        ops in prop::collection::vec((0u64..4, prop::bool::ANY), 1..400)
+    ) {
+        // `(d, false)` pushes at the clock plus `d` ms, `(_, true)` pops.
+        // The small range makes ties common, and a push never lands before
+        // the clock (the last popped time), as in a simulation. The oracle
+        // is a binary heap keyed by (time, push index).
+        let mut q = EventQueue::new();
+        let mut oracle = BinaryHeap::new();
+        let mut now = 0u64;
+        for (index, (d, is_pop)) in ops.into_iter().enumerate() {
+            if is_pop {
+                let want = oracle.pop().map(|Reverse((t, i))| (SimTime::millis(t), i));
+                prop_assert_eq!(q.pop(), want);
+                if let Some((t, _)) = want {
+                    now = t.as_millis();
+                }
+            } else {
+                q.push(SimTime::millis(now + d), index);
+                oracle.push(Reverse((now + d, index)));
+            }
+            prop_assert_eq!(q.len(), oracle.len());
+            let next = oracle.peek().map(|&Reverse((t, _))| SimTime::millis(t));
+            prop_assert_eq!(q.peek_time(), next);
+        }
+    }
+
     #[test]
     fn drains_in_stable_time_order(times in prop::collection::vec(0u64..10_000, 0..200)) {
         let mut q = EventQueue::new();

@@ -112,7 +112,7 @@ enum Ev {
 /// edge goes before any queued event of the same time, and edges of the
 /// same time go in scope-zone order (the order `MarketScope::zones` lists
 /// them). Within one zone edges strictly increase, because a zone's
-/// episodes never touch. This is the `(time, sequence)` order the edges
+/// episodes never touch. This is the `(time, push order)` order the edges
 /// would have if all of them were queued, zone by zone, before the run's
 /// first event.
 #[derive(Debug, Clone, Copy)]
@@ -399,16 +399,16 @@ pub struct SimRun<'t, S: Sink = NullSink> {
 }
 
 /// Reusable per-worker scratch state for [`SimRun`]: the event queue's
-/// heap allocation, the adaptive policy's forecaster buffers and the spot
+/// allocation, the adaptive policy's forecaster buffers and the spot
 /// candidate buffer survive from one run to the next instead of being
 /// reallocated per run.
 ///
 /// Determinism contract: a run built with [`SimRun::with_scratch`] on
 /// previously used scratch is bit-identical to one built on
-/// [`SimScratch::new`] — the queue is [`EventQueue::reset`] (heap emptied,
-/// tie-breaking sequence counter rewound) and every recycled forecaster is
-/// [`MarketForecaster::reset`] to its freshly constructed state. Only
-/// allocation capacity carries over, and capacity is not observable.
+/// [`SimScratch::new`] — the queue is [`EventQueue::clear`]ed and every
+/// recycled forecaster is [`MarketForecaster::reset`] to its freshly
+/// constructed state. Only allocation capacity carries over, and capacity
+/// is not observable.
 pub struct SimScratch {
     queue: EventQueue<Ev>,
     forecasters: Vec<MarketForecaster>,
@@ -416,10 +416,11 @@ pub struct SimScratch {
 }
 
 impl SimScratch {
-    /// Fresh scratch with a pre-sized event queue.
+    /// Fresh scratch. Its buffers start empty and grow to what the runs
+    /// on it need (a run holds only a few pending events at a time).
     pub fn new() -> Self {
         SimScratch {
-            queue: EventQueue::with_capacity(1024),
+            queue: EventQueue::new(),
             forecasters: Vec::new(),
             spots: Vec::new(),
         }
@@ -546,7 +547,7 @@ impl<'t> SimRun<'t, NullSink> {
             mut forecasters,
             mut spots,
         } = scratch;
-        queue.reset();
+        queue.clear();
         spots.clear();
         spots.reserve_exact(plan.candidates.len());
         let covered = "the plan checked every candidate's trace";
@@ -649,7 +650,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     }
 
     /// [`SimRun::run`], additionally handing back the run's scratch state
-    /// (event-queue heap, forecaster and candidate buffers) for reuse by
+    /// (event-queue, forecaster and candidate buffers) for reuse by
     /// the caller's next [`SimRun::with_scratch`].
     pub fn run_reclaim(mut self) -> (RunReport, SimScratch) {
         self.begin();
@@ -769,7 +770,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
         self.finish();
         let report = RunReport::from_accounting(&self.acc, self.horizon, self.plan.baseline_rate);
         let mut queue = self.queue;
-        queue.reset();
+        queue.clear();
         let forecasters = self
             .forecast
             .map(|fs| fs.per_market.into_iter().map(|(_, f)| f).collect())
