@@ -1392,28 +1392,29 @@ impl<'t, S: Sink> SimRun<'t, S> {
         self.enter(St::Boot { target: None });
     }
 
-    /// Pure-spot: wake up when the first candidate market becomes
-    /// affordable.
+    /// Pure-spot: wake up when some candidate market becomes affordable.
     fn schedule_spot_retry(&mut self) {
-        self.spot_retry_from(self.plan.candidates[0], self.now);
+        self.spot_retry_from(self.now);
     }
 
-    /// Wake up with `SpotRetry` once `market` trades at or below the
-    /// policy's bid, at or after `from`.
-    fn spot_retry_from(&mut self, market: MarketId, from: SimTime) {
+    /// Wake up with `SpotRetry` at the first instant at or after `from` at
+    /// which some candidate trades at or below the policy's bid for it;
+    /// the retry then requests the best of the affordable candidates.
+    /// Non-bidding policies never wait on a spot price.
+    fn spot_retry_from(&mut self, from: SimTime) {
         let catalog = self.provider.traces().catalog();
-        let Some(bid) = self
+        let policy = self.plan.cfg.policy;
+        let first = self
             .plan
-            .cfg
-            .policy
-            .bid(catalog.on_demand_price(market), catalog.max_bid(market))
-        else {
-            return; // non-bidding policies never wait on a spot price
-        };
-        if let Some(at) = self.provider.next_time_at_or_below(market, from, bid) {
-            if at < self.horizon {
-                self.queue.push(at, Ev::SpotRetry);
-            }
+            .candidates
+            .iter()
+            .filter_map(|&m| {
+                let bid = policy.bid(catalog.on_demand_price(m), catalog.max_bid(m))?;
+                self.provider.next_time_at_or_below(m, from, bid)
+            })
+            .min();
+        if let Some(at) = first.filter(|&at| at < self.horizon) {
+            self.queue.push(at, Ev::SpotRetry);
         }
     }
 
@@ -1764,7 +1765,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             // earliest sensible retry is after termination.
             let cold = self.suspend(zone, terminate_at);
             self.enter(St::DownWaiting { cold });
-            self.spot_retry_from(lease.market, terminate_at);
+            self.spot_retry_from(terminate_at);
             return;
         }
         if self.plan.cfg.naive_restart {
@@ -2039,9 +2040,9 @@ impl<'t, S: Sink> SimRun<'t, S> {
         }
     }
 
-    /// A watched market is back at or below the bid, or a backoff ran
-    /// out: while still booting or down (pure-spot), request the best
-    /// spot market.
+    /// Some candidate is back at or below its bid, or a backoff ran out:
+    /// while still booting or down (pure-spot), request the best spot
+    /// market.
     fn on_spot_retry(&mut self) {
         let cold = match self.st {
             St::Boot { target: None } => None,
