@@ -27,8 +27,14 @@ pub struct Accounting {
     pub spot_time: SimDuration,
     /// Lease time spent on on-demand servers.
     pub on_demand_time: SimDuration,
-    /// Acquisition requests the provider failed (injected capacity faults
-    /// or fault-doomed startups). Zero unless fault injection is enabled.
+    /// Server requests that yielded no running server, counted by this
+    /// rule: a capacity or quota refusal (a storm's capacity crunch
+    /// included), an injected startup failure, and an evacuation's
+    /// replacement that fails to come up for any reason. A spot bid below
+    /// the price is not counted, nor is a boot, restore or migration
+    /// target whose spot price rose above its bid while it booted. Zero
+    /// unless fault injection or a storm config (its on-demand quota
+    /// included) is enabled.
     pub request_faults: u32,
     /// Revocations whose warning never arrived (injected warning-miss
     /// faults): the instance died with no grace window.

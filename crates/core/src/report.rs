@@ -35,8 +35,13 @@ pub struct RunReport {
     pub planned_migrations: u32,
     /// Migrations back from on-demand fallback to a spot market.
     pub reverse_migrations: u32,
-    /// Fault-injection diagnostics (all zero unless faults are enabled):
-    /// server requests the provider refused.
+    /// Server requests that yielded no running server: capacity and
+    /// quota refusals (storm crunches included), injected startup
+    /// failures, and evacuation replacements that failed to come up for
+    /// any reason. A spot bid below the price, and a boot, restore or
+    /// migration target whose spot price rose above its bid while it
+    /// booted, are not counted. Zero unless fault injection or a storm
+    /// config (its on-demand quota included) is enabled.
     pub request_faults: u32,
     /// Revocations whose two-minute warning was lost (fault injection).
     pub unwarned_revocations: u32,
